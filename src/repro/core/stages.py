@@ -43,15 +43,16 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import faults as faults_mod
-from . import kernels, locking, telemetry
+from . import locking, telemetry
 from .cache import FlowCache, code_fingerprint
 from .config import FlowConfig
 
 #: Bumped on stage-key recipe or artifact layout changes; invalidates
 #: every stored stage artifact without touching the result cache.
-#: 2: the key covers the active ``$REPRO_KERNEL`` mode (the root of the
-#: chain is the stage key itself, so every downstream key inherits it).
-STAGE_KEY_FORMAT = 2
+#: 2: the key covered the process-wide python/numpy kernel switch.
+#: 3: the switch is gone (one implementation per kernel), and so is its
+#: key field.
+STAGE_KEY_FORMAT = 3
 
 #: The cross-process coordination events a store can record, in the
 #: order ``stage_cache.singleflight.<event>`` counters are documented
@@ -164,7 +165,6 @@ def stage_key(stage: Stage, config: FlowConfig,
                    for name in sorted(stage.config_fields)},
         "upstream": list(upstream_keys),
         "netlist": netlist_fp if stage.uses_netlist else None,
-        "kernel": kernels.kernel_mode(),
         "version": version if version is not None else code_fingerprint(),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cells import Library
-from ..core import kernels
 from ..core.telemetry import current_tracer
 from ..lefdef.def_ import DefDesign, RouteSegment
 from ..netlist import Netlist
@@ -122,12 +121,12 @@ def _prepare_net(net_name: str, segments: list[RouteSegment],
         endpoints.append((seg.x1_nm, seg.y1_nm))
         endpoints.append((seg.x2_nm, seg.y2_nm))
 
-    if len(endpoints) >= 32 and kernels.use_numpy_kernels():
+    if len(endpoints) >= 32:
         # Vectorized nearest-endpoint search, worthwhile only on nets
         # with many segments.  ``np.argmin`` returns the first minimum,
         # exactly like the scalar ``min`` over indices, and the
         # Manhattan distances are the same IEEE-754 expressions — so
-        # both modes pick the same endpoint at any threshold.
+        # both paths pick the same endpoint at any threshold.
         ex = np.array([e[0] for e in endpoints])
         ey = np.array([e[1] for e in endpoints])
 
@@ -245,15 +244,12 @@ def extract_design(merged: DefDesign, netlist: Netlist, library: Library,
             net_name, segments, stackup, driver_xy, sinks,
             rc_scale=rc_derates.get(net_name, 1.0),
         ))
-    # Elmore solve: one batched forest pass (numpy kernel) or the
-    # per-tree scalar reference — bit-equal either way.
+    # Elmore solve: one batched pass over the whole forest, bit-equal
+    # to the per-tree RCTree.elmore_ps that extract_net uses.
     with tracer.span("kernel.extract.elmore"):
-        if kernels.use_numpy_kernels():
-            all_delays = elmore_forest(
-                [b.tree for b in builds],
-                wanted=[list(b.sink_keys.values()) for b in builds])
-        else:
-            all_delays = [b.tree.elmore_ps() for b in builds]
+        all_delays = elmore_forest(
+            [b.tree for b in builds],
+            wanted=[list(b.sink_keys.values()) for b in builds])
     for build, delays in zip(builds, all_delays):
         extraction.nets[build.net] = _finalize_net(build, delays)
     if tracer.enabled:

@@ -1,12 +1,13 @@
 """RC trees and Elmore delay computation.
 
-:meth:`RCTree.elmore_ps` is the scalar reference; :func:`elmore_forest`
-is the numpy kernel that evaluates *all* of a design's RC trees in one
-level-ordered batch (see :mod:`repro.core.kernels`).  Both accumulate
-each node's subtree capacitance over its children in BFS-discovery
-order and each delay as ``delay[parent] + res * subtree_cap`` — the
-identical IEEE-754 operations in the identical order — so the two are
-bit-equal, which ``tests/test_kernel_equivalence.py`` pins.
+:meth:`RCTree.elmore_ps` solves one tree (single-net extraction);
+:func:`elmore_forest` is the numpy kernel that evaluates *all* of a
+design's RC trees in one level-ordered batch (whole-design
+extraction).  Both accumulate each node's subtree capacitance over its
+children in BFS-discovery order and each delay as ``delay[parent] +
+res * subtree_cap`` — the identical IEEE-754 operations in the
+identical order — so the two are bit-equal, which
+``tests/test_kernel_equivalence.py`` pins.
 """
 
 from __future__ import annotations

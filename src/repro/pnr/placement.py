@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cells import Library
-from ..core import kernels, telemetry
+from ..core import telemetry
 from ..core.errors import FatalError
 from ..netlist import Netlist
 from .geometry import Die, Point
@@ -207,9 +207,9 @@ def global_place(netlist: Netlist, library: Library, die: Die,
         # Re-expand to fill the die: pure relaxation collapses to a
         # point, which loses all ordering information.  Keeping the
         # spread makes the iteration behave like a spectral method.
-        # Shared by both kernel modes: the reductions (mean/std) use
-        # numpy's pairwise summation, which a scalar re-implementation
-        # could not reproduce bit-for-bit.
+        # Kept outside the sweep: the reductions (mean/std) use numpy's
+        # pairwise summation, which the scalar reference sweep could
+        # not reproduce bit-for-bit.
         for arr, extent in ((xs, die.width_nm), (ys, die.height_nm)):
             std = arr[movable].std()
             if std > 1e-9:
@@ -219,70 +219,18 @@ def global_place(netlist: Netlist, library: Library, die: Die,
                 )
             np.clip(arr, 0.0, extent, out=arr)
 
-    if kernels.use_numpy_kernels():
-        def sweep(rescale: bool) -> None:
-            net_sx = np.where(a_mask, a_x, 0.0).astype(float)
-            net_sy = np.where(a_mask, a_y, 0.0).astype(float)
-            np.add.at(net_sx, e_net, xs[e_cell])
-            np.add.at(net_sy, e_net, ys[e_cell])
-            cx = net_sx / net_size
-            cy = net_sy / net_size
-            pull_x = np.zeros(n)
-            pull_y = np.zeros(n)
-            np.add.at(pull_x, e_cell, (w_net * cx)[e_net])
-            np.add.at(pull_y, e_cell, (w_net * cy)[e_net])
-            xs[movable] = pull_x[movable] / cell_weight[movable]
-            ys[movable] = pull_y[movable] / cell_weight[movable]
-            if rescale:
-                _rescale()
-    else:
-        # Reference kernel: the same accumulations as explicit loops
-        # over the incidence list, in identical entry order — scatter
-        # adds are sequential in both paths, so the modes agree
-        # bit-for-bit.
-        net_size_l = net_size.tolist()
-        cell_weight_l = cell_weight.tolist()
-        movable_l = movable.tolist()
-        n_entries = len(entry_net)
-
-        def sweep(rescale: bool) -> None:
-            xs_l = xs.tolist()
-            ys_l = ys.tolist()
-            net_sx = [anchor_x[i] if anchor_mask[i] else 0.0
-                      for i in range(n_nets)]
-            net_sy = [anchor_y[i] if anchor_mask[i] else 0.0
-                      for i in range(n_nets)]
-            for k in range(n_entries):
-                i = entry_net[k]
-                net_sx[i] += xs_l[entry_cell[k]]
-                net_sy[i] += ys_l[entry_cell[k]]
-            cx = [net_sx[i] / net_size_l[i] for i in range(n_nets)]
-            cy = [net_sy[i] / net_size_l[i] for i in range(n_nets)]
-            pull_x = [0.0] * n
-            pull_y = [0.0] * n
-            for k in range(n_entries):
-                i = entry_net[k]
-                c = entry_cell[k]
-                pull_x[c] += net_weight[i] * cx[i]
-                pull_y[c] += net_weight[i] * cy[i]
-            for c in range(n):
-                if movable_l[c]:
-                    xs_l[c] = pull_x[c] / cell_weight_l[c]
-                    ys_l[c] = pull_y[c] / cell_weight_l[c]
-            xs[:] = xs_l
-            ys[:] = ys_l
-            if rescale:
-                _rescale()
-
     # Spectral-like phase with rescaling, then a short pure relaxation
     # to pull connected cells tight around the structure found.
     tracer = telemetry.current_tracer()
     relax_iters = iterations + max(4, iterations // 12)
+    sweep_args = (e_net, e_cell, w_net, a_x, a_y, net_size, cell_weight,
+                  movable)
     with tracer.span("kernel.place.field"):
         for _ in range(iterations):
-            sweep(rescale=True)
+            _relax_sweep(xs, ys, *sweep_args)
+            _rescale()
         for _ in range(max(4, iterations // 12)):
-            sweep(rescale=False)
+            _relax_sweep(xs, ys, *sweep_args)
     if tracer.enabled:
         tracer.count("kernel.place.sweeps", relax_iters)
         tracer.gauge("kernel.place.entries", float(len(entry_net)))
@@ -311,6 +259,32 @@ def global_place(netlist: Netlist, library: Library, die: Die,
     for name, i in index.items():
         placement.locations[name] = Point(float(xs[i]), float(ys[i]))
     return placement
+
+
+def _relax_sweep(xs: np.ndarray, ys: np.ndarray,
+                 e_net: np.ndarray, e_cell: np.ndarray, w_net: np.ndarray,
+                 anchor_x: np.ndarray, anchor_y: np.ndarray,
+                 net_size: np.ndarray, cell_weight: np.ndarray,
+                 movable: np.ndarray) -> None:
+    """One Jacobi sweep of the star-model relaxation, in place.
+
+    ``(e_net[k], e_cell[k])`` is the k-th net-cell incidence; nets
+    without an IO pad have a zero anchor.  ``np.add.at`` accumulates in
+    entry order, exactly like the scalar loop in
+    ``tests/reference/placement.py``, so the two agree bit-for-bit.
+    """
+    net_sx = anchor_x.copy()
+    net_sy = anchor_y.copy()
+    np.add.at(net_sx, e_net, xs[e_cell])
+    np.add.at(net_sy, e_net, ys[e_cell])
+    cx = net_sx / net_size
+    cy = net_sy / net_size
+    pull_x = np.zeros(len(xs))
+    pull_y = np.zeros(len(ys))
+    np.add.at(pull_x, e_cell, (w_net * cx)[e_net])
+    np.add.at(pull_y, e_cell, (w_net * cy)[e_net])
+    xs[movable] = pull_x[movable] / cell_weight[movable]
+    ys[movable] = pull_y[movable] / cell_weight[movable]
 
 
 class _MinCutPartitioner:

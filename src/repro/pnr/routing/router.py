@@ -6,16 +6,14 @@ L-shapes).  Overflowed nets are then ripped up and rerouted with a
 maze router whose cost includes present congestion and a negotiated-
 congestion history term, for a fixed number of iterations.
 
-The maze search is a dual-implementation kernel selected by
-``$REPRO_KERNEL`` (see :mod:`repro.core.kernels`).  Both modes compute
-the *same* shortest-distance field over the net's search box — the
-python reference settles it with a scalar Dijkstra, the numpy kernel
-runs directional min-plus (fast-sweeping) relaxations to the same
-fixed point — and a shared deterministic backtrack turns the field
-into the route.  With strictly positive edge costs the two fixed
-points are bit-identical (every distance is the minimum over paths of
-the left-associated IEEE-754 sum of edge costs), so both modes produce
-identical routes; ``tests/test_kernel_equivalence.py`` pins this.
+The maze search settles a shortest-distance field over the net's
+search box with directional min-plus (fast-sweeping) relaxations
+(:func:`_dist_field`), and a deterministic backtrack turns the field
+into the route.  With strictly positive edge costs the fixed point is
+unique — every distance is the minimum over paths of the
+left-associated IEEE-754 sum of edge costs — so it is bit-identical to
+the scalar Dijkstra oracle in ``tests/reference/routing.py``;
+``tests/test_kernel_equivalence.py`` pins this.
 
 The result keeps per-net trees (unit gcell edges), so RC extraction can
 build a real RC tree per net, and reports overflow as a DRV count — the
@@ -24,12 +22,10 @@ paper's validity criterion is fewer than 10 DRVs (Section IV).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...core import kernels
 from ...core.errors import RoutingError
 from ...core.telemetry import current_tracer
 from ...tech import Side
@@ -268,9 +264,9 @@ class GlobalRouter:
                    cost_h: np.ndarray, cost_v: np.ndarray) -> list[Coord]:
         """Multi-source shortest path inside ``box`` via a distance field.
 
-        Both kernel modes settle the same field (see the module
-        docstring for why the fixed points are bit-identical); the
-        backtrack is shared and deterministic.
+        :func:`_dist_field` settles the field (see the module docstring
+        for why the fixed point is unique); the backtrack is
+        deterministic.
         """
         x0, y0, x1, y1 = box
         tracer = current_tracer()
@@ -278,96 +274,20 @@ class GlobalRouter:
             tracer.count("kernel.route.searches")
             tracer.count("kernel.route.nodes",
                          (y1 - y0 + 1) * (x1 - x0 + 1))
-        if kernels.use_numpy_kernels():
-            dist = self._dist_field_numpy(sources, box, cost_h, cost_v,
-                                          tracer)
-        else:
-            dist = self._dist_field_python(sources, box, cost_h, cost_v)
+        dist = _dist_field(sources, box, cost_h, cost_v, tracer)
         if not np.isfinite(dist[target[1] - y0, target[0] - x0]):
             raise RoutingError(f"maze routing failed to reach {target}",
                                "routing")
         return self._backtrack(dist, target, box, cost_h, cost_v)
-
-    def _dist_field_python(self, sources: set[Coord],
-                           box: tuple[int, int, int, int],
-                           cost_h: np.ndarray,
-                           cost_v: np.ndarray) -> np.ndarray:
-        """Reference kernel: scalar Dijkstra settled over the whole box."""
-        x0, y0, x1, y1 = box
-        dist = np.full((y1 - y0 + 1, x1 - x0 + 1), np.inf)
-        heap: list[tuple[float, Coord]] = []
-        for c, r in sources:
-            if x0 <= c <= x1 and y0 <= r <= y1:
-                dist[r - y0, c - x0] = 0.0
-                heap.append((0.0, (c, r)))
-        heapq.heapify(heap)
-        while heap:
-            d, (c, r) = heapq.heappop(heap)
-            if d > dist[r - y0, c - x0]:
-                continue
-            for nxt in ((c + 1, r), (c - 1, r), (c, r + 1), (c, r - 1)):
-                if not (x0 <= nxt[0] <= x1 and y0 <= nxt[1] <= y1):
-                    continue
-                if nxt[1] == r:
-                    step = cost_h[r, min(c, nxt[0])]
-                else:
-                    step = cost_v[min(r, nxt[1]), c]
-                nd = d + step
-                if nd < dist[nxt[1] - y0, nxt[0] - x0]:
-                    dist[nxt[1] - y0, nxt[0] - x0] = nd
-                    heapq.heappush(heap, (nd, nxt))
-        return dist
-
-    def _dist_field_numpy(self, sources: set[Coord],
-                          box: tuple[int, int, int, int],
-                          cost_h: np.ndarray, cost_v: np.ndarray,
-                          tracer) -> np.ndarray:
-        """Numpy kernel: directional min-plus sweeps to the fixed point.
-
-        Each pass relaxes whole rows/columns at once in the four sweep
-        directions (the fast-sweeping method); paths with ``k``
-        direction reversals converge within ``k`` passes, so congested
-        detours typically settle in two or three.
-        """
-        x0, y0, x1, y1 = box
-        h = y1 - y0 + 1
-        w = x1 - x0 + 1
-        dist = np.full((h, w), np.inf)
-        for c, r in sources:
-            if x0 <= c <= x1 and y0 <= r <= y1:
-                dist[r - y0, c - x0] = 0.0
-        ch = cost_h[y0:y1 + 1, x0:x1]    # (h, w - 1)
-        cv = cost_v[y0:y1, x0:x1 + 1]    # (h - 1, w)
-        sweeps = 0
-        while True:
-            before = dist.copy()
-            for c in range(1, w):        # west -> east
-                np.minimum(dist[:, c], dist[:, c - 1] + ch[:, c - 1],
-                           out=dist[:, c])
-            for c in range(w - 2, -1, -1):   # east -> west
-                np.minimum(dist[:, c], dist[:, c + 1] + ch[:, c],
-                           out=dist[:, c])
-            for r in range(1, h):        # south -> north
-                np.minimum(dist[r], dist[r - 1] + cv[r - 1],
-                           out=dist[r])
-            for r in range(h - 2, -1, -1):   # north -> south
-                np.minimum(dist[r], dist[r + 1] + cv[r],
-                           out=dist[r])
-            sweeps += 1
-            if np.array_equal(before, dist):
-                break
-        if tracer.enabled:
-            tracer.count("kernel.route.sweeps", sweeps)
-        return dist
 
     def _backtrack(self, dist: np.ndarray, target: Coord,
                    box: tuple[int, int, int, int],
                    cost_h: np.ndarray, cost_v: np.ndarray) -> list[Coord]:
         """Walk the settled field from ``target`` back to a source.
 
-        Deterministic in both kernel modes: neighbors are probed in a
-        fixed order and accepted on *exact* float equality ``dist[u] +
-        cost == dist[v]`` — always satisfiable at the fixed point, and
+        Deterministic: neighbors are probed in a fixed order and
+        accepted on *exact* float equality ``dist[u] + cost ==
+        dist[v]`` — always satisfiable at the fixed point, and
         strictly decreasing, so the walk terminates at a zero-distance
         source.
         """
@@ -469,6 +389,49 @@ class GlobalRouter:
         for r, c in zip(*np.nonzero(over_v)):
             edges.add(_norm_edge((int(c), int(r)), (int(c), int(r) + 1)))
         return edges
+
+
+def _dist_field(sources: set[Coord], box: tuple[int, int, int, int],
+                cost_h: np.ndarray, cost_v: np.ndarray,
+                tracer) -> np.ndarray:
+    """Shortest distance from ``sources`` to every gcell of ``box``.
+
+    Directional min-plus sweeps to the fixed point: each pass relaxes
+    whole rows/columns at once in the four sweep directions (the
+    fast-sweeping method); paths with ``k`` direction reversals
+    converge within ``k`` passes, so congested detours typically settle
+    in two or three.
+    """
+    x0, y0, x1, y1 = box
+    h = y1 - y0 + 1
+    w = x1 - x0 + 1
+    dist = np.full((h, w), np.inf)
+    for c, r in sources:
+        if x0 <= c <= x1 and y0 <= r <= y1:
+            dist[r - y0, c - x0] = 0.0
+    ch = cost_h[y0:y1 + 1, x0:x1]    # (h, w - 1)
+    cv = cost_v[y0:y1, x0:x1 + 1]    # (h - 1, w)
+    sweeps = 0
+    while True:
+        before = dist.copy()
+        for c in range(1, w):        # west -> east
+            np.minimum(dist[:, c], dist[:, c - 1] + ch[:, c - 1],
+                       out=dist[:, c])
+        for c in range(w - 2, -1, -1):   # east -> west
+            np.minimum(dist[:, c], dist[:, c + 1] + ch[:, c],
+                       out=dist[:, c])
+        for r in range(1, h):        # south -> north
+            np.minimum(dist[r], dist[r - 1] + cv[r - 1],
+                       out=dist[r])
+        for r in range(h - 2, -1, -1):   # north -> south
+            np.minimum(dist[r], dist[r + 1] + cv[r],
+                       out=dist[r])
+        sweeps += 1
+        if np.array_equal(before, dist):
+            break
+    if tracer.enabled:
+        tracer.count("kernel.route.sweeps", sweeps)
+    return dist
 
 
 def _hpwl(terminals: list[Coord]) -> int:

@@ -1,0 +1,31 @@
+"""Scalar reference implementations of the flow's hot kernels.
+
+Each module here is the plain-Python oracle for one vectorized kernel
+in ``src/``, with the production function's exact signature so a test
+can either compare the two or swap the oracle in:
+
+* :func:`placement.relax_sweep` for ``repro.pnr.placement._relax_sweep``;
+* :func:`routing.dist_field` (Dijkstra) for
+  ``repro.pnr.routing.router._dist_field``;
+* :func:`sta.propagate_comb` for ``repro.sta.sta._propagate_comb``.
+
+The oracles perform every floating-point operation in the same order as
+the kernels, so they agree bit-for-bit (tests/test_kernel_equivalence.py
+and the reference-patched golden case in tests/test_golden_regression.py
+pin that).  The other two kernels keep their scalar form in ``src/``
+because production still calls it: ``RCTree.elmore_ps`` (single-net
+extraction) and ``LookupTable.__call__`` (clock and launch arcs).
+"""
+
+from __future__ import annotations
+
+from . import placement, routing, sta
+
+
+def install(monkeypatch) -> None:
+    """Swap every oracle into its production seam for one test."""
+    monkeypatch.setattr("repro.pnr.placement._relax_sweep",
+                        placement.relax_sweep)
+    monkeypatch.setattr("repro.pnr.routing.router._dist_field",
+                        routing.dist_field)
+    monkeypatch.setattr("repro.sta.sta._propagate_comb", sta.propagate_comb)

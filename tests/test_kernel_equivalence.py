@@ -1,11 +1,12 @@
-"""Numeric-equivalence harness for the dual-implementation kernels.
+"""Numeric-equivalence harness: every hot kernel against its oracle.
 
-Every hot kernel ships a python reference and a numpy implementation
-(:mod:`repro.core.kernels`); this suite pins their agreement with
+Each vectorized kernel in ``src/`` has a scalar oracle, either in
+``src/`` itself (where production still calls it) or in
+``tests/reference/``; this suite pins their agreement with
 property-based tests.
 
-Tolerance policy (also in docs/performance.md): the implementations
-are *operation-order compatible* — every floating-point accumulation
+Tolerance policy (also in docs/performance.md): kernel and oracle are
+*operation-order compatible* — every floating-point accumulation
 happens in the same order in both — so the pinned tolerance is **zero
 ULP everywhere**:
 
@@ -13,21 +14,18 @@ ULP everywhere**:
   :class:`LookupTable` calls: bit-equal;
 * **Elmore delay** — :func:`elmore_forest` vs per-tree
   :meth:`RCTree.elmore_ps`: bit-equal;
-* **maze routing** — both modes settle the same shortest-distance
-  field (scalar Dijkstra vs min-plus sweeps; unique fixed point under
-  strictly positive costs) and share one deterministic backtrack:
-  identical fields, identical routes, identical wirelength/overflow;
-* **analytic placement** — scatter/gather sweeps accumulate in entry
-  order in both modes: identical coordinates.
+* **maze routing** — min-plus sweeps and the Dijkstra oracle settle the
+  same shortest-distance field (unique fixed point under strictly
+  positive costs), so the deterministic backtrack gives identical
+  routes, wirelength and overflow;
+* **analytic placement** — the scatter/gather sweep and the scalar loop
+  accumulate in entry order: identical coordinates.
 
 Any intentional future divergence must loosen the assertion here *and*
 document the new tolerance, in the same change.
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -37,26 +35,19 @@ from hypothesis import strategies as st
 from repro.cells import LookupTable
 from repro.extract.rc import RCTree, elmore_forest
 from repro.pnr import FloorplanSpec, global_place, plan_floor
+from repro.pnr import placement as placement_mod
+from repro.pnr.routing import router as router_mod
 from repro.pnr.routing.grid import RoutingGrid
 from repro.pnr.routing.router import GlobalRouter, NetSpec
 from repro.sta.nldm import TableStack
 from repro.tech import Side
 
+from . import reference
+
 slow = settings(max_examples=25,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
-
-@contextmanager
-def kernel_mode(mode: str):
-    old = os.environ.get("REPRO_KERNEL")
-    os.environ["REPRO_KERNEL"] = mode
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_KERNEL", None)
-        else:
-            os.environ["REPRO_KERNEL"] = old
+NULL_TRACER = type("NullTracer", (), {"enabled": False})()
 
 
 # ---------------------------------------------------------------------------
@@ -179,35 +170,35 @@ class TestMazeKernelEquivalence:
         cost_h, cost_v = router._cost_fields()
         box = (0, 0, router.grid.cols - 1, router.grid.rows - 1)
         sources = set(spec.terminals[:-1])
-        null = type("T", (), {"enabled": False})()
-        d_py = router._dist_field_python(sources, box, cost_h, cost_v)
-        d_np = router._dist_field_numpy(sources, box, cost_h, cost_v, null)
-        assert np.array_equal(d_py, d_np)
+        d_ref = reference.routing.dist_field(sources, box, cost_h, cost_v,
+                                             NULL_TRACER)
+        d_np = router_mod._dist_field(sources, box, cost_h, cost_v,
+                                      NULL_TRACER)
+        assert np.array_equal(d_ref, d_np)
 
     @slow
     @given(congested_routers())
     def test_maze_routes_identical(self, case):
         router, spec = case
-        with kernel_mode("python"):
-            route_py = router._maze_route(spec)
-        with kernel_mode("numpy"):
-            route_np = router._maze_route(spec)
-        assert route_py.edges == route_np.edges
+        route_np = router._maze_route(spec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(router_mod, "_dist_field", reference.routing.dist_field)
+            route_ref = router._maze_route(spec)
+        assert route_ref.edges == route_np.edges
 
     @slow
     @given(congested_routers())
     def test_route_all_wirelength_and_overflow_identical(self, case):
         router, spec = case
         # Fresh routers (route_all owns usage/history), same grid.
-        results = {}
-        for mode in ("python", "numpy"):
-            with kernel_mode(mode):
-                results[mode] = GlobalRouter(router.grid).route_all([spec])
-        py, np_ = results["python"], results["numpy"]
-        assert py.total_wirelength_nm == np_.total_wirelength_nm
-        assert py.overflow_edges == np_.overflow_edges
-        assert py.total_overflow == np_.total_overflow
-        assert {n: r.edges for n, r in py.routes.items()} == \
+        np_ = GlobalRouter(router.grid).route_all([spec])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(router_mod, "_dist_field", reference.routing.dist_field)
+            ref = GlobalRouter(router.grid).route_all([spec])
+        assert ref.total_wirelength_nm == np_.total_wirelength_nm
+        assert ref.overflow_edges == np_.overflow_edges
+        assert ref.total_overflow == np_.total_overflow
+        assert {n: r.edges for n, r in ref.routes.items()} == \
             {n: r.edges for n, r in np_.routes.items()}
 
     @slow
@@ -255,15 +246,59 @@ class TestKernelCounterJobsParity:
 # ---------------------------------------------------------------------------
 # Analytic placement field/gradient sweeps
 # ---------------------------------------------------------------------------
+@st.composite
+def incidence_lists(draw):
+    """Random star-model inputs shaped like ``global_place`` builds them:
+    every net has at least one member, anchors are zero where a net has
+    no pad, and cells without nets (or pinned macros) stay put."""
+    n = draw(st.integers(1, 30))
+    n_nets = draw(st.integers(1, 20))
+    entries = []
+    for net in range(n_nets):
+        members = draw(st.sets(st.integers(0, n - 1), min_size=1,
+                               max_size=min(n, 8)))
+        entries.extend((net, cell) for cell in sorted(members))
+    entries = draw(st.permutations(entries))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    e_net = np.array([e[0] for e in entries], dtype=np.intp)
+    e_cell = np.array([e[1] for e in entries], dtype=np.intp)
+    w_net = rng.random(n_nets) + 0.05
+    has_pad = rng.random(n_nets) < 0.3
+    anchor_x = np.where(has_pad, rng.random(n_nets) * 5e4, 0.0)
+    anchor_y = np.where(has_pad, rng.random(n_nets) * 5e4, 0.0)
+    net_size = np.zeros(n_nets)
+    np.add.at(net_size, e_net, 1.0)
+    net_size += has_pad
+    cell_weight = np.zeros(n)
+    np.add.at(cell_weight, e_cell, w_net[e_net])
+    movable = (cell_weight > 0) & (rng.random(n) < 0.9)
+    xs = rng.random(n) * 5e4
+    ys = rng.random(n) * 5e4
+    return xs, ys, (e_net, e_cell, w_net, anchor_x, anchor_y, net_size,
+                    cell_weight, movable)
+
+
 class TestPlacementKernelEquivalence:
+    @slow
+    @given(incidence_lists(), st.integers(1, 4))
+    def test_relax_sweep_matches_reference_bitwise(self, case, sweeps):
+        xs, ys, args = case
+        ref_x, ref_y = xs.copy(), ys.copy()
+        for _ in range(sweeps):
+            placement_mod._relax_sweep(xs, ys, *args)
+            reference.placement.relax_sweep(ref_x, ref_y, *args)
+        assert xs.tobytes() == ref_x.tobytes()
+        assert ys.tobytes() == ref_y.tobytes()
+
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_global_place_identical_coordinates(self, ffet_lib, mult4, seed):
+    def test_global_place_identical_coordinates(self, ffet_lib, mult4, seed,
+                                                monkeypatch):
         die = plan_floor(mult4, ffet_lib, FloorplanSpec(0.7))
-        with kernel_mode("python"):
-            p_py = global_place(mult4, ffet_lib, die, seed=seed)
-        with kernel_mode("numpy"):
-            p_np = global_place(mult4, ffet_lib, die, seed=seed)
-        assert set(p_py.locations) == set(p_np.locations)
-        for name, point in p_py.locations.items():
+        p_np = global_place(mult4, ffet_lib, die, seed=seed)
+        monkeypatch.setattr(placement_mod, "_relax_sweep",
+                            reference.placement.relax_sweep)
+        p_ref = global_place(mult4, ffet_lib, die, seed=seed)
+        assert set(p_ref.locations) == set(p_np.locations)
+        for name, point in p_ref.locations.items():
             other = p_np.locations[name]
             assert (point.x_nm, point.y_nm) == (other.x_nm, other.y_nm)

@@ -75,13 +75,13 @@ def test_malformed_event_truncates_the_replay_there(tmp_path):
 
 def test_identity_mismatch_starts_fresh(tmp_path, monkeypatch):
     path = tmp_path / "journal.jsonl"
-    monkeypatch.setenv("REPRO_KERNEL", "python")
     journal = JobJournal(path)
     journal.job_submitted("j0001", SPEC, 1.0)
     journal.close()
-    # Same file under the other kernel: results are content-addressed
-    # by kernel mode, so the journal must not replay.
-    monkeypatch.setenv("REPRO_KERNEL", "numpy")
+    # Same file under another code version: results are content-addressed
+    # by the code fingerprint, so the journal must not replay.
+    monkeypatch.setattr("repro.service.journal.code_fingerprint",
+                        lambda: "another-version")
     assert JobJournal(path).replay() == []
 
 

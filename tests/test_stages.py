@@ -124,17 +124,6 @@ class TestStageKey:
         a, b = _keys(BASE, version="v0"), _keys(BASE, version="v1")
         assert all(a[name] != b[name] for name in FLOW_STAGES)
 
-    def test_kernel_mode_invalidates_everything(self, monkeypatch):
-        """Flipping REPRO_KERNEL misses every stored stage artifact, so
-        python- and numpy-kernel walks can never replay each other."""
-        from repro.core.kernels import KERNEL_ENV
-
-        monkeypatch.setenv(KERNEL_ENV, "numpy")
-        a = _keys(BASE, version="v0")
-        monkeypatch.setenv(KERNEL_ENV, "python")
-        b = _keys(BASE, version="v0")
-        assert all(a[name] != b[name] for name in FLOW_STAGES)
-
     def test_upstream_key_count_is_checked(self):
         with pytest.raises(ValueError, match="upstream"):
             stage_key(FLOW_GRAPH["routing"], BASE, [], version="v0")
