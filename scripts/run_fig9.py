@@ -1,7 +1,7 @@
 """Full-scale Fig. 9 sweep (after the synthesis-guardband change).
 
 Runs fan out over ``$REPRO_JOBS`` worker processes and completed
-points are served from the content-addressed result cache; set
+points are served from the content-addressed artifact store; set
 ``REPRO_NO_CACHE=1`` to force recomputation (see docs/performance.md).
 """
 

@@ -1,7 +1,7 @@
 """Compact full-scale headline runs for EXPERIMENTS.md.
 
 All runs fan out over ``$REPRO_JOBS`` workers through the SweepRunner
-and hit the content-addressed result cache on re-runs; set
+and hit the content-addressed artifact store on re-runs; set
 ``REPRO_NO_CACHE=1`` to force recomputation.  The sweep checkpoints to
 ``headline.ckpt`` (``$REPRO_CHECKPOINT`` overrides), so a killed run
 resumes where it stopped instead of starting over; failed points are

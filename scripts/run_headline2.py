@@ -1,7 +1,7 @@
 """Remaining full-scale runs (fig12 valid probes, fig13, Table III).
 
 Fans out over ``$REPRO_JOBS`` workers; cached points are served from
-the content-addressed result cache (``REPRO_NO_CACHE=1`` bypasses it).
+the content-addressed artifact store (``REPRO_NO_CACHE=1`` bypasses it).
 """
 import json
 

@@ -16,7 +16,7 @@ Every experiment subcommand accepts ``--xlen/--nregs`` to size the
 RISC-V benchmark core and ``--json``/``--csv`` to save results.
 Independent flow runs fan out over ``--jobs`` worker processes
 (``$REPRO_JOBS`` sets the default) and completed points are served from
-the content-addressed result cache unless ``--no-cache`` is given; see
+the content-addressed artifact store unless ``--no-cache`` is given; see
 docs/performance.md.  ``--trace DIR`` records per-stage telemetry for
 every run and ``repro trace report DIR`` prints the stage breakdown;
 see docs/observability.md.
@@ -94,13 +94,13 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
                         help="parallel flow workers (default: $REPRO_JOBS "
                              "or 1; 0 = one per core)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="recompute every run, bypassing the result cache")
+                        help="recompute every run, bypassing the cache")
     parser.add_argument("--refresh", action="store_true",
                         help="re-run every point instead of serving stored "
                              "results, but keep the per-stage artifact store "
                              "warm (replays unchanged flow prefixes)")
     parser.add_argument("--cache-dir", default=None,
-                        help="result cache directory (default: "
+                        help="cache directory (default: "
                              "$REPRO_CACHE_DIR or ~/.cache/repro)")
     parser.add_argument("--cache-max-bytes", type=int, default=None,
                         metavar="BYTES",
@@ -505,7 +505,7 @@ def cmd_cache(args) -> int:
                       max_bytes=getattr(args, "cache_max_bytes", None))
     if args.action == "clear":
         removed = cache.clear()
-        print(f"removed {removed} cached results from {cache.directory}")
+        print(f"removed {removed} files from {cache.directory}")
     elif args.action == "fsck":
         return _cache_fsck(args, cache)
     elif getattr(args, "json", False):
@@ -514,14 +514,11 @@ def cmd_cache(args) -> int:
         info = cache.info()
         print(f"cache directory: {info['directory']}")
         if not info["entries"]:
-            print("cached results: empty"
+            print("cached artifact blobs: empty"
                   + ("" if info["exists"] else " (directory not created yet)"))
         else:
-            print(f"cached results: {info['entries']} "
+            print(f"cached artifact blobs: {info['entries']} "
                   f"({info['total_bytes'] / 1024:.1f} KiB)")
-        if info["blob_entries"]:
-            print(f"cached artifact blobs: {info['blob_entries']} "
-                  f"({info['blob_bytes'] / 1024:.1f} KiB)")
         if info["max_bytes"]:
             print(f"byte quota: {info['max_bytes'] / 1024:.1f} KiB "
                   "(least-recently-used entries evicted past it)")
@@ -548,7 +545,7 @@ def _cache_fsck(args, cache) -> int:
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0 if not unrepaired else 1
     print(f"cache directory: {report['directory']}")
-    print(f"checked: {report['entries']} results, {report['blobs']} blobs, "
+    print(f"checked: {report['entries']} entries, "
           f"{report['live_locks']} live locks")
     if not defects:
         print("clean: no defects found")
@@ -814,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true",
                    help="recompute the nominal flow, bypassing the cache")
     p.add_argument("--cache-dir", default=None,
-                   help="result cache directory (default: "
+                   help="cache directory (default: "
                         "$REPRO_CACHE_DIR or ~/.cache/repro)")
     p.add_argument("--cache-max-bytes", type=int, default=None,
                    metavar="BYTES",
@@ -827,7 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("cache",
-                       help="inspect, audit or clear the flow result cache")
+                       help="inspect, audit or clear the flow artifact store")
     p.add_argument("action", choices=("info", "clear", "fsck"))
     p.add_argument("--cache-dir", default=None,
                    help="cache directory (default: $REPRO_CACHE_DIR "
@@ -877,10 +874,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="start with a fresh journal instead of replaying "
                         "jobs from an interrupted server")
     p.add_argument("--no-cache", action="store_true",
-                   help="run without the shared result cache (disables "
+                   help="run without the shared cache (disables "
                         "cross-job result and stage dedup)")
     p.add_argument("--cache-dir", default=None,
-                   help="result cache directory (default: "
+                   help="cache directory (default: "
                         "$REPRO_CACHE_DIR or ~/.cache/repro)")
     p.add_argument("--cache-max-bytes", type=int, default=None,
                    metavar="BYTES",

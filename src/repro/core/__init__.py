@@ -14,7 +14,6 @@ from importlib import import_module
 _LAZY = {
     "FlowCache": ".cache",
     "cache_from_env": ".cache",
-    "cache_key": ".cache",
     "code_fingerprint": ".cache",
     "netlist_fingerprint": ".cache",
     "FlowConfig": ".config",
@@ -33,6 +32,7 @@ _LAZY = {
     "FLOW_GRAPH": ".flow",
     "FLOW_STAGES": ".flow",
     "FlowArtifacts": ".flow",
+    "artifact_key": ".flow",
     "prepare_library": ".flow",
     "run_flow": ".flow",
     "stage_keys": ".flow",

@@ -1,26 +1,27 @@
-"""Content-addressed on-disk cache for flow results.
+"""Content-addressed on-disk artifact store.
 
 Every flow run is a pure function of three inputs: the
 :class:`~repro.core.config.FlowConfig`, the netlist the factory
-produces, and the code that implements the flow.  The cache key is a
-SHA-256 over all three, so a hit is only possible when re-running would
-provably recompute the same :class:`~repro.core.ppa.PPAResult`:
+produces, and the code that implements the flow.  The store holds what
+walks of the flow produce, each entry under a key that hashes exactly
+the inputs that can reach it, so a hit is only possible when re-running
+would provably recompute the same bytes.  The keys are chosen by
+:class:`~repro.core.stages.StageStore`; this module owns the bytes:
 
-* **config** — every dataclass field except the ones in
-  :data:`NON_PPA_FIELDS` (annotations like ``tag`` that never reach the
-  flow);
-* **netlist fingerprint** — a structural hash of the instances, nets
-  and port directions (:func:`netlist_fingerprint`);
-* **version tag** — by default :func:`code_fingerprint`, a hash of every
-  ``repro`` source file, so editing the flow invalidates the whole
-  cache without any manual version bump.
+* **entries** are pickles under
+  ``<cache-dir>/blobs/<kind>/<key[:2]>/<key>.pkl`` — one ``stage-<name>``
+  kind per flow stage, plus the two terminal artifacts ``result`` (a
+  run's :class:`PPAResult`/:class:`FailedRun`) and ``nominal`` (the
+  Monte-Carlo nominal bundle);
+* **keys** chain the config slice, the :func:`netlist_fingerprint` and
+  the :func:`code_fingerprint` (a hash of every ``repro`` source file,
+  so editing the flow invalidates the whole store without any manual
+  version bump).
 
-Entries are JSON files under ``<cache-dir>/<key[:2]>/<key>.json`` and
-round-trip :class:`PPAResult`/:class:`FailedRun` exactly (dataclass
-equality, bit-for-bit floats).  The directory defaults to
-``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.  ``FlowCache.clear()`` and
-``repro cache clear`` are the explicit invalidation paths; passing
-``cache=None`` to the runner (CLI ``--no-cache``) bypasses it entirely.
+The directory defaults to ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
+``FlowCache.clear()`` and ``repro cache clear`` are the explicit
+invalidation paths; passing ``cache=None`` to the runner (CLI
+``--no-cache``) bypasses the store entirely.
 
 The store is safe for concurrent multi-process use (docs/robustness.md
 "Concurrency & integrity"):
@@ -29,6 +30,8 @@ The store is safe for concurrent multi-process use (docs/robustness.md
   (pid + per-process counter) is fsynced, renamed over the final path,
   and the parent directory is fsynced, so a crash can never leave a
   torn entry where a reader looks;
+* an entry that exists but does not unpickle is counted
+  (``cache.corrupt``) and deleted, so it can never be half-read;
 * stale tmp files and stale locks from dead writers are **swept at
   store open** (first get/put), not just on ``clear`` — counted as
   ``cache.swept_tmp`` / ``cache.swept_locks``;
@@ -39,8 +42,8 @@ The store is safe for concurrent multi-process use (docs/robustness.md
   except entries pinned by a live single-flight lock
   (:mod:`repro.core.locking`);
 * :meth:`FlowCache.fsck` (CLI ``repro cache fsck``) audits the whole
-  tree — checksums, truncated blobs, orphans, lock liveness — and can
-  repair it in place.
+  tree — truncated entries, dead writers' tmp files, lock liveness —
+  and can repair it in place.
 """
 
 from __future__ import annotations
@@ -49,7 +52,9 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
+import pickle
 import time
 from pathlib import Path
 
@@ -58,14 +63,13 @@ from ..power import PowerReport
 from ..sta import TimingReport
 from . import faults as faults_mod
 from . import locking, telemetry
-from .config import FlowConfig
 from .ppa import FailedRun, PPAResult
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Environment variable bounding the store's on-disk size in bytes
-#: (unset or non-positive = unbounded).
+#: (unset, non-positive or non-finite = unbounded).
 MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 
 #: Environment variable disabling the cache wholesale (any non-empty
@@ -79,18 +83,6 @@ TMP_GRACE_S = 3600.0
 #: Collision-proof suffix source for same-pid concurrent writers.
 _tmp_counter = itertools.count()
 
-#: FlowConfig fields that never influence the flow's outcome and are
-#: therefore excluded from the cache key.
-NON_PPA_FIELDS = frozenset({"tag"})
-
-#: Bumped only on cache *format* changes (payload layout, key recipe).
-#: 2: payload carries a content checksum; corrupt entries are detected,
-#: counted (``cache.corrupt``) and deleted instead of silently missing.
-#: 3: the key covered the process-wide python/numpy kernel switch.
-#: 4: the switch is gone (one implementation per kernel), and so is its
-#: key field.
-CACHE_FORMAT = 4
-
 _code_fingerprint: str | None = None
 
 
@@ -102,15 +94,18 @@ def default_cache_dir() -> Path:
 
 
 def default_max_bytes() -> int | None:
-    """The byte quota from ``$REPRO_CACHE_MAX_BYTES`` (None = unbounded)."""
+    """The byte quota from ``$REPRO_CACHE_MAX_BYTES`` (None = unbounded).
+
+    Unparseable, non-finite and sub-byte values read as unset.
+    """
     raw = os.environ.get(MAX_BYTES_ENV, "").strip()
     if not raw:
         return None
     try:
-        value = int(float(raw))
+        value = float(raw)
     except ValueError:
         return None
-    return value if value > 0 else None
+    return int(value) if math.isfinite(value) and value >= 1 else None
 
 
 def cache_from_env(directory: str | os.PathLike | None = None,
@@ -127,16 +122,6 @@ def cache_from_env(directory: str | os.PathLike | None = None,
     if os.environ.get(NO_CACHE_ENV, "").strip():
         return None
     return FlowCache(directory, max_bytes=max_bytes)
-
-
-def config_cache_fields(config: FlowConfig) -> dict:
-    """The PPA-relevant fields of a config, as JSON-stable values."""
-    out = {}
-    for f in dataclasses.fields(config):
-        if f.name in NON_PPA_FIELDS:
-            continue
-        out[f.name] = getattr(config, f.name)
-    return out
 
 
 def netlist_fingerprint(netlist: Netlist) -> str:
@@ -177,32 +162,6 @@ def code_fingerprint() -> str:
     return _code_fingerprint
 
 
-def cache_key(config: FlowConfig, netlist_fp: str,
-              version: str | None = None) -> str:
-    """Stable content hash of (config, netlist, code version)."""
-    payload = {
-        "format": CACHE_FORMAT,
-        "config": config_cache_fields(config),
-        "netlist": netlist_fp,
-        "version": version if version is not None else code_fingerprint(),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def payload_checksum(payload: dict) -> str:
-    """Content checksum over the result portion of a cache payload.
-
-    Covers exactly the fields :func:`result_from_payload` reads, so any
-    torn write, truncation or hand-edit that could change the decoded
-    result is caught; bookkeeping fields (key, label, created) are not
-    covered and remain freely editable.
-    """
-    blob = json.dumps({"kind": payload["kind"], "data": payload["data"]},
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def result_to_payload(result: PPAResult | FailedRun) -> dict:
     """Serialize a run result into a JSON-safe, round-trippable dict."""
     if isinstance(result, FailedRun):
@@ -221,11 +180,11 @@ def result_from_payload(payload: dict) -> PPAResult | FailedRun:
 
 
 class FlowCache:
-    """Content-addressed store of flow results on disk.
+    """Content-addressed store of pickled artifacts on disk.
 
     Thread/process safe for concurrent writers via fsynced atomic
-    rename; corrupt or unreadable entries behave as misses.  See the
-    module docstring for the concurrency, durability and quota story.
+    rename; damaged entries behave as misses.  See the module
+    docstring for the layout, concurrency, durability and quota story.
     """
 
     def __init__(self, directory: str | os.PathLike | None = None,
@@ -236,10 +195,8 @@ class FlowCache:
         #: Byte quota (None = unbounded); non-positive means unbounded.
         resolved = max_bytes if max_bytes is not None else default_max_bytes()
         self.max_bytes = resolved if resolved and resolved > 0 else None
-        self.hits = 0
-        self.misses = 0
-        #: Entries found damaged (checksum mismatch, unparseable) and
-        #: deleted; also counted as ``cache.corrupt`` on the trace.
+        #: Entries found damaged (unpickleable) and deleted; also
+        #: counted as ``cache.corrupt`` on the trace.
         self.corrupt = 0
         #: Stale tmp files / stale locks swept at store open.
         self.swept_tmp = 0
@@ -253,26 +210,26 @@ class FlowCache:
         """The store's lock namespace (``<cache-dir>/locks``)."""
         return locking.LockManager(self.directory / "locks")
 
-    def key_for(self, config: FlowConfig, netlist_fp: str) -> str:
-        return cache_key(config, netlist_fp, version=self.version)
+    @property
+    def _blobs(self) -> Path:
+        return self.directory / "blobs"
 
-    def _path(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key}.json"
+    def _path(self, key: str, kind: str) -> Path:
+        return self._blobs / kind / key[:2] / f"{key}.pkl"
 
     # -- durability and hygiene ---------------------------------------------
-    def _atomic_write(self, path: Path, data: bytes, fault_point: str,
-                      key: str) -> None:
+    def _atomic_write(self, path: Path, data: bytes, key: str) -> None:
         """Write ``data`` to ``path`` atomically and durably.
 
         The tmp name carries pid plus a per-process counter, so
         same-pid concurrent threads can never collide; the tmp file is
         fsynced before the rename and the parent directory after it,
         so a crash leaves either the old entry or the new one — never
-        a torn file.  An active ``corrupt`` fault clause at
-        ``fault_point`` simulates exactly that torn write instead.
+        a torn file.  An active ``cache.put:corrupt`` fault clause
+        simulates exactly that torn write instead.
         """
         path.parent.mkdir(parents=True, exist_ok=True)
-        clause = faults_mod.cache_clause(fault_point, key)
+        clause = faults_mod.cache_clause("cache.put", key)
         if clause is not None and clause.mode == "corrupt":
             # Injected torn write: half the payload lands at the final
             # path with no rename, as if the writer crashed mid-write
@@ -309,11 +266,14 @@ class FlowCache:
         except OSError:
             return False
 
-    def _all_tmp_files(self):
-        yield from self._stale_tmp_files()
-        blobs = self.directory / "blobs"
-        if blobs.is_dir():
-            yield from blobs.glob("*/??/*.tmp.*")
+    def _tmp_files(self):
+        if self._blobs.is_dir():
+            yield from self._blobs.glob("*/??/*.tmp.*")
+
+    def _stale_tmp_files(self):
+        """Leftover tmp files from writers that died mid-put."""
+        return (path for path in self._tmp_files()
+                if self._tmp_is_stale(path))
 
     def _ensure_open(self) -> None:
         """First-use hygiene: sweep dead writers' tmp files and stale
@@ -326,9 +286,7 @@ class FlowCache:
             return
         tracer = telemetry.current_tracer()
         swept = 0
-        for path in list(self._all_tmp_files()):
-            if not self._tmp_is_stale(path):
-                continue
+        for path in list(self._stale_tmp_files()):
             try:
                 path.unlink()
                 swept += 1
@@ -342,124 +300,54 @@ class FlowCache:
             self.swept_locks += swept_locks
             tracer.count("cache.swept_locks", swept_locks)
 
-    @staticmethod
-    def _touch(path: Path) -> None:
-        """Bump an entry's mtime: the access journal LRU eviction reads."""
-        try:
-            os.utime(path)
-        except OSError:
-            pass  # racing eviction: the read below already succeeded
-
-    def get(self, key: str) -> PPAResult | FailedRun | None:
+    def get(self, key: str, kind: str):
+        """Unpickle a stored entry; None on miss or damage (then deleted)."""
         self._ensure_open()
-        path = self._path(key)
-        tracer = telemetry.current_tracer()
-        try:
-            text = path.read_text()
-        except OSError:  # absent entry: an ordinary miss
-            self.misses += 1
-            tracer.count("cache.misses")
-            return None
-        try:
-            payload = json.loads(text)
-            stored = payload.get("checksum")
-            if stored is not None and stored != payload_checksum(payload):
-                raise ValueError("cache entry checksum mismatch")
-            result = result_from_payload(payload)
-        except (ValueError, KeyError, TypeError):
-            # The entry exists but is damaged (torn write, bit rot,
-            # hand-editing): count it loudly and delete it, so it can
-            # never be half-read and never misses twice.
-            self.corrupt += 1
-            tracer.count("cache.corrupt")
-            self.invalidate(key)
-            self.misses += 1
-            tracer.count("cache.misses")
-            return None
-        self.hits += 1
-        self._touch(path)
-        # A hit replaces an entire flow run: record it as a zero-cost
-        # span so sweep traces still account for every configuration.
-        tracer.count("cache.hits")
-        tracer.zero_span("cache_hit")
-        return result
-
-    def put(self, key: str, result: PPAResult | FailedRun) -> None:
-        self._ensure_open()
-        payload = result_to_payload(result)
-        payload["checksum"] = payload_checksum(payload)
-        payload["key"] = key
-        payload["label"] = result.label
-        payload["created"] = time.time()
-        self._atomic_write(self._path(key), json.dumps(payload).encode(),
-                           "cache.put", key)
-        self._enforce_quota()
-
-    # -- pickle blob sidecar -------------------------------------------------
-    # Larger-than-JSON payloads keyed by the same content-addressed
-    # keys: the Monte-Carlo engine stores each nominal run's (result,
-    # netlist, library, extraction) here so re-running ``repro mc`` with
-    # different sample counts never repeats the expensive flow.
-
-    def _blob_path(self, key: str, kind: str) -> Path:
-        return self.directory / "blobs" / kind / key[:2] / f"{key}.pkl"
-
-    def get_blob(self, key: str, kind: str):
-        """Unpickle a stored blob; None on miss or damage (then deleted)."""
-        import pickle
-        self._ensure_open()
-        path = self._blob_path(key, kind)
-        tracer = telemetry.current_tracer()
+        path = self._path(key, kind)
         try:
             blob = path.read_bytes()
-        except OSError:
-            tracer.count("cache.blob_misses")
+        except OSError:  # absent entry: an ordinary miss
             return None
         try:
             obj = pickle.loads(blob)
         except Exception:
+            # The entry exists but is damaged (torn write, bit rot,
+            # hand-editing): count it loudly and delete it, so it can
+            # never be half-read and never misses twice.
             self.corrupt += 1
-            tracer.count("cache.corrupt")
+            telemetry.current_tracer().count("cache.corrupt")
             try:
                 path.unlink()
             except OSError:
                 pass
-            tracer.count("cache.blob_misses")
             return None
-        self._touch(path)
-        tracer.count("cache.blob_hits")
+        try:
+            os.utime(path)  # the access journal LRU eviction reads
+        except OSError:
+            pass  # racing eviction: the read above already succeeded
         return obj
 
-    def put_blob(self, key: str, kind: str, obj) -> bool:
+    def put(self, key: str, kind: str, obj) -> bool:
         """Pickle ``obj`` under ``key``; False when it cannot be stored."""
-        import pickle
         self._ensure_open()
         try:
             blob = pickle.dumps(obj)
         except Exception:
             return False
-        self._atomic_write(self._blob_path(key, kind), blob,
-                           "cache.put_blob", key)
+        self._atomic_write(self._path(key, kind), blob, key)
         self._enforce_quota()
         return True
 
-    def _blob_files(self):
-        blobs = self.directory / "blobs"
-        if not blobs.is_dir():
-            return
-        yield from blobs.glob("*/??/*.pkl")
-
     # -- bounded growth ------------------------------------------------------
-    def _payload_files(self):
-        """Every quota-accounted file: (path, key, size, mtime)."""
-        if not self.directory.is_dir():
+    def _entries(self):
+        """Every stored entry: (path, key, size, mtime)."""
+        if not self._blobs.is_dir():
             return
-        for path in itertools.chain(self.directory.glob("??/*.json"),
-                                    self._blob_files()):
+        for path in self._blobs.glob("*/??/*.pkl"):
             try:
                 stat = path.stat()
             except OSError:
-                continue  # racing eviction/invalidation: skip
+                continue  # racing eviction: skip
             yield path, path.stem, stat.st_size, stat.st_mtime
 
     def _enforce_quota(self) -> None:
@@ -477,7 +365,7 @@ class FlowCache:
             limit = 0
         if limit is None:
             return
-        census = list(self._payload_files())
+        census = list(self._entries())
         total = sum(size for _, _, size, _ in census)
         if total <= limit:
             return
@@ -505,55 +393,30 @@ class FlowCache:
     def fsck(self, repair: bool = False) -> dict:
         """Audit the whole store; optionally repair it in place.
 
-        Checks, in order: every JSON entry parses and matches both its
-        checksum and its content-addressed filename (a mismatch is an
-        ``orphan`` — the file can never be hit under its own name);
-        every pickle blob unpickles (truncated payloads from torn
-        writes fail here); stale tmp files; stale locks (including
-        stolen-aside leftovers).  Does *not* sweep or mutate anything
-        unless ``repair=True`` — a plain fsck is a safe read-only
-        audit even while sweeps are running.
+        Checks, in order: every entry unpickles (truncated payloads
+        from torn writes fail here); stale tmp files; stale locks
+        (including stolen-aside leftovers).  Does *not* sweep or mutate
+        anything unless ``repair=True`` — a plain fsck is a safe
+        read-only audit even while sweeps are running.
         """
-        import pickle
         defects: list[dict] = []
-        entries = blobs = 0
+        entries = 0
 
         def defect(kind: str, path: Path, detail: str) -> None:
             defects.append({"kind": kind, "path": str(path),
                             "detail": detail})
 
-        if self.directory.is_dir():
-            for path in self.directory.glob("??/*.json"):
-                entries += 1
-                try:
-                    payload = json.loads(path.read_text())
-                    stored = payload.get("checksum")
-                    if stored is not None and \
-                            stored != payload_checksum(payload):
-                        raise ValueError("checksum mismatch")
-                    result_from_payload(payload)
-                except OSError:
-                    continue  # deleted mid-scan: not a defect
-                except (ValueError, KeyError, TypeError) as exc:
-                    defect("corrupt_entry", path, str(exc))
-                    continue
-                recorded = payload.get("key")
-                if recorded is not None and recorded != path.stem:
-                    defect("orphan", path,
-                           f"payload key {recorded[:12]}… does not match "
-                           "filename")
-        for path in self._blob_files():
-            blobs += 1
+        for path, _, _, _ in self._entries():
+            entries += 1
             try:
                 pickle.loads(path.read_bytes())
             except OSError:
-                continue
+                continue  # evicted mid-scan: not a defect
             except Exception as exc:
                 defect("corrupt_blob", path,
                        f"{type(exc).__name__}: truncated or damaged pickle")
-        for path in self._all_tmp_files():
-            if self._tmp_is_stale(path):
-                defect("stale_tmp", path, "writer is no longer alive")
+        for path in self._stale_tmp_files():
+            defect("stale_tmp", path, "writer is no longer alive")
         locks = self.locks
         live = 0
         for path in locks._lock_files():
@@ -581,58 +444,36 @@ class FlowCache:
         return {
             "directory": str(self.directory),
             "entries": entries,
-            "blobs": blobs,
             "live_locks": live,
             "defects": defects,
             "repaired": repaired,
             "clean": not defects,
         }
 
-    def invalidate(self, key: str) -> bool:
-        """Drop one entry; returns whether it existed."""
-        try:
-            self._path(key).unlink()
-            return True
-        except OSError:
-            return False
-
-    def _stale_tmp_files(self):
-        """Leftover ``*.tmp.<pid>`` files from writers that died mid-put."""
-        if not self.directory.is_dir():
-            return
-        yield from self.directory.glob("??/*.tmp.*")
-
     def clear(self) -> int:
-        """Drop every entry (and stale tmp file); returns how many."""
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("??/*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-            for path in self._stale_tmp_files():
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-            for path in list(self._blob_files()) + list(
-                    (self.directory / "blobs").glob("*/??/*.tmp.*")
-                    if (self.directory / "blobs").is_dir() else []):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-            removed += self.locks.clear()
-        return removed
+        """Remove every file of the store; returns how many.
 
-    def __len__(self) -> int:
+        That is the blob tree, the lockfiles and the two-hex-digit
+        directories of the JSON entries earlier versions wrote — and
+        nothing else: the directory may hold other files (the job
+        server's journal lives there by default), and a mistyped
+        ``--cache-dir`` must not wipe unrelated ones.
+        """
         if not self.directory.is_dir():
             return 0
-        return sum(1 for _ in self.directory.glob("??/*.json"))
+        removed = self.locks.clear()
+        for root in [self._blobs, *self.directory.glob("[0-9a-f][0-9a-f]")]:
+            # Deepest first, so every directory is empty when reached.
+            for path in sorted([root, *root.rglob("*")], reverse=True):
+                try:
+                    if path.is_dir():
+                        path.rmdir()
+                    else:
+                        path.unlink()
+                        removed += 1
+                except OSError:
+                    pass  # racing writer: its file survives the clear
+        return removed
 
     def info(self) -> dict:
         """Summary of the on-disk store for ``repro cache info``.
@@ -643,26 +484,11 @@ class FlowCache:
         entries = 0
         total_bytes = 0
         oldest = newest = None
-        if self.directory.is_dir():
-            for path in self.directory.glob("??/*.json"):
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue  # racing writer/cleaner: skip, don't crash
-                entries += 1
-                total_bytes += stat.st_size
-                mtime = stat.st_mtime
-                oldest = mtime if oldest is None else min(oldest, mtime)
-                newest = mtime if newest is None else max(newest, mtime)
-        blob_entries = 0
-        blob_bytes = 0
-        for path in self._blob_files():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            blob_entries += 1
-            blob_bytes += stat.st_size
+        for _, _, size, mtime in self._entries():
+            entries += 1
+            total_bytes += size
+            oldest = mtime if oldest is None else min(oldest, mtime)
+            newest = mtime if newest is None else max(newest, mtime)
         live_locks, stale_locks = self.locks.survey()
         return {
             "directory": str(self.directory),
@@ -671,9 +497,7 @@ class FlowCache:
             "total_bytes": total_bytes,
             "oldest_mtime": oldest,
             "newest_mtime": newest,
-            "stale_tmp_files": sum(1 for _ in self._stale_tmp_files()),
-            "blob_entries": blob_entries,
-            "blob_bytes": blob_bytes,
+            "stale_tmp_files": sum(1 for _ in self._tmp_files()),
             "max_bytes": self.max_bytes,
             "live_locks": live_locks,
             "stale_locks": stale_locks,

@@ -45,8 +45,8 @@ class FlowConfig:
     refine_placement: bool = False
     refine_iterations: int = 2000
     #: Free-form annotation for bookkeeping (sweep tags, experiment ids).
-    #: Never affects the flow, and is excluded from the result-cache key:
-    #: two configs differing only in ``tag`` share one cache entry.
+    #: Never affects the flow, so no stage reads it and no stored key
+    #: covers it: two configs differing only in ``tag`` share every entry.
     tag: str = ""
 
     def __post_init__(self) -> None:

@@ -34,14 +34,13 @@ same faults into the same runs — failures are reproducible, and
 retries of rate-gated transient faults can legitimately succeed.
 
 When any *flow* fault plan is active the sweep runner bypasses the
-result cache entirely, so injected failures and corrupted outputs can
-never poison real cached results.
+artifact store entirely, so injected failures and corrupted outputs
+can never poison real cached results.
 
 Beyond the flow stages, the store's own failure paths are injectable
 at the :data:`CACHE_POINTS` (see docs/robustness.md)::
 
     cache.put:corrupt        # torn write: a truncated entry lands on disk
-    cache.put_blob:corrupt   # torn write on the pickle blob sidecar
     cache.evict:corrupt      # evict-race: quota treated as zero, every
                              # unpinned entry evicted under live readers
     lock.acquire:die         # lock-holder death: the process exits hard
@@ -75,8 +74,7 @@ MODES = ("raise", "fatal", "hang", "corrupt", "die")
 #: Injectable non-flow fault points inside the artifact store.  These
 #: target the cache's own recovery paths, so (unlike flow stages) an
 #: active cache-point clause does not bypass the cache.
-CACHE_POINTS = ("cache.put", "cache.put_blob", "cache.evict",
-                "lock.acquire")
+CACHE_POINTS = ("cache.put", "cache.evict", "lock.acquire")
 
 
 def is_cache_point(stage: str) -> bool:
@@ -187,7 +185,7 @@ class FaultPlan:
     @property
     def flow_active(self) -> bool:
         """Whether any clause targets a *flow* stage (cache clauses
-        never bypass the result cache or the stage store)."""
+        never bypass the artifact store)."""
         return any(not is_cache_point(c.stage) for c in self.clauses)
 
     def clause_for(self, stage: str, config: "FlowConfig",

@@ -23,6 +23,7 @@ docs/architecture.md for the graph, slices and invalidation rules.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
@@ -588,6 +589,22 @@ def stage_keys(config: FlowConfig, netlist_fp: str,
     return keys
 
 
+def artifact_key(name: str, config: FlowConfig, netlist_fp: str,
+                 version: str | None = None) -> str:
+    """Store key of the terminal artifact ``name`` for one walk.
+
+    Derived from the last stage's key, so it covers every input that
+    can reach the walk's output: :meth:`FLOW_GRAPH.transitive_fields
+    <repro.core.stages.StageGraph.transitive_fields>` of the final
+    stage is every config field but ``tag``.  The name is hashed in so
+    that each artifact's key — and the lockfile a lease on it takes —
+    differs from the final stage's own: the cold walk behind a
+    ``nominal`` lease leases that stage too.
+    """
+    terminal = stage_keys(config, netlist_fp, version=version)[FLOW_STAGES[-1]]
+    return hashlib.sha256(f"{name}\0{terminal}".encode()).hexdigest()
+
+
 def run_flow(netlist_factory: Callable[[], Netlist], config: FlowConfig,
              library: Library | None = None,
              return_artifacts: bool = False,
@@ -620,9 +637,9 @@ def run_flow(netlist_factory: Callable[[], Netlist], config: FlowConfig,
     whose key is already stored are replayed from their artifact, and
     freshly executed stages are stored for later walks.  The store
     never changes what a run returns — only how much of it is
-    recomputed.  It is bypassed when fault injection is active (as the
-    result cache is) and when a pre-built ``library`` is supplied (the
-    stage keys could not vouch for foreign masters).
+    recomputed.  It is bypassed when fault injection is active and
+    when a pre-built ``library`` is supplied (the stage keys could not
+    vouch for foreign masters).
 
     ``stop_after`` names a stage after which the walk stops; the
     partial :class:`FlowArtifacts` (with :attr:`~FlowArtifacts.stage_status`)

@@ -35,11 +35,14 @@ failure handling live for every sweep entry point
   every settled run is appended (fsync'd) to a JSONL file keyed by the
   sweep's content identity, so an interrupted sweep resumes exactly
   where it crashed (``--resume``);
-* with a :class:`~repro.core.cache.FlowCache` attached, previously
-  computed (config, netlist, code-version) points are served from disk
-  and only the misses are executed.  When fault injection is active
-  (:mod:`repro.core.faults`) the cache is bypassed so injected
-  failures can never poison real results.
+* with a :class:`~repro.core.cache.FlowCache` attached, every point is
+  looked up as a ``result`` artifact of the
+  :class:`~repro.core.stages.StageStore` (keyed by
+  :func:`~repro.core.flow.artifact_key`), only the misses are executed
+  — each through the same store, replaying any stage prefix an earlier
+  walk stored — and their results are stored in turn.  When fault
+  injection is active (:mod:`repro.core.faults`) the cache is bypassed
+  so injected failures can never poison real results.
 
 Per-run wall time and hit/miss/retry/timeout/quarantine counters
 accumulate in :attr:`SweepRunner.stats` and are printed by the CLI
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import pickle
 import signal
@@ -67,14 +71,13 @@ from . import faults as faults_mod
 from . import telemetry
 from .cache import (
     FlowCache,
-    cache_key,
     netlist_fingerprint,
     result_from_payload,
     result_to_payload,
 )
 from .config import FlowConfig
 from .errors import FlowError, RunTimeout, wrap_stage_error
-from .flow import run_flow
+from .flow import artifact_key, run_flow
 from .journal import JsonlJournal
 from .ppa import FailedRun, PPAResult
 from .stages import StageStore
@@ -114,7 +117,7 @@ def script_runner(default_checkpoint: str,
                   jobs: int | None = None) -> SweepRunner:
     """The one-line runner for ``scripts/run_*.py`` batch drivers.
 
-    Result cache on unless ``$REPRO_NO_CACHE`` is set, crash-safe
+    Artifact store on unless ``$REPRO_NO_CACHE`` is set, crash-safe
     checkpoint at ``$REPRO_CHECKPOINT`` (default ``default_checkpoint``;
     empty disables it), workers from ``$REPRO_JOBS`` — the exact policy
     every headline script used to spell out by hand.
@@ -126,6 +129,7 @@ def script_runner(default_checkpoint: str,
 
 
 def _env_float(name: str) -> float | None:
+    """A positive finite float from ``$name``; anything else reads as unset."""
     raw = os.environ.get(name, "").strip()
     if not raw:
         return None
@@ -133,7 +137,7 @@ def _env_float(name: str) -> float | None:
         value = float(raw)
     except ValueError:
         return None
-    return value if value > 0 else None
+    return value if math.isfinite(value) and value > 0 else None
 
 
 @dataclass(frozen=True)
@@ -518,11 +522,11 @@ class SweepRunner:
                  refresh: bool = False) -> None:
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
-        #: With ``refresh`` the full-result cache is not *read* (every
-        #: config re-runs its flow) but results are still written and
-        #: the per-stage artifact store stays active — so a refreshed
-        #: sweep replays warm stage prefixes instead of recomputing
-        #: them (CLI ``--refresh``).
+        #: With ``refresh`` stored results are not *read* (every config
+        #: re-runs its flow) but results are still written and the
+        #: stage entries stay active — so a refreshed sweep replays
+        #: warm stage prefixes instead of recomputing them (CLI
+        #: ``--refresh``).
         self.refresh = refresh
         self.retry = retry if retry is not None else RetryPolicy.from_env()
         #: Path of the crash-safe sweep checkpoint (None = disabled).
@@ -565,25 +569,27 @@ class SweepRunner:
         # entirely.  Cache-point clauses (cache.*/lock.*) don't count —
         # they exist to exercise the store's own recovery paths.
         cache = self.cache if not faults_mod.faults_active() else None
+        store = StageStore(cache) if cache is not None else None
         need_keys = (cache is not None or self.checkpoint is not None) \
             and configs
         if need_keys:
             fingerprint = netlist_fingerprint(netlist_factory())
             version = cache.version if cache is not None else None
             for i in pending:
-                keys[i] = cache_key(configs[i], fingerprint, version=version)
+                keys[i] = artifact_key("result", configs[i], fingerprint,
+                                       version=version)
 
         duplicates: list[tuple[int, int]] = []
-        if cache is not None and configs:
+        if store is not None and configs:
             misses = []
             first_miss: dict[str, int] = {}
             with telemetry.activate(sweep_tracer):
-                # Cache hits are recorded by FlowCache.get as zero-cost
+                # Hits are recorded by StageStore.result as zero-cost
                 # ``cache_hit`` spans on the active (sweep) tracer.
                 # ``refresh`` skips the reads (every point re-runs) but
                 # keeps the duplicate detection and the writes below.
                 for i in pending:
-                    hit = None if self.refresh else cache.get(keys[i])
+                    hit = None if self.refresh else store.result(keys[i])
                     if hit is not None:
                         records[i] = RunRecord(configs[i], hit, 0.0,
                                                cache_hit=True)
@@ -633,16 +639,9 @@ class SweepRunner:
                         sweep_tracer, trace=tracing, cache=cache))
             else:
                 self.stats.parallel_runs += len(pending)
-            if cache is not None:
+            if store is not None:
                 for i in pending:
-                    result = records[i].result
-                    # Quarantined failures are not cached: a transient
-                    # failure may well succeed on the next invocation,
-                    # and must not be served as a permanent result.
-                    if keys[i] is not None and not (
-                            isinstance(result, FailedRun)
-                            and result.quarantined):
-                        cache.put(keys[i], result)
+                    store.put_result(keys[i], records[i].result)
         if ckpt is not None:
             ckpt.finish()
         for i, source in duplicates:

@@ -25,12 +25,14 @@ place once and route N times: ``front_layers``/``back_layers`` first
 appear in ``routing``'s slice, so every split shares the
 ``library`` … ``legalization`` prefix.
 
-The :class:`StageStore` persists artifacts in the
-:class:`~repro.core.cache.FlowCache` pickle-blob sidecar (one
+The :class:`StageStore` is the flow's one cache.  It persists stage
+artifacts in the :class:`~repro.core.cache.FlowCache` (one
 ``stage-<name>`` kind per stage) and counts ``stage_cache.hits`` /
 ``stage_cache.misses`` (plus per-stage ``stage_cache.hit.<stage>`` /
-``stage_cache.miss.<stage>``) on the active tracer; see
-docs/architecture.md.
+``stage_cache.miss.<stage>``) on the active tracer.  Beside the stages
+it keeps the :data:`ARTIFACTS` — small terminal entries keyed from the
+last stage key (:func:`repro.core.flow.artifact_key`) that serve a
+whole walk's output without replaying it; see docs/architecture.md.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ from . import faults as faults_mod
 from . import locking, telemetry
 from .cache import FlowCache, code_fingerprint
 from .config import FlowConfig
+from .ppa import FailedRun, PPAResult
 
 #: Bumped on stage-key recipe or artifact layout changes; invalidates
-#: every stored stage artifact without touching the result cache.
+#: every stored entry, the terminal :data:`ARTIFACTS` included.
 #: 2: the key covered the process-wide python/numpy kernel switch.
 #: 3: the switch is gone (one implementation per kernel), and so is its
 #: key field.
@@ -58,6 +61,14 @@ STAGE_KEY_FORMAT = 3
 #: order ``stage_cache.singleflight.<event>`` counters are documented
 #: (docs/observability.md).  Shared with the job server's ``/stats``.
 SINGLEFLIGHT_EVENTS = ("wait", "steal", "compute", "timeout")
+
+#: Terminal artifacts stored beside the stage entries, each under its
+#: own kind: a run's ``result`` (:meth:`StageStore.result`) and the
+#: Monte-Carlo ``nominal`` bundle.  Replaying the walk they summarize
+#: costs several times more than reading them, which is why they are
+#: stored at all.  They are not stages, so they are never tallied as
+#: ``stage_cache.*``.
+ARTIFACTS = ("result", "nominal")
 
 
 @dataclass(frozen=True)
@@ -193,30 +204,30 @@ class StageLease:
 
 
 class StageStore:
-    """Per-stage artifact store on a :class:`FlowCache`'s blob sidecar.
+    """Per-stage artifact store on a :class:`FlowCache`.
 
     One entry per (stage, stage key): a pickled artifact dict wrapped
     with the stage name so a key collision across kinds can never be
     silently mis-read.  Hits and misses are counted on the store (for
     :class:`~repro.core.runner.SweepStats`) and on the active tracer
     (``stage_cache.*`` counters, documented in docs/observability.md).
+    The :data:`ARTIFACTS` live in the same store under the same rules,
+    untallied; run results go through :meth:`result` /
+    :meth:`put_result`.
 
     Safe to share between processes: the store itself is stateless
-    beyond counters, the underlying blob writes are atomic, and
+    beyond counters, the underlying writes are atomic, and
     :meth:`fetch_or_lease` adds cross-process **single-flight** on top
-    — when several processes miss the same stage key at once, exactly
-    one computes while the rest wait (bounded by
-    ``$REPRO_LOCK_TIMEOUT``) and then load the published artifact.
-    The uncontended path emits no singleflight counters, so serial
-    runs trace identically to before; contention shows up as
+    — when several processes miss the same key at once, exactly one
+    computes while the rest wait (bounded by ``$REPRO_LOCK_TIMEOUT``)
+    and then load the published artifact.  The uncontended path emits
+    no singleflight counters, so serial runs trace identically to
+    before; contention shows up as
     ``stage_cache.singleflight.{wait,steal,compute,timeout}``.
     """
 
-    def __init__(self, cache: FlowCache, locked: bool = True) -> None:
+    def __init__(self, cache: FlowCache) -> None:
         self.cache = cache
-        #: Whether :meth:`fetch_or_lease` coordinates via file locks;
-        #: ``False`` degrades every call to plain get-or-compute.
-        self.locked = locked
         self.hits = 0
         self.misses = 0
         #: Per-stage hit/miss counts, e.g. ``{"placement": [3, 1]}``.
@@ -228,7 +239,13 @@ class StageStore:
     def version(self) -> str | None:
         return self.cache.version
 
+    @staticmethod
+    def _kind(name: str) -> str:
+        return name if name in ARTIFACTS else f"stage-{name}"
+
     def _tally(self, name: str, hit: bool) -> None:
+        if name in ARTIFACTS:
+            return
         tracer = telemetry.current_tracer()
         slot = self.by_stage.setdefault(name, [0, 0])
         if hit:
@@ -244,7 +261,7 @@ class StageStore:
 
     def _peek(self, name: str, key: str) -> dict | None:
         """A tally-free :meth:`get` for double-checks under the lock."""
-        obj = self.cache.get_blob(key, f"stage-{name}")
+        obj = self.cache.get(key, self._kind(name))
         if not (isinstance(obj, dict) and obj.get("stage") == name
                 and isinstance(obj.get("artifact"), dict)):
             return None
@@ -257,9 +274,38 @@ class StageStore:
         return artifact
 
     def put(self, name: str, key: str, artifact: dict) -> bool:
-        """Store one stage artifact; ``False`` if it cannot be pickled."""
-        return self.cache.put_blob(key, f"stage-{name}",
-                                   {"stage": name, "artifact": artifact})
+        """Store one artifact; ``False`` if it cannot be pickled."""
+        return self.cache.put(key, self._kind(name),
+                              {"stage": name, "artifact": artifact})
+
+    # -- run results ----------------------------------------------------------
+    def result(self, key: str) -> PPAResult | FailedRun | None:
+        """A run's stored result, or ``None`` on a miss.
+
+        Counted as ``cache.hits`` / ``cache.misses`` on the active
+        tracer.  A hit replaces an entire flow run, so it is also
+        recorded as a zero-cost ``cache_hit`` span: sweep traces still
+        account for every configuration.
+        """
+        artifact = self._peek("result", key)
+        tracer = telemetry.current_tracer()
+        if artifact is None:
+            tracer.count("cache.misses")
+            return None
+        tracer.count("cache.hits")
+        tracer.zero_span("cache_hit")
+        return artifact["result"]
+
+    def put_result(self, key: str, result: PPAResult | FailedRun) -> bool:
+        """Store a run's result; ``False`` when it is not stored.
+
+        Quarantined failures never are: a transient failure may well
+        succeed on the next invocation, and must not be served as a
+        permanent result.
+        """
+        if isinstance(result, FailedRun) and result.quarantined:
+            return False
+        return self.put("result", key, {"result": result})
 
     # -- cross-process single-flight -----------------------------------------
     def _lease_won(self, name: str, key: str,
@@ -294,9 +340,8 @@ class StageStore:
 
         Returns ``(artifact, None)`` on a store hit, ``(None, lease)``
         when this process should compute-and-publish (then release the
-        lease in a ``finally``), and ``(None, None)`` when the store is
-        unlocked or a wait timed out — compute independently, exactly
-        as an unlocked store would.
+        lease in a ``finally``), and ``(None, None)`` when a wait timed
+        out or the store cannot hold locks — compute independently.
 
         The contended path polls the holder's lock: stale locks (dead
         holder) are stolen, a released lock means the artifact is
@@ -307,9 +352,6 @@ class StageStore:
         if artifact is not None:
             self._tally(name, hit=True)
             return artifact, None
-        if not self.locked:
-            self._tally(name, hit=False)
-            return None, None
         lock = self.cache.locks.lock(key)
         if lock.try_acquire():
             return self._lease_won(name, key, lock)

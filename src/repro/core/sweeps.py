@@ -6,7 +6,7 @@ records paper-vs-measured values.
 
 Every sweep accepts an optional :class:`~repro.core.runner.SweepRunner`
 that fans the independent flow runs out over a process pool and serves
-repeated points from the on-disk result cache.  Without one, a private
+repeated points from the on-disk artifact store.  Without one, a private
 serial runner is used and behavior matches the historical loops.
 """
 

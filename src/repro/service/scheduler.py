@@ -4,9 +4,10 @@ One asyncio dispatch loop owns a priority heap of run items (higher
 ``priority`` first, FIFO within a priority, items of one job in
 order).  Items are settled through a strict cheapest-first ladder:
 
-1. **result cache** — the content-addressed
-   :class:`~repro.core.cache.FlowCache` is consulted at dispatch time,
-   so anything any previous run/sweep/job computed is served for free;
+1. **stored result** — the item's ``result`` artifact is looked up in
+   the :class:`~repro.core.stages.StageStore` on the shared
+   :class:`~repro.core.cache.FlowCache` at dispatch time, so anything
+   any previous run/sweep/job computed is served for free;
 2. **in-flight dedup** — if another job's identical item (same
    content-addressed result key) is already executing, this item
    *waits on its future* instead of consuming a worker, and both jobs
@@ -36,7 +37,8 @@ from concurrent import futures
 from dataclasses import dataclass, field
 
 from ..core import telemetry
-from ..core.cache import FlowCache, cache_key, netlist_fingerprint
+from ..core.cache import FlowCache, netlist_fingerprint
+from ..core.flow import artifact_key
 from ..core.io import result_to_dict
 from ..core.ppa import FailedRun
 from ..core.runner import (
@@ -45,6 +47,7 @@ from ..core.runner import (
     _timed_run,
     _TransientFailure,
 )
+from ..core.stages import StageStore
 from .jobspec import DesignSpec, JobSpec, JobSpecError, McParams, parse_jobspec
 from .journal import JobJournal
 
@@ -130,6 +133,7 @@ class Scheduler:
                  retry: RetryPolicy | None = None,
                  max_runs: int = 256) -> None:
         self.cache = cache
+        self._store = StageStore(cache) if cache is not None else None
         self.workers = max(1, workers)
         self.journal = journal
         self.retry = retry if retry is not None else RetryPolicy.from_env()
@@ -293,10 +297,11 @@ class Scheduler:
     def _result_key(self, job: Job, index: int) -> str:
         config = job.spec.items[index].config
         version = self.cache.version if self.cache is not None else None
-        key = cache_key(config, self._fingerprint(job.spec.design),
-                        version=version)
+        key = artifact_key("result", config,
+                           self._fingerprint(job.spec.design),
+                           version=version)
         if job.spec.kind == "mc":
-            # MC studies are not in the result cache; give them their
+            # MC studies are not stored as results; give them their
             # own in-flight dedup namespace.
             key = f"mc-{job.spec.mc.samples}-{job.spec.mc.seed}-{key}"
         return key
@@ -318,8 +323,8 @@ class Scheduler:
                     self._spawn(self._await_inflight(job, index, key))
                     continue
                 hit = None
-                if job.spec.kind != "mc" and self.cache is not None:
-                    hit = self.cache.get(key)
+                if job.spec.kind != "mc" and self._store is not None:
+                    hit = self._store.result(key)
                 if hit is not None:
                     heapq.heappop(self._heap)
                     self._settle(job, index, self._record(
@@ -390,10 +395,8 @@ class Scheduler:
                         attempt += 1
                         continue
                     result = _failed_from_transient(config, result, attempt)
-                if self.cache is not None and not (
-                        isinstance(result, FailedRun)
-                        and result.quarantined):
-                    self.cache.put(key, result)
+                if self._store is not None:
+                    self._store.put_result(key, result)
                 if isinstance(result, FailedRun) and result.quarantined:
                     self._count("service.runs.quarantined")
                 record = self._record(job, index, result, wall,

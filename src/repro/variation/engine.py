@@ -3,9 +3,11 @@
 Execution model:
 
 1. the **nominal flow** runs once (placement, routing, extraction —
-   the expensive part), content-addressed through the
-   :class:`~repro.core.cache.FlowCache` blob store so repeated ``repro
-   mc`` invocations on the same design never re-place-and-route;
+   the expensive part) and its :class:`NominalBundle` is stored as the
+   ``nominal`` artifact of the :class:`~repro.core.stages.StageStore`,
+   so repeated ``repro mc`` invocations on the same design never
+   re-place-and-route — nor replay a stored walk, which would cost
+   several times the read;
 2. N :class:`~repro.variation.models.VariationSample` draws are taken
    with per-sample seeds derived SplitMix-style from the root seed
    (:func:`~repro.variation.models.sample_seed`) — a pure function of
@@ -35,7 +37,7 @@ from ..core import faults as faults_mod
 from ..core import telemetry
 from ..core.cache import FlowCache, netlist_fingerprint
 from ..core.config import FlowConfig
-from ..core.flow import run_flow
+from ..core.flow import artifact_key, run_flow
 from ..core.ppa import PPAResult
 from ..core.runner import resolve_jobs
 from ..core.stages import StageStore
@@ -43,9 +45,6 @@ from ..extract import Extraction
 from ..netlist import Netlist
 from .models import VariationModel
 from .perturb import FailedSample, SampleResult, evaluate_sample
-
-#: Blob-store kind under which nominal artifacts are cached.
-NOMINAL_BLOB_KIND = "mc-nominal"
 
 
 @dataclass
@@ -56,7 +55,7 @@ class NominalBundle:
     netlist: Netlist
     library: Library
     extraction: Extraction
-    #: Served from the FlowCache blob store instead of a fresh run.
+    #: Served from the artifact store instead of a fresh run.
     cached: bool = False
 
 
@@ -89,42 +88,32 @@ def nominal_bundle(netlist_factory, config: FlowConfig,
                    tracer=None) -> NominalBundle:
     """Run (or fetch) the nominal flow and keep what sampling needs.
 
-    With a cache, the bundle is stored under the same content-addressed
-    key recipe as flow results (config + netlist fingerprint + code
-    version) in the pickle blob sidecar, and a fresh nominal run goes
-    through the cache's per-stage artifact store
-    (:class:`~repro.core.stages.StageStore`) so it replays any flow
-    prefix an earlier run or sweep already computed.  Active fault
-    injection bypasses the cache, mirroring the sweep runner's rule.
+    With a cache, the bundle is the ``nominal`` artifact of a
+    :class:`~repro.core.stages.StageStore` on it, keyed from the walk's
+    terminal stage key (:func:`~repro.core.flow.artifact_key`).  A miss
+    takes a single-flight lease on that key: when several ``repro mc``
+    processes share one cold cache, exactly one runs the flow while the
+    rest wait (bounded by ``$REPRO_LOCK_TIMEOUT``) and load its
+    published bundle.  The fresh run walks the same store, so it
+    replays any flow prefix an earlier run or sweep already computed.
+    Active fault injection bypasses the cache, mirroring the sweep
+    runner's rule.
     """
     tr = tracer if tracer is not None else telemetry.NULL_TRACER
     if faults_mod.faults_active():
         cache = None
-    key = None
-    lock = None
-    if cache is not None:
-        key = cache.key_for(config, netlist_fingerprint(netlist_factory()))
-        stored = cache.get_blob(key, NOMINAL_BLOB_KIND)
-        if isinstance(stored, NominalBundle):
-            tr.count("mc.nominal_cache_hits")
-            stored.cached = True
-            return stored
-        # Single-flight on the nominal run: when several ``repro mc``
-        # processes share one cold cache, exactly one runs the
-        # expensive flow while the rest wait (bounded by
-        # $REPRO_LOCK_TIMEOUT) and load its published bundle; a timed
-        # out wait degrades to an independent run, like stage leases.
-        lock = cache.locks.lock(key)
-        if lock.acquire():
-            stored = cache.get_blob(key, NOMINAL_BLOB_KIND)
-            if isinstance(stored, NominalBundle):
-                lock.release()
-                tr.count("mc.nominal_cache_hits")
-                stored.cached = True
-                return stored
-        else:
-            lock = None
     store = StageStore(cache) if cache is not None else None
+    lease = None
+    if store is not None:
+        key = artifact_key("nominal", config,
+                           netlist_fingerprint(netlist_factory()),
+                           version=store.version)
+        stored, lease = store.fetch_or_lease("nominal", key)
+        if stored is not None:
+            tr.count("mc.nominal_cache_hits")
+            bundle = stored["bundle"]
+            bundle.cached = True
+            return bundle
     try:
         with tr.span("mc.nominal"):
             artifacts = run_flow(netlist_factory, config,
@@ -134,11 +123,12 @@ def nominal_bundle(netlist_factory, config: FlowConfig,
                                netlist=artifacts.netlist,
                                library=artifacts.library,
                                extraction=artifacts.extraction)
-        if cache is not None and key is not None:
-            cache.put_blob(key, NOMINAL_BLOB_KIND, bundle)
+        if store is not None:
+            store.put("nominal", key, {"bundle": bundle})
     finally:
-        if lock is not None:
-            lock.release()
+        # Publish-before-release, as for stage leases.
+        if lease is not None:
+            lease.release()
     return bundle
 
 

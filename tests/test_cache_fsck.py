@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import shutil
 
 from repro.cli import main
 from repro.core import FlowCache
 from repro.core.faults import FAULTS_ENV
 from repro.core.ppa import FailedRun
+from repro.core.stages import StageStore
 
 KEY = "ab" + "0" * 62
-OTHER = "cd" + "1" * 62
 
 
 def _dead_pid() -> int:
@@ -24,7 +23,8 @@ def _dead_pid() -> int:
 
 
 def _seed(cache: FlowCache, key: str = KEY) -> None:
-    cache.put(key, FailedRun(label="x", target_utilization=0.9, reason="tap"))
+    StageStore(cache).put_result(
+        key, FailedRun(label="x", target_utilization=0.9, reason="tap"))
 
 
 def _kinds(report: dict) -> list[str]:
@@ -35,49 +35,36 @@ class TestFsck:
     def test_clean_store(self, tmp_path):
         cache = FlowCache(tmp_path)
         _seed(cache)
-        cache.put_blob(KEY, "stage-routing", {"stage": "routing",
-                                              "artifact": {"x": 1}})
+        cache.put(KEY, "stage-routing", {"stage": "routing",
+                                         "artifact": {"x": 1}})
         report = cache.fsck()
         assert report["clean"]
-        assert report["entries"] == 1
-        assert report["blobs"] == 1
+        assert report["entries"] == 2
         assert report["defects"] == []
 
     def test_corrupt_entry_detected(self, tmp_path):
         cache = FlowCache(tmp_path)
         _seed(cache)
-        path = cache._path(KEY)
-        payload = json.loads(path.read_text())
-        payload["data"]["reason"] = "edited"
-        path.write_text(json.dumps(payload))
+        path = cache._path(KEY, "result")
+        path.write_bytes(path.read_bytes()[:-1])  # edited: STOP opcode gone
         report = cache.fsck()
-        assert _kinds(report) == ["corrupt_entry"]
+        assert _kinds(report) == ["corrupt_blob"]
         assert not report["clean"]
         assert path.exists()  # plain fsck never mutates
 
     def test_truncated_blob_detected(self, tmp_path):
         cache = FlowCache(tmp_path)
-        cache.put_blob(KEY, "stage-sta", {"stage": "sta", "artifact": {}})
-        blob = cache._blob_path(KEY, "stage-sta")
+        cache.put(KEY, "stage-sta", {"stage": "sta", "artifact": {}})
+        blob = cache._path(KEY, "stage-sta")
         blob.write_bytes(blob.read_bytes()[:10])  # torn write
         report = cache.fsck()
         assert _kinds(report) == ["corrupt_blob"]
 
-    def test_orphan_entry_detected(self, tmp_path):
-        # An entry copied to a filename that is not its own key can
-        # never be served (content-addressing broken): an orphan.
-        cache = FlowCache(tmp_path)
-        _seed(cache)
-        stray = cache._path(OTHER)
-        stray.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(cache._path(KEY), stray)
-        report = cache.fsck()
-        assert _kinds(report) == ["orphan"]
-
     def test_stale_tmp_detected(self, tmp_path):
         cache = FlowCache(tmp_path)
         _seed(cache)
-        stray = tmp_path / "ab" / f"x.json.tmp.{_dead_pid()}.0"
+        stray = cache._path(KEY, "result").with_name(
+            f"x.pkl.tmp.{_dead_pid()}.0")
         stray.write_text("{half")
         report = cache.fsck()
         assert _kinds(report) == ["stale_tmp"]
@@ -86,7 +73,8 @@ class TestFsck:
         import os
         cache = FlowCache(tmp_path)
         _seed(cache)
-        (tmp_path / "ab" / f"x.json.tmp.{os.getpid()}.0").write_text("{")
+        cache._path(KEY, "result").with_name(
+            f"x.pkl.tmp.{os.getpid()}.0").write_text("{")
         assert cache.fsck()["clean"]
 
     def test_stale_lock_detected(self, tmp_path):
@@ -115,7 +103,7 @@ class TestFsck:
     def test_repair_removes_defects(self, tmp_path):
         cache = FlowCache(tmp_path)
         _seed(cache)
-        bad = cache._path(KEY)
+        bad = cache._path(KEY, "result")
         bad.write_text("bit rot")
         report = cache.fsck(repair=True)
         assert report["repaired"] == 1
@@ -132,9 +120,9 @@ class TestFsckCli:
     def test_defect_exits_nonzero_then_repair(self, tmp_path, capsys):
         cache = FlowCache(tmp_path)
         _seed(cache)
-        cache._path(KEY).write_text("bit rot")
+        cache._path(KEY, "result").write_text("bit rot")
         assert main(["cache", "fsck", "--cache-dir", str(tmp_path)]) == 1
-        assert "corrupt_entry" in capsys.readouterr().out
+        assert "corrupt_blob" in capsys.readouterr().out
         assert main(["cache", "fsck", "--repair",
                      "--cache-dir", str(tmp_path)]) == 0
         assert main(["cache", "fsck", "--cache-dir", str(tmp_path)]) == 0
@@ -142,13 +130,13 @@ class TestFsckCli:
     def test_json_report_schema(self, tmp_path, capsys):
         cache = FlowCache(tmp_path)
         _seed(cache)
-        cache._path(KEY).write_text("bit rot")
+        cache._path(KEY, "result").write_text("bit rot")
         assert main(["cache", "fsck", "--json",
                      "--cache-dir", str(tmp_path)]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"directory", "entries", "blobs",
-                                "live_locks", "defects", "repaired", "clean"}
-        assert payload["defects"][0]["kind"] == "corrupt_entry"
+        assert set(payload) == {"directory", "entries", "live_locks",
+                                "defects", "repaired", "clean"}
+        assert payload["defects"][0]["kind"] == "corrupt_blob"
 
     def test_missing_directory_is_clean(self, tmp_path):
         assert main(["cache", "fsck",
@@ -165,20 +153,20 @@ class TestCacheFaultPoints:
         _seed(cache)  # lands truncated at the final path
         assert not cache.fsck()["clean"]
         # A reader survives: the torn entry reads as corrupt-then-miss.
-        assert cache.get(KEY) is None
+        assert StageStore(cache).result(KEY) is None
         assert cache.corrupt == 1
         monkeypatch.delenv(FAULTS_ENV)
         _seed(cache)  # healthy rewrite
-        assert isinstance(cache.get(KEY), FailedRun)
+        assert isinstance(StageStore(cache).result(KEY), FailedRun)
         assert cache.fsck()["clean"]
 
     def test_torn_blob_fault_detected_and_survived(self, tmp_path,
                                                    monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "cache.put_blob:corrupt")
+        monkeypatch.setenv(FAULTS_ENV, "cache.put:corrupt")
         cache = FlowCache(tmp_path)
-        cache.put_blob(KEY, "stage-sta", {"stage": "sta", "artifact": {}})
+        cache.put(KEY, "stage-sta", {"stage": "sta", "artifact": {}})
         assert [d["kind"] for d in cache.fsck()["defects"]] == ["corrupt_blob"]
-        assert cache.get_blob(KEY, "stage-sta") is None  # deleted on read
+        assert cache.get(KEY, "stage-sta") is None  # deleted on read
         assert cache.fsck()["clean"]
 
     def test_cache_faults_do_not_disable_the_store(self, tmp_path,

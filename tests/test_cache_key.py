@@ -1,9 +1,10 @@
-"""Properties of the content-addressed cache key and payload codec.
+"""Properties of the terminal stage key and the result payload codec.
 
-The key contract: two configs that could produce different PPA must get
-different keys; annotations that cannot reach the flow (``tag``) must
-share one entry; and changing the netlist or the code version always
-misses.
+Stored results (and the Monte-Carlo nominal) are keyed from the flow's
+final stage key, ``stage_keys(...)["power"]``.  The key contract: two
+configs that could produce different PPA must get different keys;
+annotations that cannot reach the flow (``tag``) must share one entry;
+and changing the netlist or the code version always misses.
 """
 
 from __future__ import annotations
@@ -16,19 +17,19 @@ from hypothesis import strategies as st
 
 from repro.core import FlowConfig
 from repro.core.cache import (
-    NON_PPA_FIELDS,
     FlowCache,
-    cache_key,
-    config_cache_fields,
     netlist_fingerprint,
     result_from_payload,
     result_to_payload,
 )
+from repro.core.flow import FLOW_GRAPH, stage_keys
 from repro.core.ppa import FailedRun
+from repro.core.stages import StageStore
 from repro.synth import generate_counter, generate_multiplier
 
 BASE = FlowConfig()          # ffet FM12BM12, bp=0.5 — every field mutable
 NETLIST_FP = "f" * 64
+KEY = "cd" + "1" * 62
 
 #: One hypothesis strategy of fresh values per PPA-relevant field.  Every
 #: draw differs from the BASE value, so a perturbation must change the key.
@@ -69,12 +70,30 @@ FIELD_VALUES = {
 
 PPA_FIELDS = sorted(set(FIELD_VALUES) - {"arch"})
 
+#: FlowConfig fields that never reach the flow, so no stage reads them.
+ANNOTATION_FIELDS = {"tag"}
+
+
+def terminal_key(config: FlowConfig, netlist_fp: str = NETLIST_FP,
+                 version: str = "v") -> str:
+    return stage_keys(config, netlist_fp, version=version)["power"]
+
+
+def ppa_fields(config: FlowConfig) -> dict:
+    return {f.name: getattr(config, f.name)
+            for f in dataclasses.fields(config)
+            if f.name not in ANNOTATION_FIELDS}
+
 
 def test_every_config_field_is_classified():
     names = {f.name for f in dataclasses.fields(FlowConfig)}
-    assert names == set(FIELD_VALUES) | NON_PPA_FIELDS, (
+    assert names == set(FIELD_VALUES) | ANNOTATION_FIELDS, (
         "new FlowConfig field: decide whether it is PPA-relevant and add "
-        "it to FIELD_VALUES (or NON_PPA_FIELDS + the cache exclusion)")
+        "it to FIELD_VALUES (and to the slice of a stage that reads it)")
+    # What makes the terminal stage key a sound result key: every field
+    # but ``tag`` reaches it, so no two configs that differ in a field
+    # the flow reads can share a stored result.
+    assert FLOW_GRAPH.transitive_fields("power") == names - ANNOTATION_FIELDS
 
 
 @given(data=st.data())
@@ -85,16 +104,14 @@ def test_ppa_relevant_field_changes_the_key(data):
     if getattr(BASE, field) == value:
         return
     changed = BASE.with_(**{field: value})
-    assert cache_key(changed, NETLIST_FP, version="v") \
-        != cache_key(BASE, NETLIST_FP, version="v"), field
+    assert terminal_key(changed) != terminal_key(BASE), field
 
 
 @given(tag=st.text(max_size=40))
 @settings(max_examples=50, deadline=None)
 def test_tag_only_difference_keeps_the_key(tag):
-    assert cache_key(BASE.with_(tag=tag), NETLIST_FP, version="v") \
-        == cache_key(BASE, NETLIST_FP, version="v")
-    assert "tag" not in config_cache_fields(BASE)
+    assert terminal_key(BASE.with_(tag=tag)) == terminal_key(BASE)
+    assert "tag" not in FLOW_GRAPH.transitive_fields("power")
 
 
 @given(data=st.data())
@@ -105,22 +122,20 @@ def test_two_distinct_perturbations_differ(data):
     f2 = data.draw(st.sampled_from(PPA_FIELDS))
     c1 = BASE.with_(**{f1: data.draw(FIELD_VALUES[f1])})
     c2 = BASE.with_(**{f2: data.draw(FIELD_VALUES[f2])})
-    k1 = cache_key(c1, NETLIST_FP, version="v")
-    k2 = cache_key(c2, NETLIST_FP, version="v")
-    assert (k1 == k2) == (config_cache_fields(c1) == config_cache_fields(c2))
+    assert (terminal_key(c1) == terminal_key(c2)) \
+        == (ppa_fields(c1) == ppa_fields(c2))
 
 
 def test_arch_changes_the_key():
     cfet = FlowConfig(arch="cfet", back_layers=0, backside_pin_fraction=0.0)
     ffet = FlowConfig(arch="ffet", back_layers=0, backside_pin_fraction=0.0)
-    assert cache_key(cfet, NETLIST_FP, version="v") \
-        != cache_key(ffet, NETLIST_FP, version="v")
+    assert terminal_key(cfet) != terminal_key(ffet)
 
 
 def test_netlist_and_version_participate():
-    k = cache_key(BASE, NETLIST_FP, version="v1")
-    assert cache_key(BASE, "0" * 64, version="v1") != k
-    assert cache_key(BASE, NETLIST_FP, version="v2") != k
+    k = terminal_key(BASE, version="v1")
+    assert terminal_key(BASE, "0" * 64, version="v1") != k
+    assert terminal_key(BASE, version="v2") != k
 
 
 class TestNetlistFingerprint:
@@ -136,18 +151,20 @@ class TestNetlistFingerprint:
 
 
 class TestPayloadCodec:
-    def test_failed_run_round_trips(self):
+    def test_failed_run_round_trips(self, tmp_path):
         failed = FailedRun(label="x", target_utilization=0.9, reason="tap")
         assert result_from_payload(result_to_payload(failed)) == failed
+        store = StageStore(FlowCache(tmp_path))
+        assert store.put_result(KEY, failed)
+        assert store.result(KEY) == failed
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = FlowCache(tmp_path)
-        key = "ab" + "0" * 62
-        path = cache._path(key)
+        path = cache._path(KEY, "result")
         path.parent.mkdir(parents=True)
-        path.write_text("{not json")
-        assert cache.get(key) is None
-        assert cache.misses == 1
+        path.write_text("{not a pickle")
+        assert StageStore(cache).result(KEY) is None
+        assert cache.corrupt == 1
 
     def test_info_on_missing_directory_is_clean_and_empty(self, tmp_path):
         """`repro cache info` must report empty, not crash, pre-creation."""
@@ -157,13 +174,13 @@ class TestPayloadCodec:
         assert info["entries"] == 0
         assert info["total_bytes"] == 0
         assert info["oldest_mtime"] is None
-        assert len(cache) == 0
+        assert cache.clear() == 0
 
     def test_info_counts_entries_and_bytes(self, tmp_path):
         cache = FlowCache(tmp_path)
         failed = FailedRun(label="x", target_utilization=0.9, reason="tap")
-        cache.put("ab" + "0" * 62, failed)
-        cache.put("cd" + "1" * 62, failed)
+        StageStore(cache).put_result("ab" + "0" * 62, failed)
+        cache.put("cd" + "1" * 62, "stage-sta", {"some": "payload"})
         info = cache.info()
         assert info["exists"] is True
         assert info["entries"] == 2
@@ -178,14 +195,20 @@ class TestPayloadCodec:
         out = capsys.readouterr().out
         assert "empty" in out
 
-    def test_invalidate_and_clear(self, tmp_path):
+    def test_clear_drops_every_entry(self, tmp_path):
         cache = FlowCache(tmp_path)
         failed = FailedRun(label="x", target_utilization=0.9, reason="tap")
-        key = "cd" + "1" * 62
-        cache.put(key, failed)
-        assert len(cache) == 1
-        assert cache.invalidate(key)
-        assert not cache.invalidate(key)
-        cache.put(key, failed)
-        assert cache.clear() == 1
-        assert len(cache) == 0
+        StageStore(cache).put_result(KEY, failed)
+        cache.put(KEY, "stage-sta", {"some": "payload"})
+        assert cache.clear() == 2
+        assert cache.info()["entries"] == 0
+        assert StageStore(cache).result(KEY) is None
+
+    def test_clear_removes_json_entries_of_earlier_versions(self, tmp_path):
+        legacy = tmp_path / "ab" / ("ab" + "0" * 62 + ".json")
+        legacy.parent.mkdir()
+        legacy.write_text("{}")
+        (tmp_path / "unrelated.txt").write_text("kept")
+        assert FlowCache(tmp_path).clear() == 1
+        assert not legacy.parent.exists()
+        assert (tmp_path / "unrelated.txt").exists()

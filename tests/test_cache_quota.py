@@ -9,21 +9,26 @@ from repro.core import FlowCache, telemetry
 from repro.core.cache import MAX_BYTES_ENV, default_max_bytes
 from repro.core.faults import FAULTS_ENV
 from repro.core.ppa import FailedRun
+from repro.core.stages import StageStore
 
 KEYS = [f"{i:02x}" + "0" * 62 for i in range(16)]
 
 
 def _put(cache: FlowCache, key: str) -> None:
-    cache.put(key, FailedRun(label="x", target_utilization=0.9, reason="tap"))
+    StageStore(cache).put_result(
+        key, FailedRun(label="x", target_utilization=0.9, reason="tap"))
+
+
+def _path(cache: FlowCache, key: str):
+    return cache._path(key, "result")
 
 
 def _entry_size(tmp_path) -> int:
-    # Approximate: the embedded ``created`` timestamp's repr makes
-    # entries jitter by a byte or two, so quota tests that want "N
-    # entries fit, N+1 do not" must add _SLACK to N * _entry_size().
+    # Entries of one result are the same size; _SLACK keeps quota
+    # tests that want "N entries fit, N+1 do not" off the boundary.
     probe = FlowCache(tmp_path / "probe")
     _put(probe, KEYS[0])
-    return probe._path(KEYS[0]).stat().st_size
+    return _path(probe, KEYS[0]).stat().st_size
 
 
 _SLACK = 16
@@ -32,7 +37,7 @@ _SLACK = 16
 def _age(cache: FlowCache, key: str, seconds: float) -> None:
     """Backdate one entry's access journal deterministically."""
     old = time.time() - seconds
-    os.utime(cache._path(key), (old, old))
+    os.utime(_path(cache, key), (old, old))
 
 
 class TestDefaultMaxBytes:
@@ -53,6 +58,8 @@ class TestDefaultMaxBytes:
         assert default_max_bytes() is None
         monkeypatch.setenv(MAX_BYTES_ENV, "0")
         assert default_max_bytes() is None
+        monkeypatch.setenv(MAX_BYTES_ENV, "0.5")
+        assert default_max_bytes() is None
 
     def test_constructor_overrides_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(MAX_BYTES_ENV, "123")
@@ -66,7 +73,7 @@ class TestLruEviction:
         cache = FlowCache(tmp_path)
         for key in KEYS[:6]:
             _put(cache, key)
-        assert len(cache) == 6
+        assert cache.info()["entries"] == 6
         assert cache.evictions == 0
 
     def test_oldest_entries_evicted_first(self, tmp_path):
@@ -77,8 +84,8 @@ class TestLruEviction:
             _age(cache, key, seconds=300 - i)  # KEYS[0] is coldest
         _put(cache, KEYS[3])
         assert cache.evictions == 1
-        assert not cache._path(KEYS[0]).exists()
-        assert all(cache._path(k).exists() for k in KEYS[1:4])
+        assert not _path(cache, KEYS[0]).exists()
+        assert all(_path(cache, k).exists() for k in KEYS[1:4])
 
     def test_hit_bumps_recency(self, tmp_path):
         size = _entry_size(tmp_path)
@@ -86,10 +93,10 @@ class TestLruEviction:
         for i, key in enumerate(KEYS[:3]):
             _put(cache, key)
             _age(cache, key, seconds=300 - i)
-        assert cache.get(KEYS[0]) is not None  # touch: now the hottest
+        assert StageStore(cache).result(KEYS[0]) is not None  # now hottest
         _put(cache, KEYS[3])
-        assert cache._path(KEYS[0]).exists()
-        assert not cache._path(KEYS[1]).exists()  # next-coldest went
+        assert _path(cache, KEYS[0]).exists()
+        assert not _path(cache, KEYS[1]).exists()  # next-coldest went
 
     def test_locked_keys_are_pinned(self, tmp_path):
         size = _entry_size(tmp_path)
@@ -101,21 +108,21 @@ class TestLruEviction:
         _put(cache, KEYS[1])
         _age(cache, KEYS[1], seconds=200)
         _put(cache, KEYS[2])
-        assert cache._path(KEYS[0]).exists()  # pinned survived
-        assert not cache._path(KEYS[1]).exists()  # LRU fell on the next
+        assert _path(cache, KEYS[0]).exists()  # pinned survived
+        assert not _path(cache, KEYS[1]).exists()  # LRU fell on the next
         lock.release()
 
     def test_blobs_count_toward_quota(self, tmp_path):
         probe = FlowCache(tmp_path / "probe")
         payload = {"stage": "sta", "artifact": {"pad": "y" * 256}}
-        probe.put_blob(KEYS[0], "stage-sta", payload)
-        blob_size = probe._blob_path(KEYS[0], "stage-sta").stat().st_size
+        probe.put(KEYS[0], "stage-sta", payload)
+        blob_size = probe._path(KEYS[0], "stage-sta").stat().st_size
         cache = FlowCache(tmp_path / "store", max_bytes=blob_size)
-        cache.put_blob(KEYS[0], "stage-sta", payload)
-        cold = cache._blob_path(KEYS[0], "stage-sta")
+        cache.put(KEYS[0], "stage-sta", payload)
+        cold = cache._path(KEYS[0], "stage-sta")
         old = time.time() - 300
         os.utime(cold, (old, old))
-        cache.put_blob(KEYS[1], "stage-sta", payload)
+        cache.put(KEYS[1], "stage-sta", payload)
         assert cache.evictions >= 1
         assert not cold.exists()
 
@@ -124,7 +131,7 @@ class TestLruEviction:
         cache = FlowCache(tmp_path, max_bytes=size + _SLACK)
         _put(cache, KEYS[0])
         _age(cache, KEYS[0], seconds=300)
-        victim_bytes = cache._path(KEYS[0]).stat().st_size
+        victim_bytes = _path(cache, KEYS[0]).stat().st_size
         tracer = telemetry.Tracer(label="t")
         with telemetry.activate(tracer):
             _put(cache, KEYS[1])
@@ -138,7 +145,7 @@ class TestLruEviction:
         _put(cache, KEYS[0])
         _age(cache, KEYS[0], seconds=300)
         _put(cache, KEYS[1])
-        assert cache.get(KEYS[0]) is None
+        assert StageStore(cache).result(KEYS[0]) is None
         assert cache.corrupt == 0
         assert cache.fsck()["clean"]
 
@@ -152,8 +159,8 @@ class TestEvictRaceFault:
         assert lock.try_acquire()
         monkeypatch.setenv(FAULTS_ENV, "cache.evict:corrupt")
         _put(cache, KEYS[2])
-        assert not cache._path(KEYS[0]).exists()
-        assert cache._path(KEYS[1]).exists()  # pinned even under the fault
+        assert not _path(cache, KEYS[0]).exists()
+        assert _path(cache, KEYS[1]).exists()  # pinned even under the fault
         lock.release()
         monkeypatch.delenv(FAULTS_ENV)
         assert cache.fsck()["clean"]  # mass eviction never corrupts

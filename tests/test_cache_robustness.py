@@ -1,13 +1,13 @@
-"""FlowCache integrity: checksums, corrupt-entry handling, tmp hygiene."""
+"""FlowCache integrity: corrupt-entry handling, tmp hygiene."""
 
 from __future__ import annotations
-
-import json
 
 from repro.core import FlowCache, FlowConfig, SweepRunner
 from repro.core import telemetry
 from repro.core.cache import netlist_fingerprint
+from repro.core.flow import artifact_key
 from repro.core.ppa import FailedRun
+from repro.core.stages import StageStore
 
 from .golden_cases import MultiplierFactory
 
@@ -17,56 +17,55 @@ KEY = "ab" + "0" * 62
 
 
 def _seed_entry(cache: FlowCache) -> None:
-    cache.put(KEY, FailedRun(label="x", target_utilization=0.9, reason="tap"))
+    StageStore(cache).put_result(
+        KEY, FailedRun(label="x", target_utilization=0.9, reason="tap"))
+
+
+def _get(cache: FlowCache):
+    return StageStore(cache).result(KEY)
 
 
 class TestChecksum:
-    def test_payload_carries_checksum(self, tmp_path):
-        cache = FlowCache(tmp_path)
-        _seed_entry(cache)
-        payload = json.loads(cache._path(KEY).read_text())
-        assert "checksum" in payload
-
     def test_intact_entry_round_trips(self, tmp_path):
         cache = FlowCache(tmp_path)
         _seed_entry(cache)
-        assert isinstance(cache.get(KEY), FailedRun)
+        assert isinstance(_get(cache), FailedRun)
         assert cache.corrupt == 0
 
     def test_tampered_data_is_detected_and_deleted(self, tmp_path):
         cache = FlowCache(tmp_path)
         _seed_entry(cache)
-        path = cache._path(KEY)
-        payload = json.loads(path.read_text())
-        payload["data"]["reason"] = "edited by hand"
-        path.write_text(json.dumps(payload))
-        assert cache.get(KEY) is None
+        path = cache._path(KEY, "result")
+        path.write_bytes(path.read_bytes()[:-1])  # STOP opcode edited off
+        assert _get(cache) is None
         assert cache.corrupt == 1
         assert not path.exists()  # corrupt entries are deleted, not kept
 
     def test_unparseable_entry_counts_as_corrupt(self, tmp_path):
         cache = FlowCache(tmp_path)
-        path = cache._path(KEY)
+        path = cache._path(KEY, "result")
         path.parent.mkdir(parents=True)
         path.write_text("{torn write")
-        assert cache.get(KEY) is None
+        assert _get(cache) is None
         assert cache.corrupt == 1
         assert not path.exists()
 
     def test_absent_entry_is_a_plain_miss(self, tmp_path):
         cache = FlowCache(tmp_path)
-        assert cache.get(KEY) is None
-        assert cache.misses == 1
+        tracer = telemetry.Tracer(label="t")
+        with telemetry.activate(tracer):
+            assert _get(cache) is None
+        assert tracer.finish().counters.get("cache.misses") == 1
         assert cache.corrupt == 0
 
     def test_corruption_counted_on_trace(self, tmp_path):
         cache = FlowCache(tmp_path)
-        path = cache._path(KEY)
+        path = cache._path(KEY, "result")
         path.parent.mkdir(parents=True)
         path.write_text("garbage")
         tracer = telemetry.Tracer(label="t")
         with telemetry.activate(tracer):
-            cache.get(KEY)
+            _get(cache)
         trace = tracer.finish()
         assert trace.counters.get("cache.corrupt") == 1
 
@@ -75,8 +74,8 @@ class TestChecksum:
         cache = FlowCache(tmp_path)
         runner = SweepRunner(jobs=1, cache=cache)
         first = runner.run_one(FACTORY, BASE)
-        key = cache.key_for(BASE, netlist_fingerprint(FACTORY()))
-        cache._path(key).write_text("bit rot")
+        key = artifact_key("result", BASE, netlist_fingerprint(FACTORY()))
+        cache._path(key, "result").write_text("bit rot")
         second = runner.run_one(FACTORY, BASE)
         assert second == first
         assert cache.corrupt == 1
@@ -88,7 +87,7 @@ class TestChecksum:
 
 class TestTmpHygiene:
     def _strand_tmp(self, cache: FlowCache):
-        stale = cache.directory / "ab" / "deadbeef.tmp.12345"
+        stale = cache._path(KEY, "result").with_name("deadbeef.tmp.12345")
         stale.parent.mkdir(parents=True, exist_ok=True)
         stale.write_text("{half-written")
         return stale
@@ -107,4 +106,4 @@ class TestTmpHygiene:
         stale = self._strand_tmp(cache)
         assert cache.clear() == 2  # one entry + one stale tmp
         assert not stale.exists()
-        assert len(cache) == 0
+        assert cache.info()["entries"] == 0

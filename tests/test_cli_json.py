@@ -9,11 +9,12 @@ import pytest
 from repro.cli import main
 from repro.core import FlowCache, Tracer
 from repro.core.ppa import FailedRun
+from repro.core.stages import StageStore
 
 CACHE_INFO_KEYS = {
     "directory", "exists", "entries", "total_bytes", "oldest_mtime",
-    "newest_mtime", "stale_tmp_files", "blob_entries", "blob_bytes",
-    "max_bytes", "live_locks", "stale_locks",
+    "newest_mtime", "stale_tmp_files", "max_bytes", "live_locks",
+    "stale_locks",
 }
 
 
@@ -28,22 +29,22 @@ class TestCacheInfoJson:
 
     def test_counts_entries_and_blobs(self, tmp_path, capsys):
         cache = FlowCache(tmp_path)
-        cache.put("ab" + "0" * 62,
-                  FailedRun(label="x", target_utilization=0.9, reason="tap"))
-        cache.put_blob("cd" + "1" * 62, "mc-nominal", {"some": "payload"})
+        StageStore(cache).put_result(
+            "ab" + "0" * 62,
+            FailedRun(label="x", target_utilization=0.9, reason="tap"))
+        cache.put("cd" + "1" * 62, "nominal", {"some": "payload"})
         assert main(["cache", "info", "--json",
                      "--cache-dir", str(tmp_path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["exists"] is True
-        assert payload["entries"] == 1
-        assert payload["blob_entries"] == 1
-        assert payload["blob_bytes"] > 0
+        assert payload["entries"] == 2  # every artifact, results included
+        assert payload["total_bytes"] > 0
 
     def test_text_mode_mentions_blobs(self, tmp_path, capsys):
         cache = FlowCache(tmp_path)
-        cache.put_blob("cd" + "1" * 62, "mc-nominal", [1, 2, 3])
+        cache.put("cd" + "1" * 62, "nominal", [1, 2, 3])
         assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
-        assert "blob" in capsys.readouterr().out
+        assert "artifact blobs: 1" in capsys.readouterr().out
 
 
 class TestTraceReportJson:

@@ -14,9 +14,9 @@ import json
 import pytest
 
 from repro.core import FlowCache, SweepRunner, Tracer
-from repro.core.cache import (cache_key, netlist_fingerprint,
-                              result_from_payload, result_to_payload)
-from repro.core.flow import FLOW_STAGES, run_flow, stage_keys
+from repro.core.cache import (netlist_fingerprint, result_from_payload,
+                              result_to_payload)
+from repro.core.flow import FLOW_STAGES, artifact_key, run_flow, stage_keys
 from repro.core.sweeps import try_run
 from repro.service.journal import JobJournal
 
@@ -81,7 +81,7 @@ def test_retired_kernel_env_is_inert(golden, monkeypatch):
     fp = netlist_fingerprint(factory())
 
     def identities():
-        return (cache_key(config, fp, version="v"),
+        return (artifact_key("result", config, fp, version="v"),
                 stage_keys(config, fp, version="v"),
                 JobJournal.identity())
 

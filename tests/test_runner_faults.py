@@ -20,8 +20,9 @@ from repro.core import (
     RetryPolicy,
     SweepRunner,
 )
+from repro.core.cache import MAX_BYTES_ENV
 from repro.core.faults import FAULTS_ENV
-from repro.core.runner import SweepCheckpoint
+from repro.core.runner import RETRIES_ENV, TIMEOUT_ENV, SweepCheckpoint
 
 from .golden_cases import MultiplierFactory
 
@@ -106,6 +107,19 @@ class TestTimeout:
         assert runner.run_many(FACTORY, CONFIGS) == _baseline()
 
 
+@pytest.mark.parametrize("raw", ["inf", "1e400", "nan", "-1"])
+def test_unusable_env_numbers_read_as_unset(raw, tmp_path, monkeypatch):
+    """Non-finite or non-positive knobs fall back to the defaults instead
+    of quarantining every run or failing to build a runner or a cache."""
+    monkeypatch.setenv(TIMEOUT_ENV, raw)
+    monkeypatch.setenv(RETRIES_ENV, raw)
+    monkeypatch.setenv(MAX_BYTES_ENV, raw)
+    assert RetryPolicy.from_env() == RetryPolicy()
+    assert FlowCache(tmp_path).max_bytes is None
+    result = SweepRunner(jobs=1).run_one(FACTORY, CONFIGS[0])
+    assert isinstance(result, PPAResult)
+
+
 class TestPoolSalvage:
     def test_worker_death_does_not_lose_completed_results(self, monkeypatch):
         """One config kills its worker once; everything still completes
@@ -143,13 +157,16 @@ class TestPoolSalvage:
 
 
 class _CountingCache(FlowCache):
+    """Counts stored run results (stage entries are not counted)."""
+
     def __init__(self, directory):
         super().__init__(directory)
         self.puts = 0
 
-    def put(self, key, result):
-        self.puts += 1
-        super().put(key, result)
+    def put(self, key, kind, obj):
+        if kind == "result":
+            self.puts += 1
+        return super().put(key, kind, obj)
 
 
 class TestCacheInteraction:
@@ -178,7 +195,7 @@ class TestCacheInteraction:
             FACTORY, CONFIGS[0])
         monkeypatch.delenv(FAULTS_ENV)
         assert cache.puts == 0
-        assert len(cache) == 0
+        assert cache.info()["entries"] == 0
         # A later healthy invocation recomputes and gets the real result.
         runner = SweepRunner(jobs=1, cache=cache)
         result = runner.run_one(FACTORY, CONFIGS[0])

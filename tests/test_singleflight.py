@@ -48,12 +48,6 @@ class TestFetchOrLease:
         lease.release()
         assert not store.cache.locks.lock(KEY).exists()
 
-    def test_unlocked_store_never_coordinates(self, tmp_path):
-        store = StageStore(FlowCache(tmp_path), locked=False)
-        artifact, lease = store.fetch_or_lease("routing", KEY)
-        assert artifact is None and lease is None
-        assert not (tmp_path / "locks").exists()
-
     def test_uncontended_path_emits_no_singleflight_counters(self, tmp_path):
         tracer = telemetry.Tracer(label="t")
         with telemetry.activate(tracer):
@@ -187,7 +181,7 @@ class TestLockHolderDeathFault:
         proc.join(timeout=60)
         monkeypatch.delenv(FAULTS_ENV)
         cache = FlowCache(tmp_path)
-        cache.get(KEY)  # first use triggers the open sweep
+        cache.get(KEY, "stage-routing")  # first use triggers the open sweep
         assert cache.swept_locks == 1
         assert not (tmp_path / "locks" / f"{KEY}.lock").exists()
 
@@ -246,19 +240,20 @@ class TestSingleFlightDedup:
 
 
 def _hammer_store(cache_dir, barrier, worker_index):
-    # Concurrent put/get/put_blob/get_blob/fsck on overlapping keys
-    # with a quota small enough to force eviction under the readers.
+    # Concurrent result and stage puts/gets plus fsck on overlapping
+    # keys with a quota small enough to force eviction under the readers.
     cache = FlowCache(cache_dir, max_bytes=4096)
+    store = StageStore(cache)
     barrier.wait()
     for round_ in range(25):
         key = KEYS[(worker_index + round_) % len(KEYS)]
-        cache.put(key, FailedRun(label=f"w{worker_index}",
-                                 target_utilization=0.9, reason="tap"))
-        got = cache.get(KEYS[round_ % len(KEYS)])
+        store.put_result(key, FailedRun(label=f"w{worker_index}",
+                                        target_utilization=0.9,
+                                        reason="tap"))
+        got = store.result(KEYS[round_ % len(KEYS)])
         assert got is None or isinstance(got, FailedRun)  # never torn
-        cache.put_blob(key, "stage-sta",
-                       {"stage": "sta", "artifact": {"pad": "x" * 64}})
-        blob = cache.get_blob(KEYS[(round_ + 3) % len(KEYS)], "stage-sta")
+        store.put("sta", key, {"pad": "x" * 64})
+        blob = store.get("sta", KEYS[(round_ + 3) % len(KEYS)])
         assert blob is None or isinstance(blob, dict)
         if round_ % 8 == worker_index % 8:
             report = cache.fsck()  # read-only audit under fire

@@ -150,7 +150,7 @@ class TestStageStore:
     def test_malformed_entry_is_a_miss(self, tmp_path):
         cache = FlowCache(tmp_path)
         store = StageStore(cache)
-        cache.put_blob("k" * 64, "stage-placement", {"wrong": "shape"})
+        cache.put("k" * 64, "stage-placement", {"wrong": "shape"})
         assert store.get("placement", "k" * 64) is None
 
     def test_tallies_on_the_active_tracer(self, tmp_path):

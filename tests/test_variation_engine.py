@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
 from repro.cli import main
 from repro.core import FlowCache, FlowConfig, Tracer
+from repro.core.cache import netlist_fingerprint
+from repro.core.flow import FLOW_STAGES, artifact_key, stage_keys
+from repro.core.locking import LOCK_TIMEOUT_ENV
+from repro.core.stages import StageStore
 from repro.synth import generate_counter
 from repro.variation import (
     FailedSample,
@@ -20,7 +26,7 @@ from repro.variation import (
     sigma_comparison_table,
     signoff,
 )
-from repro.variation.engine import NOMINAL_BLOB_KIND, _chunk_indices
+from repro.variation.engine import _chunk_indices
 
 
 def counter_factory():
@@ -96,10 +102,45 @@ class TestEngine:
         warm = nominal_bundle(counter_factory, CONFIG, cache=cache)
         assert warm.cached
         assert warm.result == cold.result
-        # And the blob is invalidated with everything else on clear().
+        # And the bundle is invalidated with everything else on clear().
         assert cache.clear() > 0
-        assert cache.get_blob(cache.key_for(
-            CONFIG, "whatever"), NOMINAL_BLOB_KIND) is None
+        assert not nominal_bundle(counter_factory, CONFIG,
+                                  cache=cache).cached
+
+    def test_nominal_key_is_not_the_terminal_stage_key(self, tmp_path,
+                                                       monkeypatch):
+        """The nominal lease must not take the lock its own cold walk
+        takes for the final stage, or the walk would wait on itself."""
+        fp = netlist_fingerprint(counter_factory())
+        assert artifact_key("nominal", CONFIG, fp) \
+            != stage_keys(CONFIG, fp)[FLOW_STAGES[-1]]
+        monkeypatch.setenv(LOCK_TIMEOUT_ENV, "30")
+        tracer = Tracer(label="cold nominal")
+        cold = nominal_bundle(counter_factory, CONFIG,
+                              cache=FlowCache(tmp_path), tracer=tracer)
+        assert not cold.cached
+        flights = [k for k in tracer.finish().counters
+                   if k.startswith("stage_cache.singleflight.")]
+        assert flights == []
+
+    def test_concurrent_nominal_loads_the_published_bundle(
+            self, bundle, tmp_path, monkeypatch):
+        monkeypatch.setenv(LOCK_TIMEOUT_ENV, "60")
+        key = artifact_key("nominal", CONFIG,
+                           netlist_fingerprint(counter_factory()))
+        holder = StageStore(FlowCache(tmp_path))
+        _, lease = holder.fetch_or_lease("nominal", key)
+        assert lease is not None
+        got: list = []
+        waiter = threading.Thread(target=lambda: got.append(nominal_bundle(
+            counter_factory, CONFIG, cache=FlowCache(tmp_path))))
+        waiter.start()
+        time.sleep(0.2)  # let the waiter reach the poll loop
+        holder.put("nominal", key, {"bundle": bundle})
+        lease.release()
+        waiter.join(timeout=60)
+        assert got[0].cached  # loaded, not recomputed
+        assert got[0].result == bundle.result
 
     def test_run_monte_carlo_traces_and_counts(self):
         tracer = Tracer(label="mc test")
