@@ -32,6 +32,7 @@ and ``--inject-faults`` injects deterministic faults for testing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -42,11 +43,11 @@ from .core import (FLOW_STAGES, FlowCache, FlowConfig, PPAResult,
                    RetryPolicy, SweepRunner)
 from .core import faults as faults_mod
 from .core import guard as guard_mod
+from .core import sweeps
+from .core.cache import cache_from_env
 from .core.doe import cooptimization_table, pin_density_doe
 from .core.errors import FlowError
 from .core.io import results_to_csv, results_to_json
-from .core.sweeps import (cts_mode_sweep, frequency_sweep,
-                          layer_split_sweep, utilization_sweep)
 from .synth import PORTFOLIO, RiscvConfig, generate_riscv_core
 
 
@@ -120,11 +121,11 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
                         help="max attempts per run for transient failures "
                              "(default: $REPRO_RETRIES or 3)")
     parser.add_argument("--checkpoint", metavar="FILE", default=None,
-                        help="crash-safe sweep checkpoint (JSONL); rerunning "
-                             "with the same file resumes an interrupted "
-                             "sweep")
+                        help="crash-safe run journal (JSONL); rerunning "
+                             "with the same file resumes every run it "
+                             "holds by result key")
     parser.add_argument("--no-resume", action="store_true",
-                        help="ignore an existing checkpoint file and "
+                        help="truncate an existing checkpoint file and "
                              "recompute every run")
     parser.add_argument("--keep-going", action="store_true",
                         help="exit 0 even when some runs were quarantined "
@@ -138,33 +139,38 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
                              "see docs/robustness.md (disables the cache)")
 
 
+def _cache_from(args) -> FlowCache | None:
+    """The experiment commands' store: ``--no-cache`` or
+    ``$REPRO_NO_CACHE`` disables it (``repro cache`` opens its
+    directory directly)."""
+    if args.no_cache:
+        return None
+    return cache_from_env(args.cache_dir, max_bytes=args.cache_max_bytes)
+
+
+def _retry_from(args) -> RetryPolicy:
+    """``$REPRO_TIMEOUT``/``$REPRO_RETRIES``, overridden by
+    ``--timeout``/``--retries``."""
+    patch = {}
+    if args.timeout:
+        patch["timeout_s"] = args.timeout
+    if args.retries:
+        patch["max_attempts"] = max(1, args.retries)
+    return dataclasses.replace(RetryPolicy.from_env(), **patch)
+
+
 def _runner_from(args) -> SweepRunner:
     # --guard / --inject-faults travel via the environment so pool
     # worker processes see the exact same plan as the parent.
-    if getattr(args, "guard", None):
+    if args.guard:
         os.environ[guard_mod.GUARD_ENV] = args.guard
-    if getattr(args, "inject_faults", None):
+    if args.inject_faults:
         faults_mod.FaultPlan.from_spec(args.inject_faults)  # fail fast
         os.environ[faults_mod.FAULTS_ENV] = args.inject_faults
-    retry = RetryPolicy.from_env()
-    if getattr(args, "timeout", None) or getattr(args, "retries", None):
-        import dataclasses
-        patch = {}
-        if getattr(args, "timeout", None):
-            patch["timeout_s"] = args.timeout
-        if getattr(args, "retries", None):
-            patch["max_attempts"] = max(1, args.retries)
-        retry = dataclasses.replace(retry, **patch)
-    cache = None
-    if not getattr(args, "no_cache", False):
-        cache = FlowCache(getattr(args, "cache_dir", None),
-                          max_bytes=getattr(args, "cache_max_bytes", None))
-    return SweepRunner(jobs=getattr(args, "jobs", None), cache=cache,
-                       trace_dir=getattr(args, "trace", None),
-                       retry=retry,
-                       checkpoint=getattr(args, "checkpoint", None),
-                       resume=not getattr(args, "no_resume", False),
-                       refresh=getattr(args, "refresh", False))
+    return SweepRunner(jobs=args.jobs, cache=_cache_from(args),
+                       trace_dir=args.trace, retry=_retry_from(args),
+                       checkpoint=args.checkpoint,
+                       resume=not args.no_resume, refresh=args.refresh)
 
 
 def _exit_code(args, runner: SweepRunner) -> int:
@@ -198,18 +204,6 @@ def _config_from(args) -> FlowConfig:
         cts_mode=getattr(args, "cts_mode", "single"),
         cts_back_fraction=getattr(args, "cts_back_fraction", 0.5),
     )
-
-
-def _parse_split(text: str) -> tuple[int, int]:
-    """Parse one ``FRONT:BACK`` routing-layer split, e.g. ``8:4``."""
-    front, sep, back = text.partition(":")
-    try:
-        if not sep:
-            raise ValueError(text)
-        return int(front), int(back)
-    except ValueError:
-        raise ValueError(
-            f"invalid layer split {text!r} (expected FRONT:BACK, e.g. 8:4)")
 
 
 class RiscvFactory:
@@ -285,8 +279,7 @@ def _run_partial(args) -> int:
     from .core import StageStore, Tracer
     from .core.flow import run_flow
     config = _config_from(args)
-    cache = None if args.no_cache else FlowCache(
-        args.cache_dir, max_bytes=getattr(args, "cache_max_bytes", None))
+    cache = _cache_from(args)
     store = StageStore(cache) if cache is not None else None
     tracer = Tracer(label=config.label) if args.trace else None
     artifacts = run_flow(_factory_from(args), config,
@@ -358,25 +351,26 @@ def cmd_sweep(args) -> int:
     config = _config_from(args)
     runner = _runner_from(args)
     if args.axis == "utilization":
-        points = args.points or [0.5, 0.6, 0.7, 0.76, 0.8, 0.86]
-        runs = utilization_sweep(factory, config, points, runner=runner)
+        points = args.points or sweeps.SWEEP_UTILIZATIONS
+        runs = sweeps.utilization_sweep(factory, config, points,
+                                        runner=runner)
     elif args.axis == "layers":
-        splits = [_parse_split(s) for s in
-                  (args.splits or ["9:3", "8:4", "7:5", "6:6"])]
-        sweep_points = layer_split_sweep(factory, config, splits,
-                                         runner=runner)
-        runs = [p.result for p in sweep_points]
+        splits = [sweeps.parse_split(s)
+                  for s in args.splits or sweeps.LAYER_SPLITS]
+        runs = [p.result for p in sweeps.layer_split_sweep(
+            factory, config, splits, runner=runner)]
     elif args.axis == "cts":
-        utils = args.points or [0.5, 0.7]
-        splits = [_parse_split(s) for s in (args.splits or ["12:12", "6:6"])]
-        points = cts_mode_sweep(factory, config, utils, splits,
-                                runner=runner,
-                                back_fraction=args.cts_back_fraction)
+        splits = [sweeps.parse_split(s)
+                  for s in args.splits or sweeps.CTS_SPLITS]
+        points = sweeps.cts_mode_sweep(
+            factory, config, args.points or sweeps.CTS_UTILIZATIONS,
+            splits, runner=runner, back_fraction=args.cts_back_fraction)
         _print_cts_comparison(points)
         runs = [p.result for p in points]
     else:
-        targets = args.targets or [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-        runs = frequency_sweep(factory, config, targets, runner=runner)
+        targets = args.targets or sweeps.FREQUENCY_TARGETS
+        runs = sweeps.frequency_sweep(factory, config, targets,
+                                      runner=runner)
     for run in runs:
         print(run.summary())
     print(runner.stats.summary())
@@ -454,8 +448,7 @@ def cmd_mc(args) -> int:
                             signoff)
     factory = _factory_from(args)
     config = _config_from(args)
-    cache = None if args.no_cache else FlowCache(
-        args.cache_dir, max_bytes=getattr(args, "cache_max_bytes", None))
+    cache = _cache_from(args)
     model = VariationModel.for_arch(config.arch,
                                     overlay_sigma_nm=args.overlay_sigma,
                                     cd_sigma=args.cd_sigma,
@@ -612,15 +605,13 @@ def _serve_env(name: str, fallback):
 
 def cmd_serve(args) -> int:
     import asyncio
-    import dataclasses
     import signal as signal_mod
 
-    from .core.cache import cache_from_env, default_cache_dir
+    from .core.cache import default_cache_dir
     from .service import JobJournal, ReproServer, Scheduler
     from .service.journal import DEFAULT_BASENAME
 
-    cache = None if args.no_cache else cache_from_env(
-        args.cache_dir, max_bytes=args.cache_max_bytes)
+    cache = _cache_from(args)
     journal = None
     if args.journal != "":
         path = args.journal or _serve_env("JOURNAL", None)
@@ -629,16 +620,8 @@ def cmd_serve(args) -> int:
                 else default_cache_dir()
             path = os.path.join(str(base), DEFAULT_BASENAME)
         journal = JobJournal(path, resume=not args.no_resume)
-    retry = RetryPolicy.from_env()
-    patch = {}
-    if args.timeout:
-        patch["timeout_s"] = args.timeout
-    if args.retries:
-        patch["max_attempts"] = max(1, args.retries)
-    if patch:
-        retry = dataclasses.replace(retry, **patch)
     scheduler = Scheduler(cache=cache, workers=args.workers,
-                          journal=journal, retry=retry,
+                          journal=journal, retry=_retry_from(args),
                           max_runs=args.max_runs)
     server = ReproServer(scheduler, host=args.host, port=args.port)
 

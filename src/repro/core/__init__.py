@@ -47,10 +47,10 @@ _LAZY = {
     "results_to_json": ".io",
     "FailedRun": ".ppa",
     "PPAResult": ".ppa",
+    "JobJournal": ".journal",
     "JsonlJournal": ".journal",
     "RetryPolicy": ".runner",
     "RunRecord": ".runner",
-    "SweepCheckpoint": ".runner",
     "SweepRunner": ".runner",
     "SweepStats": ".runner",
     "resolve_jobs": ".runner",

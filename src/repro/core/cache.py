@@ -162,16 +162,24 @@ def code_fingerprint() -> str:
     return _code_fingerprint
 
 
-def result_to_payload(result: PPAResult | FailedRun) -> dict:
-    """Serialize a run result into a JSON-safe, round-trippable dict."""
+def result_to_payload(result: PPAResult | FailedRun | dict) -> dict:
+    """Serialize a run result into a JSON-safe, round-trippable dict.
+
+    A plain dict (a study report, e.g. a Monte-Carlo signoff) passes
+    through as a ``report``.
+    """
+    if isinstance(result, dict):
+        return {"kind": "report", "data": result}
     if isinstance(result, FailedRun):
         return {"kind": "failed", "data": dataclasses.asdict(result)}
     return {"kind": "ppa", "data": dataclasses.asdict(result)}
 
 
-def result_from_payload(payload: dict) -> PPAResult | FailedRun:
+def result_from_payload(payload: dict) -> PPAResult | FailedRun | dict:
     """Inverse of :func:`result_to_payload`."""
     data = dict(payload["data"])
+    if payload["kind"] == "report":
+        return data
     if payload["kind"] == "failed":
         return FailedRun(**data)
     data["timing"] = TimingReport(**data["timing"])

@@ -1,59 +1,54 @@
-"""Fault-tolerant parallel sweep execution with caching and checkpoints.
+"""The one execution engine: every flow run goes through :class:`Engine`.
 
-The paper's headline figures are all sweeps — dozens of independent
-full-flow runs over utilization grids and pin-density DoEs — so the
-:class:`SweepRunner` is the one place fan-out, caching, timing and
-failure handling live for every sweep entry point
-(``repro.core.sweeps``, ``repro.core.doe``, the CLI and the
-``scripts/run_*.py`` drivers):
+The paper's results are sweeps — dozens of independent full-flow runs
+over utilization grids, pin-density DoEs and layer splits — plus
+Monte-Carlo studies over one layout.  The CLI, the ``scripts/run_*.py``
+scripts, :mod:`repro.core.sweeps`, :mod:`repro.core.doe`, the benchmark
+and ``repro serve`` all dispatch them through one asyncio loop:
 
-* ``jobs`` workers on a :class:`concurrent.futures.ProcessPoolExecutor`
-  (``jobs=None`` reads ``$REPRO_JOBS``, defaulting to serial; ``jobs=0``
-  means one worker per core);
-* results come back in submission order regardless of completion order,
-  so parallel sweeps are drop-in replacements for the serial loops;
-* **quarantine**: a run that raises — placement infeasibility, a guard
-  violation, an injected fault, anything — becomes a structured
-  :class:`~repro.core.ppa.FailedRun` carrying the failing stage, cause
-  and attempt count.  One bad run never aborts a sweep; the healthy
-  points always come back;
-* **retry with backoff**: transient failures (worker death, ``OSError``,
+* **one priority heap** of ``(job, item)`` entries: higher priority
+  first, FIFO within a priority, a job's items in order;
+* **one cheapest-first ladder** per item: its stored ``result``
+  artifact in the :class:`~repro.core.stages.StageStore` (keyed by
+  :func:`~repro.core.flow.artifact_key`), else the future of an
+  identical item already executing (**in-flight dedup**: identical
+  items execute once, across jobs), else an execution slot;
+* **one attempt loop**: transient failures (worker death, ``OSError``,
   timeouts, :class:`~repro.core.errors.TransientError`) are retried up
-  to :attr:`RetryPolicy.max_attempts` with exponential backoff before
-  being quarantined;
-* **per-run timeout**: :attr:`RetryPolicy.timeout_s` arms a wall-clock
-  alarm inside each run (``SIGALRM``), so a hung stage becomes a
-  retryable :class:`~repro.core.errors.RunTimeout` instead of wedging
-  the sweep, plus a parent-side watchdog for workers the alarm cannot
-  reach;
-* **pool salvage**: a :class:`BrokenProcessPool` no longer throws away
-  completed work — finished futures are harvested and only the
-  unfinished configs are re-dispatched to a fresh pool (counted in
-  :attr:`SweepStats.pool_restarts`); repeated breakage degrades the
-  remainder, not the whole sweep, to the serial path;
-* **checkpoint/resume**: with a :class:`SweepCheckpoint` attached,
-  every settled run is appended (fsync'd) to a JSONL file keyed by the
-  sweep's content identity, so an interrupted sweep resumes exactly
-  where it crashed (``--resume``);
-* with a :class:`~repro.core.cache.FlowCache` attached, every point is
-  looked up as a ``result`` artifact of the
-  :class:`~repro.core.stages.StageStore` (keyed by
-  :func:`~repro.core.flow.artifact_key`), only the misses are executed
-  — each through the same store, replaying any stage prefix an earlier
-  walk stored — and their results are stored in turn.  When fault
-  injection is active (:mod:`repro.core.faults`) the cache is bypassed
-  so injected failures can never poison real results.
+  to :attr:`RetryPolicy.max_attempts` with exponential backoff; a
+  ``SIGALRM`` inside each run turns a hung stage into a retryable
+  :class:`~repro.core.errors.RunTimeout`, and a parent-side watchdog
+  quarantines workers the alarm cannot reach; a
+  :class:`BrokenProcessPool` costs one pool rebuild however many runs
+  saw it, then each of those runs retries as ``WorkerDied``; whatever
+  still fails becomes a quarantined
+  :class:`~repro.core.ppa.FailedRun` — one bad run never aborts a
+  sweep;
+* **one fault rule**: while a flow fault plan is active
+  (:mod:`repro.core.faults`) the store is neither read nor written, so
+  injected failures can never poison real results;
+* **one journal** (:class:`~repro.core.journal.JobJournal`): every
+  settled run is appended, fsync'd, with its result key and payload.
 
-Per-run wall time and hit/miss/retry/timeout/quarantine counters
-accumulate in :attr:`SweepRunner.stats` and are printed by the CLI
-sweep summaries; when tracing, the same events are counted on the
-sweep trace (``runner.*``) so ``repro trace report`` surfaces them.
+Executions run in a :class:`concurrent.futures.ProcessPoolExecutor`,
+except on a private loop with one worker or a single miss, where they
+run in-process (``SIGALRM`` works, library caches stay warm), and for
+unpicklable factories, which fall back in-process.
+
+:class:`SweepRunner` is the library front end: each
+:meth:`~SweepRunner.run_records` call submits one job and drives it to
+completion on a private event loop; results come back in submission
+order.  :class:`repro.service.Scheduler` is the same engine behind
+HTTP.  Both count run-level events once, as ``runner.*`` counters
+(docs/observability.md); :class:`SweepStats` is derived from them.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
+import asyncio
+import dataclasses
+import heapq
+import itertools
 import math
 import os
 import pickle
@@ -71,6 +66,7 @@ from . import faults as faults_mod
 from . import telemetry
 from .cache import (
     FlowCache,
+    cache_from_env,
     netlist_fingerprint,
     result_from_payload,
     result_to_payload,
@@ -78,7 +74,8 @@ from .cache import (
 from .config import FlowConfig
 from .errors import FlowError, RunTimeout, wrap_stage_error
 from .flow import artifact_key, run_flow
-from .journal import JsonlJournal
+from .io import result_to_dict
+from .journal import JobJournal, next_job_number
 from .ppa import FailedRun, PPAResult
 from .stages import StageStore
 
@@ -95,6 +92,15 @@ CHECKPOINT_ENV = "REPRO_CHECKPOINT"
 #: watchdog declares a worker wedged (the in-worker alarm should always
 #: fire first; the watchdog exists for workers it cannot reach).
 WATCHDOG_GRACE_S = 30.0
+
+#: Job lifecycle states.
+QUEUED, RUNNING, COMPLETED, FAILED, CANCELLED = \
+    "queued", "running", "completed", "failed", "cancelled"
+TERMINAL = (COMPLETED, FAILED, CANCELLED)
+
+#: How each settled run was obtained.
+VIA_EXECUTED, VIA_CACHE, VIA_DEDUP, VIA_RESUMED = \
+    "executed", "cache", "dedup", "resumed"
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -118,11 +124,10 @@ def script_runner(default_checkpoint: str,
     """The one-line runner for ``scripts/run_*.py`` batch drivers.
 
     Artifact store on unless ``$REPRO_NO_CACHE`` is set, crash-safe
-    checkpoint at ``$REPRO_CHECKPOINT`` (default ``default_checkpoint``;
+    journal at ``$REPRO_CHECKPOINT`` (default ``default_checkpoint``;
     empty disables it), workers from ``$REPRO_JOBS`` — the exact policy
     every headline script used to spell out by hand.
     """
-    from .cache import cache_from_env
     checkpoint = os.environ.get(CHECKPOINT_ENV, default_checkpoint)
     return SweepRunner(jobs=jobs, cache=cache_from_env(),
                        checkpoint=checkpoint or None)
@@ -267,30 +272,33 @@ def _run_alarm(timeout_s: float | None, config: FlowConfig):
 def _timed_run(netlist_factory: Callable[[], Netlist],
                config: FlowConfig, trace: bool = False,
                timeout_s: float | None = None, attempt: int = 1,
-               delay_s: float = 0.0, cache: FlowCache | None = None
-               ) -> tuple[PPAResult | FailedRun | _TransientFailure, float,
-                          telemetry.Trace | None, dict[str, float]]:
+               cache: FlowCache | None = None,
+               study: Callable | None = None) -> tuple:
     # Module-level so the process pool can pickle it as a task target.
-    # With ``trace`` the worker builds a Tracer and ships the finished
-    # (picklable) Trace back to the parent alongside the result.
-    # Transient failures come back as a marker so the parent can apply
-    # its retry policy; fatal ones come back already quarantined.
-    # With ``cache`` (picklable: a directory + version) the worker
-    # builds a StageStore on it, so every worker shares one on-disk
-    # per-stage artifact store — locked, so concurrent missers of one
-    # stage key single-flight it (repro.core.locking) even across
-    # unrelated sweep processes; the store's hit/miss counters travel
-    # back as the outcome's fourth element.
-    if delay_s > 0:
-        time.sleep(delay_s)  # retry backoff, served in the worker
+    # Returns (result, wall_s, trace, stage-store counters).  With
+    # ``trace`` the worker builds a Tracer and ships the finished
+    # (picklable) Trace back.  Transient failures come back as a
+    # marker so the engine can apply its retry policy; fatal ones come
+    # back already quarantined.  With ``cache`` (picklable: a directory
+    # + version) the worker builds a StageStore on it, so every worker
+    # shares one on-disk per-stage artifact store — locked, so
+    # concurrent missers of one stage key single-flight it
+    # (repro.core.locking) even across unrelated processes.  A
+    # ``study(factory, config, cache) -> dict`` (a Monte-Carlo signoff)
+    # runs in place of the flow under the same timeout and failure
+    # handling.
     faults_mod.set_attempt(attempt)
     tracer = telemetry.Tracer(label=config.label) if trace else None
-    store = StageStore(cache) if cache is not None else None
+    store = StageStore(cache) if cache is not None and study is None \
+        else None
     start = time.perf_counter()
     try:
         with _run_alarm(timeout_s, config):
-            result: PPAResult | FailedRun | _TransientFailure = \
-                run_flow(netlist_factory, config, tracer=tracer, store=store)
+            if study is not None:
+                result = study(netlist_factory, config, cache)
+            else:
+                result = run_flow(netlist_factory, config, tracer=tracer,
+                                  store=store)
     except (KeyboardInterrupt, SystemExit):
         raise
     except BaseException as exc:
@@ -308,17 +316,43 @@ def _timed_run(netlist_factory: Callable[[], Netlist],
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One sweep point: its config, outcome, wall time and provenance."""
+    """One settled run: its config, outcome, wall time and provenance."""
 
     config: FlowConfig
-    result: PPAResult | FailedRun
+    #: The flow's result, or a study's report dict.
+    result: PPAResult | FailedRun | dict
     wall_time_s: float
-    cache_hit: bool = False
-    #: Served from a sweep checkpoint written by an earlier, interrupted
-    #: invocation (``--resume``).
-    resumed: bool = False
+    #: How it settled: ``executed``, ``cache``, ``dedup`` or ``resumed``.
+    via: str = VIA_EXECUTED
+    #: Tries the execution took (retries included).
+    attempts: int = 1
     #: Per-run telemetry (None unless the runner traces).
     trace: telemetry.Trace | None = field(default=None, compare=False)
+    #: The executing worker's stage-store counters (``stage_cache.*``).
+    stage_counters: dict = field(default_factory=dict, compare=False)
+
+    @property
+    def cache_hit(self) -> bool:
+        """Served from the store, or from an identical in-flight run."""
+        return self.via in (VIA_CACHE, VIA_DEDUP)
+
+    @property
+    def resumed(self) -> bool:
+        """Served from a journal written by an earlier invocation."""
+        return self.via == VIA_RESUMED
+
+    def to_doc(self, label: str) -> dict:
+        """The JSON record ``repro serve`` shows and the journal keeps."""
+        result = self.result
+        return {
+            "label": label,
+            "ok": not isinstance(result, FailedRun),
+            "result": result if isinstance(result, dict)
+            else result_to_dict(result),
+            "wall_s": round(self.wall_time_s, 6),
+            "via": self.via,
+            "attempts": self.attempts,
+        }
 
 
 @dataclass
@@ -338,10 +372,9 @@ class SweepStats:
     #: FailedRun records quarantined for unexpected causes (anything
     #: but plain placement infeasibility).
     quarantined: int = 0
-    #: Broken process pools salvaged (completed futures kept, the
-    #: unfinished remainder re-dispatched to a fresh pool).
+    #: Broken or wedged process pools replaced by a fresh one.
     pool_restarts: int = 0
-    #: Records served from a sweep checkpoint (``--resume``).
+    #: Records served from a checkpoint journal (``--checkpoint``).
     resumed: int = 0
     #: Summed per-run wall time (serial-equivalent cost).
     run_time_s: float = 0.0
@@ -375,6 +408,16 @@ class SweepStats:
                 self.quarantined += 1
         if rec.trace is not None:
             self.absorb_trace(rec.trace)
+        self.absorb_stage_counters(rec.stage_counters)
+
+    def absorb_engine(self, counters: dict[str, float],
+                      parallel_runs: int) -> None:
+        """Add one engine's ``runner.*`` event counts."""
+        self.parallel_runs += parallel_runs
+        for name in ("retries", "timeouts", "pool_restarts",
+                     "serial_fallbacks"):
+            setattr(self, name, getattr(self, name)
+                    + int(counters.get(f"runner.{name}", 0)))
 
     def absorb_trace(self, trace: telemetry.Trace) -> None:
         """Merge one trace into the sweep-level stage/counter totals."""
@@ -437,80 +480,395 @@ class SweepStats:
                 f"({self.run_time_s:.1f}s flow time)")
 
 
-class SweepCheckpoint:
-    """Append-only, crash-safe record of a sweep's settled runs.
+@dataclass(frozen=True)
+class RunItem:
+    """One unit of work: a labeled flow config."""
 
-    A :class:`~repro.core.journal.JsonlJournal` whose header binds the
-    file to one sweep identity (the hash of every run's
-    content-addressed key, so a checkpoint can never resume a
-    *different* sweep), then one fsync'd line per settled run.  A
-    process killed mid-write leaves at most one truncated trailing
-    line, which :meth:`begin` skips.
-    """
+    label: str
+    config: FlowConfig
 
-    VERSION = 1
 
-    def __init__(self, path: str | os.PathLike, resume: bool = True) -> None:
-        self._journal = JsonlJournal(path, "sweep", self.VERSION,
-                                     resume=resume)
+@dataclass(eq=False)
+class Job:
+    """Run items sharing one netlist factory, priority and retry policy."""
+
+    id: str
+    factory: Callable[[], Netlist]
+    items: Sequence[RunItem]
+    priority: int = 0
+    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    #: A picklable ``study(factory, config, cache) -> dict`` run in
+    #: place of the flow (a Monte-Carlo signoff); never stored.
+    study: Callable | None = None
+    #: The ``spec`` the journal's ``job`` event records.
+    doc: dict = field(default_factory=dict)
+    submitted_s: float = 0.0
+    state: str = QUEUED
+    #: Settled records by item index.
+    records: dict[int, RunRecord] = field(default_factory=dict)
+    #: Result key per item, set when the job is admitted.
+    keys: list[str] = field(default_factory=list)
 
     @property
-    def path(self) -> Path:
-        return self._journal.path
+    def done(self) -> int:
+        return len(self.records)
 
-    @staticmethod
-    def sweep_id(keys: Sequence[str]) -> str:
-        blob = json.dumps(list(keys), separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+    @property
+    def total(self) -> int:
+        return len(self.items)
 
-    @staticmethod
-    def _accept(payload: dict) -> bool:
-        # A run event whose payload does not decode is as good as torn:
-        # truncate the replay there.
-        if payload.get("ev") != "run":
-            return True
+    @property
+    def ok(self) -> bool:
+        return all(not isinstance(rec.result, FailedRun)
+                   for rec in self.records.values())
+
+
+class Engine:
+    """Priority heap, cheapest-first ladder and attempt loop.
+
+    Construction is cheap and loop-free; :meth:`start` binds the engine
+    to the running loop.  ``inline`` marks a private loop (a
+    :class:`SweepRunner`'s), where runs may execute on the loop thread
+    itself; on a shared loop (``repro serve``) a flow never runs there.
+    All mutation happens on the loop; workers only compute.
+    """
+
+    def __init__(self, cache: FlowCache | None = None, workers: int = 1,
+                 retry: RetryPolicy | None = None,
+                 journal: JobJournal | None = None, inline: bool = False,
+                 refresh: bool = False, trace: bool = False) -> None:
+        self.cache = cache
+        self.workers = max(1, workers)
+        self.retry = retry if retry is not None else RetryPolicy.from_env()
+        self.journal = journal
+        self.inline = inline
+        #: Skip stored-result reads (results are still written).
+        self.refresh = refresh
+        #: Trace every execution (workers ship their traces back).
+        self.trace = trace
+        self.jobs: dict[str, Job] = {}
+        #: ``runner.*`` events, plus the workers' ``stage_cache.*``.
+        self.counters: dict[str, float] = {}
+        #: Executions dispatched to the process pool.
+        self.parallel_runs = 0
+        self._store = StageStore(cache) if cache is not None else None
+        self._order = itertools.count()
+        self._heap: list[tuple[int, int, int, str]] = []
+        self._job_seq: dict[str, int] = {}
+        self._inflight: dict[str, asyncio.Future] = {}
+        self._placement: dict[str, bool] = {}
+        self._tasks: set[asyncio.Task] = set()
+        self._pool: futures.ProcessPoolExecutor | None = None
+        self._pool_size = self.workers
+        self._stopping = False
+
+    # -- lifecycle -----------------------------------------------------------
+    async def start(self) -> None:
+        """Bind to the running loop and start dispatching."""
+        self._loop = asyncio.get_running_loop()
+        self._wake = asyncio.Event()
+        self._job_done = asyncio.Event()
+        self._idle = self.workers
+        if not self.inline:
+            self._ensure_pool(self.workers)
+        self._dispatcher = asyncio.create_task(self._dispatch_loop())
+
+    async def stop(self, wait: bool = False) -> None:
+        """Cancel the dispatcher, every task and the pool."""
+        self._stopping = True
+        self._dispatcher.cancel()
+        for task in list(self._tasks):
+            task.cancel()
+        await asyncio.gather(self._dispatcher, *self._tasks,
+                             return_exceptions=True)
+        if self._pool is not None:
+            self._pool.shutdown(wait=wait, cancel_futures=True)
+            self._pool = None
+
+    async def drive(self, job: Job,
+                    resumable: dict[str, tuple] | None = None) -> None:
+        """Start, run one job to completion, stop (a private loop)."""
+        await self.start()
         try:
-            result_from_payload(payload["payload"])
-        except (KeyError, TypeError, ValueError):
-            return False
+            self._admit(job, resumable)
+            if job.state not in TERMINAL:
+                await self._job_done.wait()
+        finally:
+            await self.stop(wait=True)
+
+    # -- admission -----------------------------------------------------------
+    def _admit(self, job: Job,
+               resumable: dict[str, tuple] | None = None) -> None:
+        """Register, journal and enqueue a job.
+
+        Items whose result key is in ``resumable`` (``key -> (result,
+        wall_s)`` from a journal) settle as ``resumed`` first.
+        """
+        resumable = resumable or {}
+        self.jobs[job.id] = job
+        job.keys = self._keys(job)
+        if self.journal is not None:
+            self.journal.job_submitted(job.id, job.doc, job.submitted_s)
+        for index, key in enumerate(job.keys):
+            if key in resumable:
+                result, wall = resumable[key]
+                self._settle(job, index, RunRecord(
+                    job.items[index].config, result, wall,
+                    via=VIA_RESUMED))
+        self._enqueue(job)
+
+    def _keys(self, job: Job) -> list[str]:
+        """Each item's result key; a study's also covers its parameters."""
+        fingerprint = netlist_fingerprint(job.factory())
+        version = self.cache.version if self.cache is not None else None
+        keys = [artifact_key("result", item.config, fingerprint,
+                             version=version) for item in job.items]
+        if job.study is not None:
+            keys = [f"{job.study!r}|{key}" for key in keys]
+        return keys
+
+    def _enqueue(self, job: Job) -> None:
+        if not job.keys:
+            job.keys = self._keys(job)
+        seq = self._job_seq.setdefault(job.id, next(self._order))
+        for index in range(job.total):
+            if index not in job.records:
+                heapq.heappush(self._heap,
+                               (-job.priority, seq, index, job.id))
+        self._wake.set()
+
+    # -- dispatch ------------------------------------------------------------
+    def _result_store(self, job: Job) -> StageStore | None:
+        """The store for this job's results: none for studies, and none
+        while a flow fault plan is active (the one fault rule)."""
+        if job.study is not None or faults_mod.faults_active():
+            return None
+        return self._store
+
+    async def _dispatch_loop(self) -> None:
+        while True:
+            await self._wake.wait()
+            self._wake.clear()
+            launches: list[tuple[Job, int]] = []
+            while self._heap:
+                _prio, _seq, index, job_id = self._heap[0]
+                job = self.jobs.get(job_id)
+                if job is None or job.state == CANCELLED \
+                        or index in job.records:
+                    heapq.heappop(self._heap)
+                    continue
+                key = job.keys[index]
+                owner = self._inflight.get(key)
+                if owner is not None:
+                    heapq.heappop(self._heap)
+                    self._spawn(self._await_inflight(job, index, owner))
+                    continue
+                if self._idle <= 0:
+                    break  # strict priority: nothing jumps the queue
+                heapq.heappop(self._heap)
+                store = None if self.refresh else self._result_store(job)
+                hit = store.result(key) if store is not None else None
+                if hit is not None:
+                    self._settle(job, index, RunRecord(
+                        job.items[index].config, hit, 0.0, via=VIA_CACHE))
+                    continue
+                self._idle -= 1
+                self._inflight[key] = self._loop.create_future()
+                launches.append((job, index))
+            lone = len(launches) == 1 and not self._heap \
+                and self._idle == self.workers - 1
+            for job, index in launches:
+                if job.state == QUEUED:
+                    job.state = RUNNING
+                    self._changed(job)
+                pooled = self._pooled(job, lone,
+                                      len(launches) + len(self._heap))
+                self._spawn(self._execute(job, index, pooled))
+
+    def _pooled(self, job: Job, lone: bool, size: int) -> bool:
+        """Where ``job`` executes, decided once, at its first launch.
+
+        On a private loop, one worker or a lone execution runs
+        in-process, exactly like a plain serial loop.  Otherwise the
+        pool, unless the job's inputs do not pickle or no pool can be
+        built: then in-process, counted as a serial fallback.
+        """
+        pooled = self._placement.get(job.id)
+        if pooled is None:
+            if self.inline and (self.workers == 1 or lone):
+                pooled = False
+            else:
+                try:
+                    pickle.dumps((job.factory, job.study,
+                                  [item.config for item in job.items]))
+                    pooled = self._ensure_pool(size)
+                except Exception:
+                    pooled = False
+                if not pooled:
+                    self._count("runner.serial_fallbacks")
+            self._placement[job.id] = pooled
+        return pooled
+
+    def _ensure_pool(self, size: int) -> bool:
+        if self._pool is None:
+            self._pool_size = min(self.workers, max(1, size))
+            try:
+                self._pool = futures.ProcessPoolExecutor(
+                    max_workers=self._pool_size)
+            except (OSError, ImportError, NotImplementedError):
+                return False
         return True
 
-    def begin(self, sweep_id: str) -> dict[str, tuple]:
-        """Open for appending; returns previously settled ``key ->
-        (result, wall_time_s)`` entries when resuming the same sweep."""
-        events = self._journal.begin({"id": sweep_id}, accept=self._accept)
-        entries: dict[str, tuple] = {}
-        for payload in events:
-            if payload.get("ev") == "run":
-                entries[payload["key"]] = \
-                    (result_from_payload(payload["payload"]),
-                     payload.get("wall", 0.0))
-        return entries
+    def _retire(self, pool: futures.Executor) -> None:
+        """Replace a broken or wedged pool — once, however many runs saw
+        it fail."""
+        if pool is not self._pool:
+            return
+        pool.shutdown(wait=False, cancel_futures=True)
+        self._pool = None
+        self._count("runner.pool_restarts")
+        self._ensure_pool(self._pool_size)
 
-    def record(self, key: str, result: PPAResult | FailedRun,
-               wall_time_s: float) -> None:
-        """Append one settled run; durable once this returns."""
-        self._journal.append({
-            "ev": "run", "key": key, "wall": wall_time_s,
-            "payload": result_to_payload(result),
-        })
+    def _spawn(self, coro) -> None:
+        task = asyncio.create_task(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
-    def finish(self) -> None:
-        """Close out a completed sweep (the file remains resumable)."""
-        if self._journal.open:
-            self._journal.append({"ev": "end"})
-            self._journal.close()
+    async def _await_inflight(self, job: Job, index: int,
+                              owner: asyncio.Future) -> None:
+        # ``owner`` is the future dispatch saw: the execution may settle,
+        # and leave ``_inflight``, before this task first runs.
+        rec = await owner
+        self._settle(job, index, dataclasses.replace(
+            rec, config=job.items[index].config, via=VIA_DEDUP,
+            trace=None, stage_counters={}))
+
+    # -- execution -----------------------------------------------------------
+    async def _execute(self, job: Job, index: int, pooled: bool) -> None:
+        """Run one item through the attempt loop, then settle it."""
+        config = job.items[index].config
+        if pooled:
+            self.parallel_runs += 1
+        rec: RunRecord | None = None
+        try:
+            rec = await self._attempts(job, config, pooled)
+        except Exception as exc:  # never lose a slot, or its waiters, to a bug
+            rec = RunRecord(config, FailedRun(
+                label=config.label, target_utilization=config.utilization,
+                reason=f"{type(exc).__name__}: {exc}",
+                cause=type(exc).__name__, quarantined=True), 0.0)
+        finally:
+            self._idle += 1
+            owner = self._inflight.pop(job.keys[index], None)
+            if owner is not None and not owner.done():
+                if rec is None:
+                    owner.cancel()
+                else:
+                    owner.set_result(rec)
+            self._wake.set()
+        if isinstance(rec.result, FailedRun) and rec.result.quarantined:
+            self._count("runner.quarantined")
+        store = self._result_store(job)
+        if store is not None:
+            store.put_result(job.keys[index], rec.result)
+        self._settle(job, index, rec)
+
+    async def _attempts(self, job: Job, config: FlowConfig,
+                        pooled: bool) -> RunRecord:
+        """Retry transient failures with backoff; then quarantine."""
+        retry = job.retry
+        cache = None if faults_mod.faults_active() else self.cache
+        attempt = 1
+        while True:
+            result, wall, trace, counters = await self._attempt(
+                job, config, attempt, cache, pooled)
+            telemetry.merge_counters(self.counters, counters)
+            if isinstance(result, _TransientFailure):
+                if result.cause == "RunTimeout":
+                    self._count("runner.timeouts")
+                if attempt < retry.max_attempts:
+                    self._count("runner.retries")
+                    await asyncio.sleep(retry.backoff_s(attempt))
+                    attempt += 1
+                    continue
+                result = _failed_from_transient(config, result, attempt)
+            return RunRecord(config, result, wall, attempts=attempt,
+                             trace=trace, stage_counters=counters)
+
+    async def _attempt(self, job: Job, config: FlowConfig, attempt: int,
+                       cache: FlowCache | None, pooled: bool) -> tuple:
+        """One try, in-process or on the pool under the watchdog."""
+        timeout = job.retry.timeout_s
+        args = (job.factory, config, self.trace, timeout, attempt, cache,
+                job.study)
+        pool = self._pool if pooled else None
+        if pool is None:
+            if self.inline:
+                return _timed_run(*args)
+            return await asyncio.to_thread(_timed_run, *args)
+        try:
+            return await asyncio.wait_for(
+                self._loop.run_in_executor(pool, _timed_run, *args),
+                None if timeout is None else timeout + WATCHDOG_GRACE_S)
+        except asyncio.TimeoutError:
+            # Wedged beyond the in-worker alarm's reach: quarantine it
+            # and retire the pool so the stuck slot is not reused.
+            self._count("runner.timeouts")
+            self._retire(pool)
+            return (FailedRun(
+                label=config.label, target_utilization=config.utilization,
+                reason=(f"worker wedged past the {timeout:g}s timeout "
+                        "and its grace period"),
+                stage="", cause="RunTimeout", attempts=attempt,
+                quarantined=True), 0.0, None, {})
+        except futures.process.BrokenProcessPool:
+            self._retire(pool)
+            return (_TransientFailure(
+                stage="", cause="WorkerDied",
+                message="worker process died (BrokenProcessPool)"),
+                0.0, None, {})
+        except (OSError, RuntimeError) as exc:
+            # Transport-level failure: a transient failure of this run.
+            return (_TransientFailure(stage="", cause=type(exc).__name__,
+                                      message=str(exc)), 0.0, None, {})
+
+    # -- settlement ----------------------------------------------------------
+    def _settle(self, job: Job, index: int, rec: RunRecord) -> None:
+        if index in job.records:
+            return  # cancelled-then-requeued duplicates settle once
+        job.records[index] = rec
+        self._count(f"runner.{rec.via}")
+        if self.journal is not None and rec.via != VIA_RESUMED:
+            self.journal.run_settled(
+                job.id, index, rec.to_doc(job.items[index].label),
+                job.keys[index], result_to_payload(rec.result))
+        if job.state not in TERMINAL and job.done >= job.total:
+            self._finish(job, COMPLETED if job.ok else FAILED)
+        self._changed(job)
+
+    def _finish(self, job: Job, state: str) -> None:
+        job.state = state
+        if self.journal is not None:
+            self.journal.job_state(job.id, state)
+
+    def _changed(self, job: Job) -> None:
+        """A job's observable state changed (front ends extend this)."""
+        if job.state in TERMINAL:
+            self._job_done.set()
+
+    def _count(self, name: str, value: float = 1) -> None:
+        if value:
+            self.counters[name] = self.counters.get(name, 0) + value
 
 
 class SweepRunner:
-    """Fans ``run_once`` calls out over a process pool, cache first.
+    """The library front end of the :class:`Engine`.
 
     One runner can serve many sweeps; its :attr:`stats` accumulate
     across calls.  With ``jobs=1`` (the default without ``$REPRO_JOBS``)
-    everything runs serially in-process, which keeps library master
-    caches warm and behavior identical to the historical loops.  The
-    retry policy applies identically on the serial and pool paths, so
-    ``--jobs`` never changes what a sweep returns.
+    every run executes in-process, which keeps library master caches
+    warm.  The retry policy applies identically in-process and on the
+    pool, so ``--jobs`` never changes what a sweep returns.
     """
 
     def __init__(self, jobs: int | None = None,
@@ -529,17 +887,20 @@ class SweepRunner:
         #: ``--refresh``).
         self.refresh = refresh
         self.retry = retry if retry is not None else RetryPolicy.from_env()
-        #: Path of the crash-safe sweep checkpoint (None = disabled).
+        #: Path of the crash-safe run journal (None = disabled).
         self.checkpoint = Path(checkpoint) if checkpoint is not None else None
+        #: ``False`` truncates the journal on first use (``--no-resume``);
+        #: later calls of this runner append to what it wrote.
         self.resume = resume
         self.stats = SweepStats()
         #: When set, every executed run is traced (worker processes
         #: ship their traces back) and one ``run-NNNN.jsonl`` file per
         #: run lands here, plus ``sweep-NNNN.jsonl`` files holding the
-        #: parent-side cache-hit spans; ``repro trace report <dir>``
-        #: aggregates them.
+        #: parent-side cache-hit spans and ``runner.*`` counters;
+        #: ``repro trace report <dir>`` aggregates them.
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         self._trace_seq = 0
+        self._journal_opened = False
 
     # -- public API ---------------------------------------------------------
     def run_one(self, netlist_factory: Callable[[], Netlist],
@@ -554,100 +915,39 @@ class SweepRunner:
 
     def run_records(self, netlist_factory: Callable[[], Netlist],
                     configs: Sequence[FlowConfig]) -> list[RunRecord]:
-        """Run every config; records come back in ``configs`` order."""
+        """Run every config as one job; records come back in order."""
         configs = list(configs)
         started = time.perf_counter()
         tracing = self.trace_dir is not None
         sweep_tracer = telemetry.Tracer(label="sweep") if tracing \
             else telemetry.NULL_TRACER
-        records: list[RunRecord | None] = [None] * len(configs)
-        keys: list[str | None] = [None] * len(configs)
-        pending = list(range(len(configs)))
-
-        # Flow fault injection must never touch (or be hidden by) real
-        # cached results: an active flow plan bypasses the cache
-        # entirely.  Cache-point clauses (cache.*/lock.*) don't count —
-        # they exist to exercise the store's own recovery paths.
-        cache = self.cache if not faults_mod.faults_active() else None
-        store = StageStore(cache) if cache is not None else None
-        need_keys = (cache is not None or self.checkpoint is not None) \
-            and configs
-        if need_keys:
-            fingerprint = netlist_fingerprint(netlist_factory())
-            version = cache.version if cache is not None else None
-            for i in pending:
-                keys[i] = artifact_key("result", configs[i], fingerprint,
-                                       version=version)
-
-        duplicates: list[tuple[int, int]] = []
-        if store is not None and configs:
-            misses = []
-            first_miss: dict[str, int] = {}
-            with telemetry.activate(sweep_tracer):
-                # Hits are recorded by StageStore.result as zero-cost
-                # ``cache_hit`` spans on the active (sweep) tracer.
-                # ``refresh`` skips the reads (every point re-runs) but
-                # keeps the duplicate detection and the writes below.
-                for i in pending:
-                    hit = None if self.refresh else store.result(keys[i])
-                    if hit is not None:
-                        records[i] = RunRecord(configs[i], hit, 0.0,
-                                               cache_hit=True)
-                    elif keys[i] in first_miss:
-                        # Identical point twice in one batch: run it once.
-                        duplicates.append((i, first_miss[keys[i]]))
-                    else:
-                        first_miss[keys[i]] = i
-                        misses.append(i)
-            pending = misses
-
-        ckpt: SweepCheckpoint | None = None
-        if self.checkpoint is not None and configs:
-            ckpt = SweepCheckpoint(self.checkpoint, resume=self.resume)
-            settled = ckpt.begin(SweepCheckpoint.sweep_id(
-                [k for k in keys if k is not None]))
-            still_pending = []
-            for i in pending:
-                entry = settled.get(keys[i])
-                if entry is not None:
-                    result, wall = entry
-                    records[i] = RunRecord(configs[i], result, wall,
-                                           resumed=True)
-                else:
-                    still_pending.append(i)
-            pending = still_pending
-
-        def settle(slot: int, outcome: tuple) -> None:
-            i = pending[slot]
-            result, wall, trace = outcome[:3]
-            records[i] = RunRecord(configs[i], result, wall, trace=trace)
-            if len(outcome) > 3 and outcome[3]:
-                self.stats.absorb_stage_counters(outcome[3])
-            if ckpt is not None and keys[i] is not None:
-                ckpt.record(keys[i], result, wall)
-
-        if pending:
-            ran_in_pool = False
-            if self.jobs > 1 and len(pending) > 1:
-                ran_in_pool = self._run_pool(
-                    netlist_factory, [configs[i] for i in pending],
-                    settle, sweep_tracer, trace=tracing, cache=cache)
-            if not ran_in_pool:
-                for slot in range(len(pending)):
-                    settle(slot, self._run_serial(
-                        netlist_factory, configs[pending[slot]],
-                        sweep_tracer, trace=tracing, cache=cache))
-            else:
-                self.stats.parallel_runs += len(pending)
-            if store is not None:
-                for i in pending:
-                    store.put_result(keys[i], records[i].result)
-        if ckpt is not None:
-            ckpt.finish()
-        for i, source in duplicates:
-            records[i] = RunRecord(configs[i], records[source].result, 0.0,
-                                   cache_hit=True)
-
+        records: list[RunRecord] = []
+        if configs:
+            journal, resumable, number = self._open_journal()
+            engine = Engine(cache=self.cache, workers=self.jobs,
+                            retry=self.retry, journal=journal, inline=True,
+                            refresh=self.refresh, trace=tracing)
+            job = Job(id=f"j{number:04d}", factory=netlist_factory,
+                      items=[RunItem(c.label, c) for c in configs],
+                      retry=self.retry, submitted_s=time.time(),
+                      doc={"kind": "runs", "count": len(configs)})
+            # A bare private loop: asyncio.run's signal-handler swap and
+            # executor shutdown would cost more than a warm sweep's reads.
+            loop = asyncio.new_event_loop()
+            try:
+                # Stored-result hits land on the sweep trace as
+                # zero-cost ``cache_hit`` spans (StageStore.result).
+                with telemetry.activate(sweep_tracer):
+                    loop.run_until_complete(engine.drive(job, resumable))
+            finally:
+                loop.close()
+                if journal is not None:
+                    journal.close()
+            records = [job.records[i] for i in range(len(configs))]
+            for name, value in sorted(engine.counters.items()):
+                if name.startswith("runner."):
+                    sweep_tracer.count(name, value)
+            self.stats.absorb_engine(engine.counters, engine.parallel_runs)
         for rec in records:
             self.stats.record(rec)
         if tracing:
@@ -656,49 +956,21 @@ class SweepRunner:
         return records
 
     # -- internals ----------------------------------------------------------
-    def _note(self, tracer, event: str, count: int = 1) -> None:
-        """Mirror a runner event into the sweep trace counters."""
-        tracer.count(f"runner.{event}", count)
-
-    def _settle_transient(self, outcome, config: FlowConfig, attempt: int,
-                          tracer) -> tuple:
-        """Bookkeeping shared by both paths when a try comes back.
-
-        Returns ``(final_outcome_or_None, retry: bool)`` — final when
-        the run settled (success, fatal, or retries exhausted), retry
-        when the caller should run it again.
-        """
-        result = outcome[0]
-        if isinstance(result, _TransientFailure):
-            if result.cause == "RunTimeout":
-                self.stats.timeouts += 1
-                self._note(tracer, "timeouts")
-            if attempt < self.retry.max_attempts:
-                self.stats.retries += 1
-                self._note(tracer, "retries")
-                return None, True
-            failed = _failed_from_transient(config, result, attempt)
-            self._note(tracer, "quarantined")
-            return (failed,) + tuple(outcome[1:]), False
-        if isinstance(result, FailedRun) and result.quarantined:
-            self._note(tracer, "quarantined")
-        return outcome, False
-
-    def _run_serial(self, netlist_factory, config: FlowConfig, tracer,
-                    trace: bool = False,
-                    cache: FlowCache | None = None) -> tuple:
-        """One run on the serial path, with the full retry policy."""
-        attempt = 1
-        while True:
-            outcome = _timed_run(netlist_factory, config, trace,
-                                 self.retry.timeout_s, attempt,
-                                 cache=cache)
-            final, retry = self._settle_transient(outcome, config, attempt,
-                                                  tracer)
-            if not retry:
-                return final
-            time.sleep(self.retry.backoff_s(attempt))
-            attempt += 1
+    def _open_journal(self) -> tuple[JobJournal | None, dict, int]:
+        """The checkpoint journal, what it can resume (``result key ->
+        (result, wall_s)``) and the next job number."""
+        if self.checkpoint is None:
+            return None, {}, 1
+        journal = JobJournal(self.checkpoint,
+                             resume=self.resume or self._journal_opened)
+        self._journal_opened = True
+        jobs = journal.replay()
+        resumable = {}
+        for replayed in jobs:
+            for index, (key, payload) in replayed.payloads.items():
+                resumable[key] = (result_from_payload(payload),
+                                  replayed.records[index].get("wall_s", 0.0))
+        return journal, resumable, next_job_number(j.id for j in jobs)
 
     def _write_traces(self, records: list[RunRecord],
                       sweep_tracer: "telemetry.Tracer") -> None:
@@ -714,162 +986,3 @@ class SweepRunner:
             sweep_trace.write(
                 self.trace_dir / f"sweep-{self._trace_seq:04d}.jsonl")
             self._trace_seq += 1
-
-    def _run_pool(self, netlist_factory, configs, settle, tracer,
-                  trace=False, cache: FlowCache | None = None) -> bool:
-        """Pool execution with retry, salvage and watchdog.
-
-        Calls ``settle(slot, outcome)`` exactly once per config as runs
-        finish (in completion order; the caller re-orders).  Returns
-        False when the pool cannot be used at all (unpicklable inputs,
-        pool construction failure) and nothing was settled — the caller
-        then takes the serial path.
-        """
-        try:
-            pickle.dumps((netlist_factory, configs))
-        except Exception:
-            self.stats.serial_fallbacks += 1
-            return False
-
-        n = len(configs)
-        attempts = {slot: 1 for slot in range(n)}
-        pending = list(range(n))
-        #: Pool restarts tolerated before the remainder goes serial.
-        max_restarts = max(3, self.retry.max_attempts)
-        restarts = 0
-        settled_any = False
-
-        while pending:
-            if restarts > max_restarts:
-                # The pool keeps dying on this host: stop fighting it
-                # and finish the remainder in-process.
-                self.stats.serial_fallbacks += 1
-                self._note(tracer, "serial_fallbacks")
-                for slot in list(pending):
-                    settle(slot, self._run_serial(
-                        netlist_factory, configs[slot], tracer, trace,
-                        cache=cache))
-                    pending.remove(slot)
-                return True
-
-            workers = min(self.jobs, len(pending))
-            try:
-                pool = futures.ProcessPoolExecutor(max_workers=workers)
-            except (OSError, ImportError):
-                self.stats.serial_fallbacks += 1
-                if not settled_any:
-                    return False  # nothing settled yet: plain serial path
-                self._note(tracer, "serial_fallbacks")
-                for slot in list(pending):
-                    settle(slot, self._run_serial(
-                        netlist_factory, configs[slot], tracer, trace,
-                        cache=cache))
-                    pending.remove(slot)
-                return True
-
-            broken = False
-            fut_map: dict = {}
-            try:
-                for slot in pending:
-                    fut_map[pool.submit(
-                        _timed_run, netlist_factory, configs[slot], trace,
-                        self.retry.timeout_s, attempts[slot], 0.0,
-                        cache)] = slot
-                waiting = set(fut_map)
-                watchdog = (None if self.retry.timeout_s is None
-                            else self.retry.timeout_s + WATCHDOG_GRACE_S)
-                while waiting:
-                    done, waiting = futures.wait(
-                        waiting, timeout=watchdog,
-                        return_when=futures.FIRST_COMPLETED)
-                    if not done:
-                        # Watchdog: no progress for a whole timeout
-                        # budget + grace.  Cancel what never started
-                        # (retried on a fresh pool) and quarantine what
-                        # is wedged beyond the in-worker alarm's reach.
-                        for fut in waiting:
-                            slot = fut_map[fut]
-                            if fut.cancel():
-                                continue  # still queued: just re-run it
-                            self.stats.timeouts += 1
-                            self._note(tracer, "timeouts")
-                            self._note(tracer, "quarantined")
-                            settle(slot, (FailedRun(
-                                label=configs[slot].label,
-                                target_utilization=configs[slot].utilization,
-                                reason=("worker wedged past the "
-                                        f"{self.retry.timeout_s:g}s timeout "
-                                        "and its grace period"),
-                                stage="", cause="RunTimeout",
-                                attempts=attempts[slot], quarantined=True,
-                            ), 0.0, None))
-                            settled_any = True
-                            pending.remove(slot)
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        broken = True
-                        restarts += 1
-                        self.stats.pool_restarts += 1
-                        self._note(tracer, "pool_restarts")
-                        break
-                    for fut in done:
-                        slot = fut_map[fut]
-                        try:
-                            outcome = fut.result()
-                        except futures.process.BrokenProcessPool:
-                            broken = True
-                            break
-                        except (OSError, RuntimeError) as exc:
-                            # Transport-level failure: treat like a
-                            # transient worker failure of this run.
-                            outcome = (_TransientFailure(
-                                stage="", cause=type(exc).__name__,
-                                message=str(exc)), 0.0, None)
-                        final, retry = self._settle_transient(
-                            outcome, configs[slot], attempts[slot], tracer)
-                        if retry:
-                            attempts[slot] += 1
-                            fresh = pool.submit(
-                                _timed_run, netlist_factory, configs[slot],
-                                trace, self.retry.timeout_s, attempts[slot],
-                                self.retry.backoff_s(attempts[slot] - 1),
-                                cache)
-                            fut_map[fresh] = slot
-                            waiting.add(fresh)
-                        else:
-                            settle(slot, final)
-                            settled_any = True
-                            pending.remove(slot)
-                    if broken:
-                        break
-            except futures.process.BrokenProcessPool:
-                broken = True
-            finally:
-                pool.shutdown(wait=not broken, cancel_futures=True)
-
-            if broken and pending:
-                # Salvage: completed futures already settled above; the
-                # unfinished remainder is re-dispatched to a fresh pool.
-                # Each re-dispatch consumes an attempt so a run that
-                # keeps killing its worker is eventually quarantined.
-                restarts += 1
-                self.stats.pool_restarts += 1
-                self._note(tracer, "pool_restarts")
-                for slot in list(pending):
-                    if attempts[slot] >= self.retry.max_attempts:
-                        self._note(tracer, "quarantined")
-                        settle(slot, (FailedRun(
-                            label=configs[slot].label,
-                            target_utilization=configs[slot].utilization,
-                            reason=(f"worker process died "
-                                    f"{attempts[slot]} times "
-                                    "(BrokenProcessPool)"),
-                            stage="", cause="WorkerDied",
-                            attempts=attempts[slot], quarantined=True,
-                        ), 0.0, None))
-                        settled_any = True
-                        pending.remove(slot)
-                    else:
-                        attempts[slot] += 1
-                        self.stats.retries += 1
-                        self._note(tracer, "retries")
-        return True

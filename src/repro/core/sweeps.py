@@ -8,6 +8,10 @@ Every sweep accepts an optional :class:`~repro.core.runner.SweepRunner`
 that fans the independent flow runs out over a process pool and serves
 repeated points from the on-disk artifact store.  Without one, a private
 serial runner is used and behavior matches the historical loops.
+
+The default grids of ``repro sweep`` and the layer-split parser live
+here once; ``repro serve`` sweep specs (:mod:`repro.service.jobspec`)
+expand over the same definitions.
 """
 
 from __future__ import annotations
@@ -22,6 +26,35 @@ from .runner import SweepRunner, run_once
 
 #: Utilization grid used by the paper's utilization sweeps (Fig. 8, 11).
 DEFAULT_UTILIZATIONS = tuple(round(0.46 + 0.05 * i, 2) for i in range(9))
+
+#: The ``repro sweep`` axes.  A ``repro serve`` sweep spec expands over
+#: the same axes and, given no values, the same default grids below.
+SWEEP_AXES = ("utilization", "frequency", "layers", "cts")
+#: Default points of the ``utilization`` axis.
+SWEEP_UTILIZATIONS = (0.5, 0.6, 0.7, 0.76, 0.8, 0.86)
+#: Default synthesis targets of the ``frequency`` axis (Fig. 9), GHz.
+FREQUENCY_TARGETS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+#: Default front/back routing-layer splits of the ``layers`` axis.
+LAYER_SPLITS = ((9, 3), (8, 4), (7, 5), (6, 6))
+#: Default utilizations and splits of the ``cts`` axis.
+CTS_UTILIZATIONS = (0.5, 0.7)
+CTS_SPLITS = ((12, 12), (6, 6))
+
+
+def parse_split(text) -> tuple[int, int]:
+    """One routing-layer split: ``"FRONT:BACK"`` (``"8:4"``) or ``[8, 4]``."""
+    if (isinstance(text, (list, tuple)) and len(text) == 2
+            and all(isinstance(v, int) for v in text)):
+        return int(text[0]), int(text[1])
+    if isinstance(text, str):
+        front, sep, back = text.partition(":")
+        if sep:
+            try:
+                return int(front), int(back)
+            except ValueError:
+                pass
+    raise ValueError(f"invalid layer split {text!r} "
+                     "(expected 'FRONT:BACK', e.g. '8:4', or [F, B])")
 
 
 def try_run(netlist_factory: Callable[[], Netlist],
@@ -71,7 +104,7 @@ def max_valid_utilization(netlist_factory: Callable[[], Netlist],
 
 def frequency_sweep(netlist_factory: Callable[[], Netlist],
                     config: FlowConfig,
-                    targets_ghz: Sequence[float] = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
+                    targets_ghz: Sequence[float] = FREQUENCY_TARGETS,
                     runner: SweepRunner | None = None,
                     ) -> list[PPAResult | FailedRun]:
     """Power-frequency relationship (Fig. 9): sweep the synthesis target."""
@@ -165,8 +198,8 @@ class CtsSweepPoint:
 
 def cts_mode_sweep(netlist_factory: Callable[[], Netlist],
                    config: FlowConfig,
-                   utilizations: Sequence[float] = (0.5, 0.7),
-                   splits: Sequence[tuple[int, int]] = ((12, 12), (6, 6)),
+                   utilizations: Sequence[float] = CTS_UTILIZATIONS,
+                   splits: Sequence[tuple[int, int]] = CTS_SPLITS,
                    runner: SweepRunner | None = None,
                    back_fraction: float = 0.5,
                    ) -> list[CtsSweepPoint]:

@@ -32,14 +32,12 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from ..core import sweeps
 from ..core.config import FlowConfig
-from ..core.runner import RetryPolicy
+from ..core.runner import RetryPolicy, RunItem
 
 #: Spec kinds a server accepts.
 KINDS = ("run", "sweep", "mc")
-
-#: Sweep axes, mirroring ``repro sweep``.
-AXES = ("utilization", "frequency", "layers", "cts")
 
 #: Designs a spec can name.  Factories must be picklable (they cross
 #: the worker process pool), hence the module-level classes below.
@@ -81,14 +79,6 @@ class DesignSpec:
 
 
 @dataclass(frozen=True)
-class RunItemSpec:
-    """One expanded unit of work: a labeled flow config."""
-
-    label: str
-    config: FlowConfig
-
-
-@dataclass(frozen=True)
 class McParams:
     """Monte-Carlo knobs for ``kind == "mc"`` jobs."""
 
@@ -101,6 +91,24 @@ class McParams:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
+    def __call__(self, factory, config: FlowConfig, cache) -> dict:
+        """Run the study in a worker: the engine's ``study`` body.
+
+        Its sample fan-out stays serial so an MC job cannot starve
+        flow jobs of workers.
+        """
+        from ..variation import VariationModel, run_monte_carlo, signoff
+        model = VariationModel.for_arch(
+            config.arch, overlay_sigma_nm=self.overlay_sigma_nm,
+            cd_sigma=self.cd_sigma, rc_sigma=self.rc_sigma)
+        study = run_monte_carlo(factory, config, model=model,
+                                samples=self.samples, seed=self.seed or None,
+                                jobs=1, cache=cache)
+        report = signoff(study).to_dict()
+        report["failed_samples"] = len(study.failed)
+        report["nominal_cached"] = study.nominal_cached
+        return report
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -108,7 +116,7 @@ class JobSpec:
 
     kind: str
     design: DesignSpec
-    items: tuple[RunItemSpec, ...]
+    items: tuple[RunItem, ...]
     priority: int = 0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     mc: McParams | None = None
@@ -178,18 +186,10 @@ def _parse_config(doc: dict, overrides: dict | None = None) -> FlowConfig:
 
 
 def _parse_split(text) -> tuple[int, int]:
-    if (isinstance(text, (list, tuple)) and len(text) == 2
-            and all(isinstance(v, int) for v in text)):
-        return int(text[0]), int(text[1])
-    if isinstance(text, str):
-        front, sep, back = text.partition(":")
-        if sep:
-            try:
-                return int(front), int(back)
-            except ValueError:
-                pass
-    raise JobSpecError(
-        f"invalid layer split {text!r} (expected 'FRONT:BACK' or [F, B])")
+    try:
+        return sweeps.parse_split(text)
+    except ValueError as exc:
+        raise JobSpecError(str(exc))
 
 
 def _number_list(doc: dict, key: str, default: list) -> list[float]:
@@ -201,40 +201,40 @@ def _number_list(doc: dict, key: str, default: list) -> list[float]:
     return [float(v) for v in values]
 
 
-def _expand_sweep(doc: dict) -> list[RunItemSpec]:
+def _expand_sweep(doc: dict) -> list[RunItem]:
+    """The items of a sweep spec, over ``repro sweep``'s own grids."""
     axis = doc.get("axis")
-    _require(axis in AXES, f"unknown sweep axis {axis!r} (one of {AXES})")
-    items: list[RunItemSpec] = []
+    _require(axis in sweeps.SWEEP_AXES,
+             f"unknown sweep axis {axis!r} (one of {sweeps.SWEEP_AXES})")
+    items: list[RunItem] = []
     if axis == "utilization":
-        for util in _number_list(doc, "points",
-                                 [0.5, 0.6, 0.7, 0.76, 0.8, 0.86]):
+        for util in _number_list(doc, "points", sweeps.SWEEP_UTILIZATIONS):
             cfg = _parse_config(doc, {"utilization": util})
-            items.append(RunItemSpec(f"u{util:g}", cfg))
+            items.append(RunItem(f"u{util:g}", cfg))
     elif axis == "frequency":
-        for ghz in _number_list(doc, "targets",
-                                [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]):
+        for ghz in _number_list(doc, "targets", sweeps.FREQUENCY_TARGETS):
             cfg = _parse_config(doc, {"target_frequency_ghz": ghz})
-            items.append(RunItemSpec(f"f{ghz:g}", cfg))
+            items.append(RunItem(f"f{ghz:g}", cfg))
     elif axis == "layers":
-        splits = doc.get("splits", ["9:3", "8:4", "7:5", "6:6"])
+        splits = doc.get("splits", sweeps.LAYER_SPLITS)
         _require(isinstance(splits, (list, tuple)) and splits,
                  "field 'splits' must be a non-empty list")
         for split in splits:
             front, back = _parse_split(split)
             cfg = _parse_config(doc, {"front_layers": front,
                                       "back_layers": back})
-            items.append(RunItemSpec(f"FM{front}BM{back}", cfg))
+            items.append(RunItem(f"FM{front}BM{back}", cfg))
     else:  # cts
-        utils = _number_list(doc, "points", [0.5, 0.7])
+        utils = _number_list(doc, "points", sweeps.CTS_UTILIZATIONS)
         splits = [_parse_split(s)
-                  for s in doc.get("splits", ["12:12", "6:6"])]
+                  for s in doc.get("splits", sweeps.CTS_SPLITS)]
         for util in utils:
             for front, back in splits:
                 for mode in ("single", "dual"):
                     cfg = _parse_config(doc, {
                         "utilization": util, "front_layers": front,
                         "back_layers": back, "cts_mode": mode})
-                    items.append(RunItemSpec(
+                    items.append(RunItem(
                         f"FM{front}BM{back} u{util:g} cts={mode}", cfg))
     return items
 
@@ -283,7 +283,7 @@ def parse_jobspec(doc: dict, max_runs: int = 256,
 
     mc = None
     if kind == "run":
-        items = [RunItemSpec("run", _parse_config(doc))]
+        items = [RunItem("run", _parse_config(doc))]
     elif kind == "sweep":
         items = _expand_sweep(doc)
     else:  # mc
@@ -301,7 +301,7 @@ def parse_jobspec(doc: dict, max_runs: int = 256,
             raise JobSpecError(f"invalid mc parameters: {exc}")
         _require(1 <= mc.samples <= 4096,
                  "mc samples must be in [1, 4096]")
-        items = [RunItemSpec("mc", _parse_config(doc))]
+        items = [RunItem("mc", _parse_config(doc))]
 
     _require(len(items) <= max_runs,
              f"job expands to {len(items)} runs, over the per-job quota "

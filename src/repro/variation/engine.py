@@ -184,7 +184,7 @@ def run_samples(bundle: NominalBundle, config: FlowConfig,
     outcomes: list[SampleResult | FailedSample] = []
     with tr.span("mc.samples"):
         if jobs > 1 and samples > 1:
-            outcomes = _run_pool(bundle, config, drawn, jobs)
+            outcomes = _sample_pool(bundle, config, drawn, jobs)
         if not outcomes and samples:
             outcomes = _eval_chunk(bundle.netlist, bundle.library,
                                    bundle.extraction, config, drawn)
@@ -197,7 +197,7 @@ def run_samples(bundle: NominalBundle, config: FlowConfig,
     return good, bad
 
 
-def _run_pool(bundle: NominalBundle, config: FlowConfig, drawn: list,
+def _sample_pool(bundle: NominalBundle, config: FlowConfig, drawn: list,
               jobs: int) -> list:
     """Chunked pool fan-out; [] when the pool cannot be used at all."""
     payload = (bundle.netlist, bundle.library, bundle.extraction, config)

@@ -102,3 +102,13 @@ class TestGuardFlag:
                      "--inject-faults", "power:corrupt", "--retries", "1"])
         assert code == 1
         assert "cause=GuardViolation" in capsys.readouterr().out
+
+
+class TestCacheEnvironment:
+    def test_no_cache_env_disables_the_store(self, tmp_path, monkeypatch,
+                                             capsys):
+        """``$REPRO_NO_CACHE`` is the environment form of --no-cache."""
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        assert main(["run", *SMALL]) == 0
+        written = [p for p in (tmp_path / "cache").rglob("*") if p.is_file()]
+        assert written == []

@@ -97,6 +97,16 @@ class TestPoolPath:
         assert results == [try_run(FACTORY, BASE.with_(utilization=u))
                            for u in utils]
 
+    def test_identical_configs_in_one_batch_execute_once(self):
+        """In-flight dedup needs no store: the duplicate settles from the
+        one execution, in submission order."""
+        config = BASE.with_(utilization=0.5)
+        runner = SweepRunner(jobs=2)
+        records = runner.run_records(FACTORY, [config, config])
+        assert [r.via for r in records] == ["executed", "dedup"]
+        assert records[0].result == records[1].result
+        assert runner.stats.executed == 1 and runner.stats.cache_hits == 1
+
     def test_unpicklable_factory_falls_back_to_serial(self):
         runner = SweepRunner(jobs=2)
         results = runner.run_many(

@@ -9,6 +9,8 @@ as structured records, and the stats/counters stay consistent.
 from __future__ import annotations
 
 import json
+import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -20,9 +22,10 @@ from repro.core import (
     RetryPolicy,
     SweepRunner,
 )
+from repro.core import runner as runner_mod
 from repro.core.cache import MAX_BYTES_ENV
 from repro.core.faults import FAULTS_ENV
-from repro.core.runner import RETRIES_ENV, TIMEOUT_ENV, SweepCheckpoint
+from repro.core.runner import RETRIES_ENV, TIMEOUT_ENV
 
 from .golden_cases import MultiplierFactory
 
@@ -31,6 +34,12 @@ BASE = FlowConfig(arch="ffet", backside_pin_fraction=0.5)
 CONFIGS = [BASE.with_(utilization=u) for u in (0.5, 0.56, 0.6)]
 
 FAST = RetryPolicy(max_attempts=3, backoff_base_s=0.01, backoff_cap_s=0.05)
+
+
+@contextmanager
+def _no_alarm(timeout_s, config):
+    """Stands in for the in-worker SIGALRM: only the watchdog is left."""
+    yield
 
 
 def _baseline():
@@ -101,6 +110,21 @@ class TestTimeout:
         results = runner.run_many(FACTORY, CONFIGS[:2])
         assert all(isinstance(r, FailedRun) and r.cause == "RunTimeout"
                    for r in results)
+
+    def test_watchdog_quarantines_a_wedged_pool_worker(self, monkeypatch):
+        """Workers the in-worker alarm cannot reach are quarantined by
+        the parent-side watchdog after the timeout plus its grace."""
+        monkeypatch.setattr(runner_mod, "_run_alarm", _no_alarm)
+        monkeypatch.setattr(runner_mod, "WATCHDOG_GRACE_S", 0.5)
+        monkeypatch.setenv(FAULTS_ENV, "sta:hang:duration=4")
+        runner = SweepRunner(jobs=2, retry=RetryPolicy(
+            max_attempts=1, timeout_s=0.5))
+        started = time.monotonic()
+        results = runner.run_many(FACTORY, CONFIGS[:2])
+        assert time.monotonic() - started < 3.5
+        assert all(isinstance(r, FailedRun) and r.cause == "RunTimeout"
+                   and r.quarantined for r in results)
+        assert runner.stats.timeouts == 2
 
     def test_healthy_run_unaffected_by_generous_timeout(self):
         runner = SweepRunner(jobs=1, retry=RetryPolicy(timeout_s=600.0))
@@ -208,8 +232,8 @@ class TestCheckpoint:
         runner = SweepRunner(jobs=1, checkpoint=ck)
         assert runner.run_many(FACTORY, CONFIGS) == _baseline()
         lines = [json.loads(line) for line in ck.read_text().splitlines()]
-        assert lines[0]["ev"] == "sweep"
-        assert lines[-1]["ev"] == "end"
+        assert lines[0]["ev"] == "journal"
+        assert lines[-1]["ev"] == "state"
         assert sum(1 for p in lines if p["ev"] == "run") == len(CONFIGS)
 
     def test_full_resume_is_bit_for_bit(self, tmp_path):
@@ -226,7 +250,7 @@ class TestCheckpoint:
         ck = tmp_path / "sweep.ckpt"
         SweepRunner(jobs=1, checkpoint=ck).run_many(FACTORY, CONFIGS)
         lines = ck.read_text().splitlines()
-        ck.write_text("\n".join(lines[:2]) + "\n" + lines[2][:37])
+        ck.write_text("\n".join(lines[:3]) + "\n" + lines[3][:37])
         resumed = SweepRunner(jobs=1, checkpoint=ck)
         assert resumed.run_many(FACTORY, CONFIGS) == _baseline()
         assert resumed.stats.resumed == 1
@@ -255,9 +279,3 @@ class TestCheckpoint:
         resumed = SweepRunner(jobs=4, checkpoint=ck)
         assert resumed.run_many(FACTORY, CONFIGS) == _baseline()
         assert resumed.stats.resumed == len(CONFIGS)
-
-    def test_sweep_id_depends_on_keys(self):
-        a = SweepCheckpoint.sweep_id(["k1", "k2"])
-        b = SweepCheckpoint.sweep_id(["k1", "k3"])
-        assert a != b
-        assert a == SweepCheckpoint.sweep_id(["k1", "k2"])

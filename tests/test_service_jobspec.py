@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
 
+from repro.cli import _config_from, build_parser, main
+from repro.core import sweeps
 from repro.core.config import FlowConfig
-from repro.core.runner import RetryPolicy
+from repro.core.ppa import FailedRun
+from repro.core.runner import RetryPolicy, RunRecord, SweepRunner
 from repro.netlist import Netlist
 from repro.service.jobspec import (
     DesignSpec,
@@ -94,6 +98,27 @@ class TestDesigns:
         netlist = clone()
         assert isinstance(netlist, Netlist)
         assert "u_dmem" in netlist.attributes.get("macros", {})
+
+
+@pytest.mark.parametrize("axis", sweeps.SWEEP_AXES)
+def test_spec_defaults_expand_like_repro_sweep(axis, monkeypatch, capsys):
+    """A sweep spec with no values expands to the configs ``repro sweep
+    <axis>`` runs with no values, in the same order."""
+    ran: list[FlowConfig] = []
+
+    def capture(self, factory, configs):
+        ran.extend(configs)
+        return [RunRecord(c, FailedRun(label=c.label,
+                                       target_utilization=c.utilization,
+                                       reason="not run"), 0.0)
+                for c in configs]
+
+    monkeypatch.setattr(SweepRunner, "run_records", capture)
+    assert main(["sweep", axis, "--no-cache"]) == 0
+    config = _config_from(build_parser().parse_args(["sweep", axis]))
+    job = parse_jobspec({"kind": "sweep", "axis": axis,
+                         "config": dataclasses.asdict(config)})
+    assert [item.config for item in job.items] == ran
 
 
 class TestSweepExpansion:

@@ -80,7 +80,7 @@ def test_identity_mismatch_starts_fresh(tmp_path, monkeypatch):
     journal.close()
     # Same file under another code version: results are content-addressed
     # by the code fingerprint, so the journal must not replay.
-    monkeypatch.setattr("repro.service.journal.code_fingerprint",
+    monkeypatch.setattr("repro.core.journal.code_fingerprint",
                         lambda: "another-version")
     assert JobJournal(path).replay() == []
 

@@ -28,11 +28,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import FlowCache, FlowConfig, stage_keys
+from repro.core import FlowCache, FlowConfig, SweepRunner, stage_keys
+from repro.core import runner as runner_mod
 from repro.core.cache import netlist_fingerprint
+from repro.core.faults import FAULTS_ENV
 from repro.core.flow import FLOW_STAGES
+from repro.core.guard import GUARD_ENV
 from repro.core.io import result_to_dict
-from repro.core.runner import run_once
+from repro.core.runner import TERMINAL, run_once
 from repro.service import ReproClient, ReproServer, Scheduler, ServiceError
 from repro.service.journal import JobJournal
 
@@ -43,6 +46,12 @@ MULT = {"type": "multiplier", "bits": 4}
 BASE_CONFIG = {"arch": "ffet", "backside_pin_fraction": 0.5,
                "utilization": 0.5}
 RUN_SPEC = {"kind": "run", "design": MULT, "config": BASE_CONFIG}
+
+
+@contextmanager
+def _no_alarm(timeout_s, config):
+    """Stands in for the in-worker SIGALRM: only the watchdog is left."""
+    yield
 
 
 def canonical(doc: dict) -> str:
@@ -130,8 +139,8 @@ class TestHttpSurface:
             assert canonical(second["runs"][0]["result"]) == \
                 canonical(run["result"])
             counters = client.stats()["counters"]
-            assert counters["service.runs.executed"] == 1
-            assert counters["service.runs.cache"] == 1
+            assert counters["runner.executed"] == 1
+            assert counters["runner.cache"] == 1
 
     def test_events_stream_sees_intermediate_snapshots(self, tmp_path):
         with serve(tmp_path, workers=1) as (client, _):
@@ -193,9 +202,9 @@ class TestCrossJobDedup:
             # cache-served, if the jobs raced past each other) for the
             # other job; the four unique configs execute exactly once.
             counters = scheduler.counters
-            assert counters["service.runs.executed"] == 4
-            assert counters.get("service.runs.dedup", 0) \
-                + counters.get("service.runs.cache", 0) == 2
+            assert counters["runner.executed"] == 4
+            assert counters.get("runner.dedup", 0) \
+                + counters.get("runner.cache", 0) == 2
 
             # Exactly-once per stage key, across jobs and workers: the
             # miss counter tallies actual computations (single-flight
@@ -269,6 +278,98 @@ class TestSchedulerSemantics:
                 assert final["done"] <= 1
         finally:
             gate.release()
+
+
+    def test_dedup_waiter_holds_the_future_dispatch_saw(self):
+        """The owner may settle, and leave the in-flight table, before
+        the waiter's task first runs; the waiter must still settle."""
+        async def scenario():
+            scheduler = Scheduler(cache=None, workers=1, journal=None)
+            spawn, held = scheduler._spawn, []
+
+            def hold_waiters(coro):
+                if coro.__name__ == "_await_inflight":
+                    held.append(coro)
+                else:
+                    spawn(coro)
+
+            scheduler._spawn = hold_waiters
+            await scheduler.start()
+            owner = scheduler.submit(RUN_SPEC)
+            waiter = scheduler.submit(RUN_SPEC)
+            deadline = time.time() + 120
+            while owner.state not in TERMINAL and time.time() < deadline:
+                await asyncio.sleep(0.05)
+            assert held and not scheduler._inflight
+            for coro in held:
+                spawn(coro)
+            deadline = time.time() + 10
+            while waiter.state not in TERMINAL and time.time() < deadline:
+                await asyncio.sleep(0.05)
+            await scheduler.stop()
+            return owner.to_dict(), waiter.to_dict()
+
+        owner, waiter = asyncio.run(scenario())
+        assert waiter["state"] == "completed"
+        assert waiter["runs"][0]["via"] == "dedup"
+        assert waiter["runs"][0]["result"] == owner["runs"][0]["result"]
+
+    def test_mc_jobs_are_keyed_on_every_mc_parameter(self, tmp_path):
+        """Two MC studies differing only in overlay sigma are two
+        computations, not one deduped into the other."""
+        def study(sigma):
+            return {"kind": "mc", "design": MULT, "config": BASE_CONFIG,
+                    "mc": {"samples": 4, "seed": 1,
+                           "overlay_sigma_nm": sigma}}
+
+        with serve(tmp_path, journal=False) as (client, _):
+            ids = [client.submit(study(sigma))["id"] for sigma in (0.5, 6.0)]
+            runs = [client.wait(jid, timeout_s=300)["runs"][0]
+                    for jid in ids]
+        assert all(run["ok"] for run in runs), runs
+        assert [run["via"] for run in runs] == ["executed", "executed"]
+        assert runs[0]["result"] != runs[1]["result"]
+
+
+class TestFaultRule:
+    def test_results_under_a_fault_plan_never_reach_the_store(
+            self, tmp_path, monkeypatch):
+        """A damaged result computed while faults are injected must not
+        be served to a later healthy run as a cache hit."""
+        monkeypatch.setenv(FAULTS_ENV, "def_merge:corrupt")
+        monkeypatch.setenv(GUARD_ENV, "warn")
+        with serve(tmp_path, journal=False) as (client, _):
+            final = client.wait(client.submit(RUN_SPEC)["id"],
+                                timeout_s=120)
+        assert final["done"] == 1
+        monkeypatch.setenv(FAULTS_ENV, "")
+        monkeypatch.setenv(GUARD_ENV, "")
+
+        cache = FlowCache(tmp_path / "cache")
+        assert not list((cache.directory / "blobs" / "result").rglob("*"))
+        runner = SweepRunner(jobs=1, cache=cache)
+        config = FlowConfig(**BASE_CONFIG)
+        result = runner.run_one(FACTORY, config)
+        assert runner.stats.executed == 1 and runner.stats.cache_hits == 0
+        assert canonical(result_to_dict(result)) == \
+            canonical(serial_result(config))
+
+    def test_watchdog_quarantines_wedged_workers(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setattr(runner_mod, "_run_alarm", _no_alarm)
+        monkeypatch.setattr(runner_mod, "WATCHDOG_GRACE_S", 0.5)
+        monkeypatch.setenv(FAULTS_ENV, "sta:hang:duration=4")
+        spec = {"kind": "sweep", "axis": "utilization",
+                "points": [0.5, 0.56], "design": MULT,
+                "config": BASE_CONFIG,
+                "quota": {"retries": 1, "timeout_s": 0.5}}
+        with serve(tmp_path, cache=False, journal=False) as (client, _):
+            final = client.wait(client.submit(spec)["id"], timeout_s=60)
+            counters = client.stats()["counters"]
+        assert final["state"] == "failed"
+        assert [run["result"]["cause"] for run in final["runs"]] == \
+            ["RunTimeout", "RunTimeout"]
+        assert counters["runner.timeouts"] == 2
 
 
 class TestCrashRecovery:
@@ -350,9 +451,9 @@ class TestCrashRecovery:
             for index in (0, 1):
                 assert final["runs"][index] == before["runs"][index]
             counters = client.stats()["counters"]
-            assert counters["service.runs.resumed"] == 2
-            assert counters.get("service.runs.executed", 0) \
-                + counters.get("service.runs.cache", 0) \
+            assert counters["runner.resumed"] == 2
+            assert counters.get("runner.executed", 0) \
+                + counters.get("runner.cache", 0) \
                 == len(splits) - 2
 
             # And the whole job matches an uninterrupted serial run.
