@@ -64,6 +64,12 @@ class FlowConfig:
             )
         if self.macro_halo_cpp < 0:
             raise ValueError("macro_halo_cpp must be non-negative")
+        if not self.target_frequency_ghz > 0:
+            raise ValueError("target_frequency_ghz must be positive")
+        if self.gcell_tracks < 1:
+            raise ValueError("gcell_tracks must be at least 1")
+        if self.max_fanout < 2:
+            raise ValueError("max_fanout must be at least 2")
         if self.cts_mode not in ("single", "dual"):
             raise ValueError(f"unknown cts_mode {self.cts_mode!r}")
         if not 0.0 <= self.cts_back_fraction <= 1.0:

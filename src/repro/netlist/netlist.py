@@ -60,10 +60,6 @@ class Netlist:
         #: Free-form metadata attached by generators (e.g. the RISC-V
         #: generator records which nets carry the PC and register file).
         self.attributes: dict[str, object] = {}
-        #: Structural revision, bumped on every connectivity mutation
-        #: (and on :meth:`bind`, which every rewiring pass must call).
-        #: Consumers like the STA level-graph prep cache key on it.
-        self.rev = 0
 
     # -- construction -------------------------------------------------------
     def add_net(self, name: str, *, primary_input: bool = False,
@@ -85,7 +81,6 @@ class Netlist:
             raise ValueError(f"duplicate instance {name!r}")
         inst = Instance(name, master, dict(connections))
         self.instances[name] = inst
-        self.rev = getattr(self, "rev", 0) + 1
         for pin, net_name in inst.connections.items():
             self.add_net(net_name)
         return inst
@@ -103,7 +98,6 @@ class Netlist:
         are re-mastered).  Raises on missing masters, unconnected pins,
         multiply-driven or undriven nets.
         """
-        self.rev = getattr(self, "rev", 0) + 1
         for net in self.nets.values():
             net.driver = None
             net.sinks = []

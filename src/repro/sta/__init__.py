@@ -7,6 +7,7 @@ from .rc_scale import scale_extraction, scale_extraction_sided
 from .sta import (
     PRIMARY_INPUT_SLEW_PS,
     PinTiming,
+    TimingGraph,
     TimingReport,
     analyze_timing,
 )
@@ -19,6 +20,7 @@ __all__ = [
     "PRIMARY_INPUT_SLEW_PS",
     "PathStage",
     "PinTiming",
+    "TimingGraph",
     "TimingReport",
     "analyze_corners",
     "analyze_hold",

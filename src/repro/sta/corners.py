@@ -14,7 +14,7 @@ from ..cells import Library
 from ..extract import Extraction
 from ..netlist import Netlist
 from .rc_scale import scale_extraction
-from .sta import TimingReport, analyze_timing
+from .sta import TimingGraph, TimingReport, analyze_timing
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,15 @@ def analyze_corners(netlist: Netlist, library: Library,
     """Setup analysis at each corner; returns reports keyed by name.
 
     Cell derates scale the whole arrival (cell delays dominate), wire
-    derates scale the extracted parasitics before the run.
+    derates scale the extracted parasitics before the run; the netlist
+    is the same at every corner, so all of them share one timing graph.
     """
     reports: dict[str, TimingReport] = {}
+    graph = TimingGraph(netlist, library)
     for corner in corners:
         scaled = scale_extraction(extraction, corner.wire_derate)
-        report = analyze_timing(netlist, library, scaled, period_ps, clock)
+        report = analyze_timing(netlist, library, scaled, period_ps, clock,
+                                graph=graph)
         reports[corner.name] = derate_report(report, corner.cell_derate,
                                              period_ps)
     return reports

@@ -2,9 +2,12 @@
 
 Complements the setup analysis in :mod:`repro.sta.sta`.  Arrivals are
 propagated as *minimum* delays (each gate's fastest edge, derated to a
-fast process corner); the hold check at each flop compares the earliest
-data arrival after a clock edge against the capture clock arrival plus
-the library hold time.  Clock-tree skew is the usual hold hazard, and
+fast process corner); the hold check at each sequential data pin
+compares the earliest data arrival after a clock edge against the
+capture clock arrival plus that cell's hold time.  Launch arcs and
+endpoints are the :class:`~repro.sta.sta.TimingGraph`'s, the same ones
+setup uses: a hard macro launches every data output and captures on
+every non-clock input.  Clock-tree skew is the usual hold hazard, and
 the CTS tree built by :mod:`repro.pnr.cts` feeds straight into this.
 """
 
@@ -12,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cells import Library
+from ..cells import Library, TimingArc
 from ..extract import Extraction
 from ..netlist import Netlist
-from .sta import PRIMARY_INPUT_SLEW_PS
+from .sta import PRIMARY_INPUT_SLEW_PS, TimingGraph
 
 #: Fast-corner delay derate applied to min-path delays.
 FAST_CORNER_DERATE = 0.85
@@ -31,23 +34,31 @@ class HoldReport:
     worst_endpoint: str
     violations: int
     endpoint_count: int
-    #: Instances whose D pin violates hold, worst first.
-    violating_endpoints: tuple[str, ...] = ()
+    #: ``(instance, pin)`` data pins that violate hold, worst first.
+    violating_endpoints: tuple[tuple[str, str], ...] = ()
 
     @property
     def met(self) -> bool:
         return self.worst_slack_ps >= 0.0
 
 
+def _min_delay(arc: TimingArc, load_ff: float) -> float:
+    """An arc's faster edge at the input slew, fast-corner derated."""
+    return min(arc.delay(PRIMARY_INPUT_SLEW_PS, load_ff, True),
+               arc.delay(PRIMARY_INPUT_SLEW_PS, load_ff, False)) \
+        * FAST_CORNER_DERATE
+
+
 def analyze_hold(netlist: Netlist, library: Library, extraction: Extraction,
                  clock: str = "clk",
                  input_delay_ps: float | None = None) -> HoldReport:
-    """Min-delay hold check at every flop D pin.
+    """Min-delay hold check at every sequential data pin.
 
     Primary inputs are assumed to come from registers on the same clock,
     so their earliest arrival is the clock network latency (or the
     explicit ``input_delay_ps``) — the standard input-delay constraint.
     """
+    graph = TimingGraph(netlist, library)
     min_arrival: dict[str, float] = {}
 
     def wire_delay(net_name: str, inst: str, pin: str) -> float:
@@ -73,11 +84,8 @@ def analyze_hold(netlist: Netlist, library: Library, extraction: Extraction,
                     clock_arrivals[inst_name] = at_pin
                     continue
                 out_net = inst.connections[master.output.name]
-                arc = master.arcs[0]
-                load = net_load(out_net)
-                delay = min(arc.delay(PRIMARY_INPUT_SLEW_PS, load, True),
-                            arc.delay(PRIMARY_INPUT_SLEW_PS, load, False))
-                frontier.append((out_net, at_pin + delay * FAST_CORNER_DERATE))
+                frontier.append((out_net, at_pin + _min_delay(
+                    master.arcs[0], net_load(out_net))))
 
     pi_arrival = input_delay_ps if input_delay_ps is not None else (
         max(clock_arrivals.values()) if clock_arrivals else 0.0
@@ -86,16 +94,10 @@ def analyze_hold(netlist: Netlist, library: Library, extraction: Extraction,
         if net.is_primary_input:
             min_arrival[net.name] = 0.0 if net.is_clock else pi_arrival
 
-    # Launch: earliest Q after the launching edge.
-    for inst in netlist.sequential_instances(library):
-        master = library[inst.master]
-        out_net = inst.connections[master.output.name]
-        arc = master.arcs[0]
-        load = net_load(out_net)
-        delay = min(arc.delay(PRIMARY_INPUT_SLEW_PS, load, True),
-                    arc.delay(PRIMARY_INPUT_SLEW_PS, load, False))
-        min_arrival[out_net] = clock_arrivals.get(inst.name, 0.0) + \
-            delay * FAST_CORNER_DERATE
+    # Launch: earliest output after the launching edge.
+    for inst_name, arc, out_net in graph.launches:
+        min_arrival[out_net] = clock_arrivals.get(inst_name, 0.0) + \
+            _min_delay(arc, net_load(out_net))
 
     for inst in netlist.topological_order(library):
         master = library[inst.master]
@@ -114,29 +116,25 @@ def analyze_hold(netlist: Netlist, library: Library, extraction: Extraction,
                 continue
             arrival = min_arrival[in_net] + \
                 wire_delay(in_net, inst.name, arc.from_pin)
-            delay = min(arc.delay(PRIMARY_INPUT_SLEW_PS, load, True),
-                        arc.delay(PRIMARY_INPUT_SLEW_PS, load, False))
-            best = min(best, arrival + delay * FAST_CORNER_DERATE)
+            best = min(best, arrival + _min_delay(arc, load))
         min_arrival[out_net] = best if best < _INF else 0.0
 
     worst = _INF
     worst_endpoint = ""
-    violators: list[tuple[float, str]] = []
+    violators: list[tuple[float, str, str]] = []
     endpoints = 0
-    for inst in netlist.sequential_instances(library):
-        master = library[inst.master]
-        d_net = inst.connections["D"]
+    for inst_name, pin, d_net, seq in graph.endpoints:
         if d_net not in min_arrival:
             continue
         endpoints += 1
-        arrival = min_arrival[d_net] + wire_delay(d_net, inst.name, "D")
-        capture = clock_arrivals.get(inst.name, 0.0)
-        slack = arrival - (capture + master.sequential.hold_ps)
+        arrival = min_arrival[d_net] + wire_delay(d_net, inst_name, pin)
+        capture = clock_arrivals.get(inst_name, 0.0)
+        slack = arrival - (capture + seq.hold_ps)
         if slack < 0:
-            violators.append((slack, inst.name))
+            violators.append((slack, inst_name, pin))
         if slack < worst:
             worst = slack
-            worst_endpoint = inst.name
+            worst_endpoint = inst_name
 
     if endpoints == 0:
         raise ValueError("design has no hold endpoints")
@@ -146,7 +144,7 @@ def analyze_hold(netlist: Netlist, library: Library, extraction: Extraction,
         worst_endpoint=worst_endpoint,
         violations=len(violators),
         endpoint_count=endpoints,
-        violating_endpoints=tuple(name for _s, name in violators),
+        violating_endpoints=tuple((name, pin) for _s, name, pin in violators),
     )
 
 
@@ -156,24 +154,24 @@ def fix_hold(netlist: Netlist, library: Library, extraction: Extraction,
     """Insert delay buffers until hold closes (or iterations run out).
 
     The standard post-route hold fix: a minimum-drive buffer is inserted
-    in front of each violating flop's D pin, adding one gate's min
-    delay per iteration.  Mutates the netlist (and, when a placement is
-    given, places each buffer at its flop); returns the final report.
+    in front of each violating data pin, adding one gate's min delay per
+    iteration.  Mutates the netlist (and, when a placement is given,
+    places each buffer at its sequential cell); returns the final report.
     """
     counter = 0
     report = analyze_hold(netlist, library, extraction, clock)
     for _iteration in range(max_iterations):
         if report.met:
             break
-        for inst_name in report.violating_endpoints:
+        for inst_name, pin in report.violating_endpoints:
             counter += 1
             inst = netlist.instances[inst_name]
-            old_net = inst.connections["D"]
+            old_net = inst.connections[pin]
             new_net = f"holdnet_{counter}"
             netlist.add_net(new_net)
             netlist.add_instance(f"holdbuf_{counter}", "BUFD1",
                                  {"A": old_net, "Z": new_net})
-            inst.connections["D"] = new_net
+            inst.connections[pin] = new_net
             if placement is not None:
                 placement.locations[f"holdbuf_{counter}"] = \
                     placement.locations[inst_name]

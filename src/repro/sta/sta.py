@@ -4,9 +4,18 @@ Single-clock setup analysis, the way the paper's power-performance
 stage uses commercial STA: rise and fall arrivals/slews propagate
 separately through arc unateness (an inverter's rising output is timed
 from its falling input), wire delays come from the extracted Elmore
-values, and setup is checked at every flop D pin and primary output.
+values, and setup is checked at every sequential data pin and primary output.
 ``achieved frequency`` is the frequency at which the worst path just
 closes — the paper's Figs. 9-11 metric.
+
+A netlist's timing structure is a :class:`TimingGraph` owned by its
+caller.  Callers that re-time one netlist build one and pass it to each
+:func:`analyze_timing` call: sizing per ``size_for_target`` call, the
+Monte-Carlo engine per chunk of samples, ``analyze_corners`` per call.
+Signoff and path reports time once and pass nothing, so each call
+builds a one-off graph.  :meth:`TimingGraph.refresh` patches
+drive-strength swaps in; any other edit needs a new graph.  There is
+no module-level memo: a graph lives exactly as long as its owner.
 
 The combinational propagation — the hottest loop in the whole flow,
 dominating the sizing stage — is a level-batched engine
@@ -26,13 +35,12 @@ have accepted.
 
 from __future__ import annotations
 
-import math
+from collections import deque
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from ..cells import Library, TimingArc
+from ..cells import Library, SequentialTiming, TimingArc
 from ..core.telemetry import current_tracer
 from ..extract import Extraction
 from ..netlist import Netlist
@@ -76,10 +84,6 @@ class PinTiming:
     @property
     def worst_arrival_ps(self) -> float:
         return max(self.arrival_rise_ps, self.arrival_fall_ps)
-
-    @property
-    def worst_slew_ps(self) -> float:
-        return max(self.slew_rise_ps, self.slew_fall_ps)
 
     def delayed(self, wire_ps: float) -> "PinTiming":
         """This timing seen after a wire segment of the given Elmore delay."""
@@ -147,8 +151,21 @@ def _propagate_arc(arc: TimingArc, pt_in: PinTiming, load_ff: float,
 
 
 def analyze_timing(netlist: Netlist, library: Library, extraction: Extraction,
-                   period_ps: float, clock: str = "clk") -> TimingReport:
-    """Run setup analysis at ``period_ps``; see :class:`TimingReport`."""
+                   period_ps: float, clock: str = "clk",
+                   graph: TimingGraph | None = None) -> TimingReport:
+    """Run setup analysis at ``period_ps``; see :class:`TimingReport`.
+
+    ``graph``, the caller's :class:`TimingGraph` of this netlist and
+    library, is refreshed and reused; without one the call builds its
+    own.  The report is the same either way.
+    """
+    if graph is None:
+        graph = TimingGraph(netlist, library)
+    elif graph.netlist is not netlist or graph.library is not library:
+        raise ValueError(
+            "timing graph was built for another netlist or library")
+    else:
+        graph.refresh()
     net_timing: dict[str, PinTiming] = {}
     net_from: dict[str, tuple[str, str] | None] = {}
 
@@ -156,12 +173,6 @@ def analyze_timing(netlist: Netlist, library: Library, extraction: Extraction,
         if net.is_primary_input:
             net_timing[net.name] = PinTiming.at_time(0.0)
             net_from[net.name] = None
-
-    def input_timing(net_name: str, inst: str, pin: str) -> PinTiming:
-        base = net_timing[net_name]
-        wire = extraction[net_name].elmore_to(inst, pin) \
-            if net_name in extraction else 0.0
-        return base.delayed(wire)
 
     def net_load(net_name: str) -> float:
         return extraction[net_name].total_cap_ff if net_name in extraction \
@@ -173,68 +184,48 @@ def analyze_timing(netlist: Netlist, library: Library, extraction: Extraction,
         _propagate_clock(netlist, library, extraction, clock,
                          net_timing, clock_arrivals)
 
-    # Sequential launch points (CK -> Q).
-    for inst in netlist.sequential_instances(library):
-        master = library[inst.master]
-        ck_arr = clock_arrivals.get(inst.name, 0.0)
-        # One launch per clock-to-output arc: a DFF has exactly one
-        # (CK -> Q); a hard macro launches every data output.
-        for arc in master.arcs:
-            out_net = inst.connections.get(arc.to_pin)
-            if out_net is None:
-                continue
-            load = net_load(out_net)
-            out = PinTiming()
-            _propagate_arc(arc, PinTiming.at_time(ck_arr), load, out)
-            net_timing[out_net] = out
-            net_from[out_net] = (inst.name, "CK")
+    # Sequential launch points, one per clock-to-output arc.
+    for inst_name, arc, out_net in graph.launches:
+        out = PinTiming()
+        _propagate_arc(arc, PinTiming.at_time(
+            clock_arrivals.get(inst_name, 0.0)), net_load(out_net), out)
+        net_timing[out_net] = out
+        net_from[out_net] = (inst_name, "CK")
 
     # Combinational propagation in topological order.
     tracer = current_tracer()
     with tracer.span("kernel.sta.propagate"):
         nets_timed, net_from_view = _propagate_comb(
-            netlist, library, extraction, net_timing, net_from, tracer)
+            graph, extraction, net_timing, net_from, tracer)
 
-    # Endpoint checks.
+    def checks():
+        """(endpoint, net, arrival, required) of every timed endpoint."""
+        for inst_name, pin, d_net, seq in graph.endpoints:
+            if d_net in net_timing:
+                wire = extraction[d_net].elmore_to(inst_name, pin) \
+                    if d_net in extraction else 0.0
+                yield (inst_name, d_net,
+                       net_timing[d_net].delayed(wire).worst_arrival_ps,
+                       period_ps + clock_arrivals.get(inst_name, 0.0)
+                       - seq.setup_ps)
+        for net_name in graph.outputs:
+            pt = net_timing.get(net_name)
+            if pt is not None and pt.worst_arrival_ps >= _NEG / 2:
+                yield f"PO:{net_name}", net_name, pt.worst_arrival_ps, \
+                    period_ps
+
     wns = float("inf")
     tns = 0.0
-    worst_endpoint = ""
-    worst_net = ""
+    worst_endpoint = worst_net = ""
     worst_arrival = 0.0
     endpoints = 0
-    for inst in netlist.sequential_instances(library):
-        master = library[inst.master]
-        # Every non-clock input is a setup endpoint: D on a flop, the
-        # address/data/enable pins on a hard macro.
-        for pin in master.input_pins:
-            d_net = inst.connections.get(pin.name)
-            if d_net is None or d_net not in net_timing:
-                continue
-            endpoints += 1
-            pt = input_timing(d_net, inst.name, pin.name)
-            required = period_ps + clock_arrivals.get(inst.name, 0.0) \
-                - master.sequential.setup_ps
-            slack = required - pt.worst_arrival_ps
-            tns += min(slack, 0.0)
-            if slack < wns:
-                wns = slack
-                worst_endpoint = inst.name
-                worst_net = d_net
-                worst_arrival = pt.worst_arrival_ps
-    for net in netlist.primary_outputs:
-        if net.name not in net_timing or net.is_primary_input:
-            continue
-        pt = net_timing[net.name]
-        if pt.worst_arrival_ps < _NEG / 2:
-            continue
+    for name, net_name, arrival, required in checks():
         endpoints += 1
-        slack = period_ps - pt.worst_arrival_ps
+        slack = required - arrival
         tns += min(slack, 0.0)
         if slack < wns:
-            wns = slack
-            worst_endpoint = f"PO:{net.name}"
-            worst_net = net.name
-            worst_arrival = pt.worst_arrival_ps
+            wns, worst_endpoint, worst_net, worst_arrival = \
+                slack, name, net_name, arrival
 
     if endpoints == 0:
         raise ValueError("design has no timing endpoints")
@@ -288,7 +279,7 @@ class _MasterTemplate:
                 self.fall_cands.append(
                     (ai, rise_in, arc.fall_delay, arc.fall_transition))
         # Structure signature: a drive-strength swap that preserves it
-        # can be patched in place; anything else forces a prep rebuild.
+        # can be patched in place; anything else forces a graph rebuild.
         self.sig = (self.is_seq, self.is_tie, self.out_pin,
                     tuple(self.arc_from_pins),
                     tuple(arc.unate for arc in master.arcs))
@@ -302,21 +293,35 @@ class _LevelBatch:
                  "arc_idx", "wire_slot", "wire_pairs")
 
 
-class _TimingPrep:
-    """Cached level/candidate structure for one (netlist, library) pair.
+class TimingGraph:
+    """Timing structure of one (netlist, library) pair, owned by its caller.
 
-    Everything here is purely structural — net ids, logic levels,
-    candidate lanes, lookup-table rows — and is reused across the many
-    ``analyze_timing`` calls the sizing loop makes on one netlist.
-    Per-call data (wire delays, loads, arrivals) is gathered fresh each
-    run; drive-strength swaps are patched in via :meth:`refresh`.
+    Everything here is structural — net ids, logic levels, candidate
+    lanes, lookup-table rows — and is reused by every
+    :func:`analyze_timing` call its owner makes; per-call data (wire
+    delays, loads, arrivals) is gathered fresh each run.  It is also
+    the one list of where timing starts and ends, in netlist order:
+
+    * ``launches`` — ``(instance, arc, output net)`` per clock-to-output
+      arc: a flop's CK -> Q, every data output of a hard macro;
+    * ``endpoints`` — ``(instance, pin, net, sequential timing)`` per
+      connected non-clock input of a sequential cell: a flop's D, a
+      macro's address/data/enable pins;
+    * ``outputs`` — the primary-output nets, setup endpoints too.
     """
 
     def __init__(self, netlist: Netlist, library: Library) -> None:
+        self.netlist = netlist
+        self.library = library
+        self._build()
+
+    def _build(self) -> None:
+        netlist = self.netlist
         self.stack = TableStack()
         self.templates: dict[str, _MasterTemplate] = {}
         self.net_id = {name: i for i, name in enumerate(netlist.nets)}
         self.n_nets = len(self.net_id)
+        self.size = (len(netlist.instances), self.n_nets)
 
         instances = netlist.instances
         nets = netlist.nets
@@ -324,14 +329,11 @@ class _TimingPrep:
         comb_tmpls: list[_MasterTemplate] = []
         out_names: list[str] = []
         self.ties: list[tuple[str, str, int]] = []
-        d_nets: list[str] = []
+        self.seq_names: list[str] = []
         for inst in instances.values():
-            t = self._template(library, inst.master)
+            t = self._template(inst.master)
             if t.is_seq:
-                for pin in t.in_pin_names:
-                    d = inst.connections.get(pin)
-                    if d is not None:
-                        d_nets.append(d)
+                self.seq_names.append(inst.name)
                 continue
             if t.out_pin is None:
                 continue
@@ -345,9 +347,9 @@ class _TimingPrep:
         self.comb_names = comb_names
         self.comb_masters = [instances[n].master for n in comb_names]
         self.row_template = comb_tmpls
-        #: Net names whose PinTiming the endpoint checks will read.
-        self.needed = d_nets + [n.name for n in nets.values()
-                                if n.is_primary_output]
+        self._list_sequential()
+        self.outputs = [n.name for n in nets.values()
+                        if n.is_primary_output and not n.is_primary_input]
 
         # Logic levels over the same dependency edges the reference
         # topological order uses (non-clock input pins, combinational
@@ -368,7 +370,6 @@ class _TimingPrep:
                 deps[j].append(i)
                 indeg[i] += 1
         level = [0] * n
-        from collections import deque
         queue = deque(i for i in range(n) if indeg[i] == 0)
         done = 0
         while queue:
@@ -387,7 +388,7 @@ class _TimingPrep:
         for i in range(n):
             by_level.setdefault(level[i], []).append(i)
 
-        self.levels = [self._build_level(netlist, rows, out_names)
+        self.levels = [self._build_level(rows, out_names)
                        for _lvl, rows in sorted(by_level.items())]
         #: row -> (level index, row-within-level) for master refreshes.
         self.row_pos: list[tuple[int, int]] = [(0, 0)] * n
@@ -395,16 +396,29 @@ class _TimingPrep:
             for r, i in enumerate(lvl.rows.tolist()):
                 self.row_pos[i] = (li, r)
 
-    def _template(self, library: Library, master_name: str) -> _MasterTemplate:
+    def _template(self, master_name: str) -> _MasterTemplate:
         t = self.templates.get(master_name)
         if t is None:
-            t = _MasterTemplate(library[master_name])
+            t = _MasterTemplate(self.library[master_name])
             self.templates[master_name] = t
         return t
 
-    def _build_level(self, netlist: Netlist, rows: list[int],
+    def _list_sequential(self) -> None:
+        """List launch arcs and endpoints from the current masters."""
+        instances = self.netlist.instances
+        self.seq_masters = [instances[n].master for n in self.seq_names]
+        self.launches: list[tuple[str, TimingArc, str]] = []
+        self.endpoints: list[tuple[str, str, str, SequentialTiming]] = []
+        for name, master_name in zip(self.seq_names, self.seq_masters):
+            m, conn = self.library[master_name], instances[name].connections
+            self.launches += [(name, arc, conn[arc.to_pin])
+                              for arc in m.arcs if arc.to_pin in conn]
+            self.endpoints += [(name, p.name, conn[p.name], m.sequential)
+                               for p in m.input_pins if p.name in conn]
+
+    def _build_level(self, rows: list[int],
                      out_names: list[str]) -> _LevelBatch:
-        instances = netlist.instances
+        instances = self.netlist.instances
         lvl = _LevelBatch()
         n = len(rows)
         lvl.rows = np.asarray(rows, dtype=np.intp)
@@ -462,14 +476,25 @@ class _TimingPrep:
                 lvl.gid_t[r, col] = gt
                 lvl.row_t[r, col] = rt
 
-    def refresh(self, netlist: Netlist, library: Library) -> bool:
-        """Patch drive-strength swaps in place; False forces a rebuild."""
-        instances = netlist.instances
+    def refresh(self) -> None:
+        """Patch drive-strength swaps in place; rebuild on anything else.
+
+        A swap keeping the master's structure signature rewrites only
+        its instance's rows (or relists a sequential cell's launches and
+        endpoints); a changed signature or cell or net count rebuilds.
+        """
+        netlist = self.netlist
+        if (len(netlist.instances), len(netlist.nets)) != self.size \
+                or not self._patch():
+            self._build()
+
+    def _patch(self) -> bool:
+        instances = self.netlist.instances
         for i, name in enumerate(self.comb_names):
             master = instances[name].master
             if master == self.comb_masters[i]:
                 continue
-            t = self._template(library, master)
+            t = self._template(master)
             old = self.row_template[i]
             if t.sig != old.sig:
                 return False
@@ -489,51 +514,35 @@ class _TimingPrep:
             self._fill_row(lvl, r, t, arc_info)
             self.comb_masters[i] = master
             self.row_template[i] = t
+        if [instances[n].master for n in self.seq_names] != self.seq_masters:
+            self._list_sequential()
         return True
-
-
-_PREP_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _prep_for(netlist: Netlist, library: Library) -> _TimingPrep:
-    token = (getattr(netlist, "rev", None), len(netlist.instances),
-             len(netlist.nets), id(library))
-    entry = _PREP_CACHE.get(netlist)
-    if entry is not None and entry[0] == token \
-            and entry[1].refresh(netlist, library):
-        return entry[1]
-    prep = _TimingPrep(netlist, library)
-    _PREP_CACHE[netlist] = (token, prep)
-    return prep
 
 
 class _ArrayFromMap:
     """`net_from` view over the batched engine's provenance arrays."""
 
-    def __init__(self, base: dict, net_id: dict, from_inst, from_arc,
-                 comb_names, row_template) -> None:
+    def __init__(self, base: dict, graph: TimingGraph, from_inst,
+                 from_arc) -> None:
         self.base = base
-        self.net_id = net_id
+        self.graph = graph
         self.from_inst = from_inst
         self.from_arc = from_arc
-        self.comb_names = comb_names
-        self.row_template = row_template
 
     def get(self, name, default=None):
-        i = self.net_id.get(name)
+        i = self.graph.net_id.get(name)
         if i is not None:
             row = self.from_inst[i]
             if row >= 0:
                 arc = self.from_arc[i]
                 if arc < 0:
                     return default
-                return (self.comb_names[row],
-                        self.row_template[row].arc_from_pins[arc])
+                return (self.graph.comb_names[row],
+                        self.graph.row_template[row].arc_from_pins[arc])
         return self.base.get(name, default)
 
 
-def _propagate_comb(netlist: Netlist, library: Library,
-                    extraction: Extraction,
+def _propagate_comb(graph: TimingGraph, extraction: Extraction,
                     net_timing: dict[str, PinTiming],
                     net_from: dict, tracer):
     """Time every combinational output, all arcs of a level in one pass.
@@ -542,14 +551,13 @@ def _propagate_comb(netlist: Netlist, library: Library,
     the endpoint checks read and returns ``(nets timed, net_from
     view)``.
     """
-    prep = _prep_for(netlist, library)
-    n_nets = prep.n_nets
+    n_nets = graph.n_nets
     arr_r = np.full(n_nets, _NEG)
     arr_f = np.full(n_nets, _NEG)
     slw_r = np.full(n_nets, PRIMARY_INPUT_SLEW_PS)
     slw_f = np.full(n_nets, PRIMARY_INPUT_SLEW_PS)
     init_mask = np.zeros(n_nets, dtype=bool)
-    net_id = prep.net_id
+    net_id = graph.net_id
     for name, pt in net_timing.items():
         i = net_id[name]
         arr_r[i] = pt.arrival_rise_ps
@@ -558,7 +566,7 @@ def _propagate_comb(netlist: Netlist, library: Library,
         slw_f[i] = pt.slew_fall_ps
         init_mask[i] = True
 
-    for _inst_name, out_name, oid in prep.ties:
+    for _inst_name, out_name, oid in graph.ties:
         if out_name not in net_timing:
             net_timing[out_name] = PinTiming.at_time(0.0)
             net_from.setdefault(out_name, None)
@@ -573,7 +581,7 @@ def _propagate_comb(netlist: Netlist, library: Library,
     counting = tracer.enabled
     evals = 0
     batch_max = 0
-    for lvl in prep.levels:
+    for lvl in graph.levels:
         n = len(lvl.out_names)
         batch_max = max(batch_max, n)
         wires = np.zeros(max(len(lvl.wire_pairs), 1))
@@ -597,7 +605,7 @@ def _propagate_comb(netlist: Netlist, library: Library,
         valid = lvl.present & (arr_sel > _NEG / 2)
         if counting:
             evals += int(valid.sum())
-        delay = prep.stack.evaluate(lvl.gid_d, lvl.row_d, slw_in,
+        delay = graph.stack.evaluate(lvl.gid_d, lvl.row_d, slw_in,
                                     loads[:, None])
         cand = np.where(valid, arr_in + delay, -np.inf)
 
@@ -612,9 +620,9 @@ def _propagate_comb(netlist: Netlist, library: Library,
             best = block[rowsel, idx]
             has = valid[:, lo:hi].any(axis=1)
             wcol = idx + lo
-            trans = prep.stack.evaluate(lvl.gid_t[rowsel, wcol],
-                                        lvl.row_t[rowsel, wcol],
-                                        slw_in[rowsel, wcol], loads)
+            trans = graph.stack.evaluate(lvl.gid_t[rowsel, wcol],
+                                         lvl.row_t[rowsel, wcol],
+                                         slw_in[rowsel, wcol], loads)
             arrv = np.where(has, best, _NEG)
             slv = np.where(has, trans, PRIMARY_INPUT_SLEW_PS)
             if lo == 0:
@@ -630,20 +638,19 @@ def _propagate_comb(netlist: Netlist, library: Library,
 
     nets_timed = len(net_timing) + int((written & ~init_mask).sum())
     if counting:
-        tracer.count("kernel.sta.insts", len(prep.comb_names))
+        tracer.count("kernel.sta.insts", len(graph.comb_names))
         tracer.count("kernel.sta.delay_evals", evals)
-        tracer.count("kernel.sta.batches", len(prep.levels))
+        tracer.count("kernel.sta.batches", len(graph.levels))
         tracer.gauge("kernel.sta.batch_max", batch_max)
 
-    for name in prep.needed:
+    # Materialize only the nets the endpoint checks read.
+    for name in [e[2] for e in graph.endpoints] + graph.outputs:
         i = net_id.get(name)
         if i is not None and written[i] and name not in net_timing:
             net_timing[name] = PinTiming(
                 float(arr_r[i]), float(arr_f[i]),
                 float(slw_r[i]), float(slw_f[i]))
-    from_map = _ArrayFromMap(net_from, net_id, from_inst, from_arc,
-                             prep.comb_names, prep.row_template)
-    return nets_timed, from_map
+    return nets_timed, _ArrayFromMap(net_from, graph, from_inst, from_arc)
 
 
 def _propagate_clock(netlist: Netlist, library: Library,

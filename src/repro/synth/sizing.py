@@ -6,6 +6,10 @@ high-fanout nets, then iterates wireload-model STA and upsizes cells on
 failing paths until the target period is met or sizing saturates.  A
 higher synthesis target therefore buys speed with area and power —
 the mechanism behind the paper's 500 MHz - 3 GHz sweeps (Fig. 9).
+
+Every pass times the netlist on one :class:`~repro.sta.TimingGraph`,
+built after buffering: upsizing only swaps drive strengths, which each
+pass patches into the graph instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from ..cells import Library
 from ..extract import estimate_loads, estimate_parasitics
 from ..netlist import Netlist
-from ..sta import TimingReport, analyze_timing
+from ..sta import TimingGraph, TimingReport, analyze_timing
 
 #: Synthesis guardband: optimize against this fraction of the target
 #: period, because wireload-model timing is optimistic against the
@@ -43,7 +47,11 @@ def buffer_high_fanout(netlist: Netlist, library: Library,
     """Split nets with more than ``max_fanout`` sinks with buffer trees.
 
     The clock net is left to CTS.  Returns the number of buffers added.
+    ``max_fanout`` must be at least 2: a net split into one-sink groups
+    drives as many buffers as it had sinks, so it would never converge.
     """
+    if max_fanout < 2:
+        raise ValueError(f"max_fanout must be at least 2, got {max_fanout}")
     added = 0
     work = [
         name for name, net in netlist.nets.items()
@@ -98,6 +106,7 @@ def size_for_target(netlist: Netlist, library: Library,
         raise ValueError("target period must be positive")
     effective_period_ps = target_period_ps * SYNTHESIS_GUARDBAND
     buffers = buffer_high_fanout(netlist, library, max_fanout, clock)
+    graph = TimingGraph(netlist, library)
 
     upsized = 0
     iterations = 0
@@ -105,7 +114,7 @@ def size_for_target(netlist: Netlist, library: Library,
     for iterations in range(1, max_iterations + 1):
         extraction = estimate_parasitics(netlist, library)
         report = analyze_timing(netlist, library, extraction,
-                                effective_period_ps, clock)
+                                effective_period_ps, clock, graph=graph)
         if report.met:
             break
         progressed = False
@@ -141,7 +150,7 @@ def size_for_target(netlist: Netlist, library: Library,
     if report is None or not report.met:
         extraction = estimate_parasitics(netlist, library)
         report = analyze_timing(netlist, library, extraction,
-                                effective_period_ps, clock)
+                                effective_period_ps, clock, graph=graph)
     return SizingReport(
         target_period_ps=target_period_ps,
         iterations=iterations,

@@ -14,9 +14,10 @@ Execution model:
    (root, index), never of scheduling;
 3. the perturbed STA+power evaluations fan out over a process pool in
    contiguous chunks (``jobs`` from the same ``--jobs``/``$REPRO_JOBS``
-   convention as the :class:`~repro.core.runner.SweepRunner`).  Because
-   each sample is seeded by its index, ``jobs=1`` and ``jobs=4``
-   produce bit-identical results;
+   convention as the :class:`~repro.core.runner.SweepRunner`), each
+   chunk timing its samples on one :class:`~repro.sta.TimingGraph`.
+   Because each sample is seeded by its index, ``jobs=1`` and
+   ``jobs=4`` produce bit-identical results;
 4. a sample whose evaluation raises is quarantined as a
    :class:`~repro.variation.perturb.FailedSample` — one bad draw never
    aborts a study — and counted on the ``mc.failed`` trace counter.
@@ -43,6 +44,7 @@ from ..core.runner import resolve_jobs
 from ..core.stages import StageStore
 from ..extract import Extraction
 from ..netlist import Netlist
+from ..sta import TimingGraph
 from .models import VariationModel
 from .perturb import FailedSample, SampleResult, evaluate_sample
 
@@ -137,12 +139,14 @@ def _eval_chunk(netlist: Netlist, library: Library, extraction: Extraction,
                 ) -> list[SampleResult | FailedSample]:
     # Module-level so the process pool can pickle it as a task target.
     # Per-sample failures are quarantined here, inside the worker, so a
-    # single pathological draw costs one record, not the chunk.
+    # single pathological draw costs one record, not the chunk.  Samples
+    # perturb only parasitics and delays, so they share one graph.
+    graph = TimingGraph(netlist, library)
     out: list[SampleResult | FailedSample] = []
     for sample in samples:
         try:
             out.append(evaluate_sample(netlist, library, extraction,
-                                       config, sample))
+                                       config, sample, graph=graph))
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:

@@ -29,7 +29,12 @@ from ..core.config import FlowConfig
 from ..extract import Extraction
 from ..netlist import Netlist
 from ..power import analyze_power
-from ..sta import analyze_timing, derate_report, scale_extraction_sided
+from ..sta import (
+    TimingGraph,
+    analyze_timing,
+    derate_report,
+    scale_extraction_sided,
+)
 from ..sta.corners import Corner
 from .models import VariationSample
 
@@ -101,12 +106,18 @@ class FailedSample:
 
 def evaluate_sample(netlist: Netlist, library: Library,
                     extraction: Extraction, config: FlowConfig,
-                    sample: VariationSample) -> SampleResult:
-    """STA + power under one drawn perturbation (milliseconds, no P&R)."""
+                    sample: VariationSample,
+                    graph: TimingGraph | None = None) -> SampleResult:
+    """STA + power under one drawn perturbation (milliseconds, no P&R).
+
+    ``graph`` is the :class:`~repro.sta.TimingGraph` of ``netlist`` the
+    caller shares across its samples; without one, STA builds its own.
+    """
     pitch = library.tech.rules.track_pitch_nm
     perturbed = perturb_extraction(extraction, sample, pitch)
     timing = analyze_timing(netlist, library, perturbed,
-                            config.target_period_ps, clock=config.clock)
+                            config.target_period_ps, clock=config.clock,
+                            graph=graph)
     timing = derate_report(timing, sample.cell_derate,
                            config.target_period_ps)
     power = analyze_power(netlist, library, perturbed,

@@ -5,13 +5,15 @@ from __future__ import annotations
 from repro.sta.sta import PinTiming, _propagate_arc
 
 
-def propagate_comb(netlist, library, extraction, net_timing, net_from,
-                   tracer):
+def propagate_comb(graph, extraction, net_timing, net_from, tracer):
     """Topological-order propagation, one scalar NLDM lookup at a time.
 
-    Same signature and result as ``repro.sta.sta._propagate_comb``; the
-    returned ``net_from`` view is the plain dict, filled in place.
+    Same signature and result as ``repro.sta.sta._propagate_comb``; it
+    reads only the graph's netlist and library, and the returned
+    ``net_from`` view is the plain dict, filled in place.
     """
+    netlist, library = graph.netlist, graph.library
+
     def input_timing(net_name, inst, pin):
         wire = extraction[net_name].elmore_to(inst, pin) \
             if net_name in extraction else 0.0

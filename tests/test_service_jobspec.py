@@ -53,6 +53,21 @@ class TestRunSpecs:
         with pytest.raises(JobSpecError, match="invalid config"):
             parse_jobspec(spec(config={"arch": "finfet"}))
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_fanout", 1), ("max_fanout", 0),
+        ("target_frequency_ghz", 0), ("target_frequency_ghz", -1.5),
+        ("gcell_tracks", 0),
+    ])
+    def test_values_that_would_stall_a_worker_are_rejected(self, field,
+                                                          value):
+        with pytest.raises(JobSpecError, match=field):
+            parse_jobspec(spec(config={**BASE_CONFIG, field: value}))
+
+    def test_zero_frequency_sweep_point_is_rejected(self):
+        with pytest.raises(JobSpecError, match="target_frequency_ghz"):
+            parse_jobspec(spec(kind="sweep", axis="frequency",
+                               targets=[1.0, 0]))
+
     def test_non_object_spec_is_rejected(self):
         with pytest.raises(JobSpecError):
             parse_jobspec(["kind", "run"])

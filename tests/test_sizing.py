@@ -1,5 +1,7 @@
 """High-fanout buffering and timing-driven sizing tests."""
 
+import signal
+
 import pytest
 
 from repro.netlist import Netlist
@@ -58,6 +60,23 @@ class TestFanoutBuffering:
         nl = high_fanout_netlist(10)
         nl.bind(ffet_lib)
         assert buffer_high_fanout(nl, ffet_lib, max_fanout=16) == 0
+
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_budget_below_two_is_rejected_not_looped(self, ffet_lib, budget):
+        nl = high_fanout_netlist(3)
+        nl.bind(ffet_lib)
+
+        def stuck(_signum, _frame):
+            raise TimeoutError("buffer_high_fanout never returned")
+
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(10)
+        try:
+            with pytest.raises(ValueError, match="max_fanout"):
+                buffer_high_fanout(nl, ffet_lib, max_fanout=budget)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestSizing:

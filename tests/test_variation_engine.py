@@ -76,10 +76,11 @@ class TestEngine:
 
         real = engine_mod.evaluate_sample
 
-        def flaky(netlist, library, extraction, config, sample):
+        def flaky(netlist, library, extraction, config, sample, graph=None):
             if sample.index == 1:
                 raise RuntimeError("injected sample failure")
-            return real(netlist, library, extraction, config, sample)
+            return real(netlist, library, extraction, config, sample,
+                        graph=graph)
 
         monkeypatch.setattr(engine_mod, "evaluate_sample", flaky)
         good, bad = run_samples(bundle, CONFIG, MODEL, 4, seed=2, jobs=1)
