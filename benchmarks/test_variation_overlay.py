@@ -38,7 +38,7 @@ def run_overlay_sweep():
                 config.arch, overlay_sigma_nm=overlay,
                 cd_sigma=0.0, rc_sigma=0.0)
             good, bad = run_samples(bundle, config, model, SAMPLES,
-                                    seed=SEED, jobs=2)
+                                    seed=SEED)
             assert not bad, f"{name}: {len(bad)} samples quarantined"
             stats = sample_stats([s.achieved_frequency_ghz for s in good])
             spreads[name].append(stats.std)

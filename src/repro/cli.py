@@ -8,7 +8,7 @@ Usage (after ``pip install -e .``)::
     python -m repro sweep frequency --targets 0.5 1.5 3.0 --jobs 4
     python -m repro doe pin-density --fractions 0.04 0.3 0.5
     python -m repro compare
-    python -m repro mc --samples 256 --overlay-sigma 2 --jobs 4
+    python -m repro mc --samples 256 --overlay-sigma 2
     python -m repro cache info
     python -m repro run --trace traces/ && python -m repro trace report traces/
 
@@ -88,6 +88,13 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
 def _add_output_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", metavar="FILE", help="write results JSON")
     parser.add_argument("--csv", metavar="FILE", help="write results CSV")
+
+
+def _sample_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
 
 
 def _add_runner_args(parser: argparse.ArgumentParser) -> None:
@@ -455,8 +462,7 @@ def cmd_mc(args) -> int:
                                     rc_sigma=args.rc_sigma)
     tracer = Tracer(label=f"mc {config.label}") if args.trace else None
     mc = run_monte_carlo(factory, config, model=model, samples=args.samples,
-                         seed=args.seed, jobs=args.jobs, cache=cache,
-                         tracer=tracer)
+                         seed=args.seed, cache=cache, tracer=tracer)
     report = signoff(mc)
     print(format_signoff(report))
     if mc.nominal_cached:
@@ -776,8 +782,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "with statistical PPA signoff")
     _add_core_args(p)
     _add_config_args(p)
-    p.add_argument("--samples", type=int, default=64,
-                   help="Monte-Carlo sample count (default: 64)")
+    p.add_argument("--samples", type=_sample_count, default=64,
+                   help="Monte-Carlo sample count, at least 1 (default: 64)")
     p.add_argument("--overlay-sigma", type=float, default=2.0,
                    metavar="NM",
                    help="frontside/backside overlay sigma per axis, nm")
@@ -787,10 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="metal thickness/width wire-RC sigma (relative)")
     p.add_argument("--json", metavar="FILE",
                    help="write the signoff report + per-sample rows as JSON")
-    p.add_argument("--jobs", "-j", type=int, default=None,
-                   help="parallel sample-evaluation workers (default: "
-                        "$REPRO_JOBS or 1; 0 = one per core); never "
-                        "changes the results")
     p.add_argument("--no-cache", action="store_true",
                    help="recompute the nominal flow, bypassing the cache")
     p.add_argument("--cache-dir", default=None,

@@ -48,6 +48,21 @@ class Extraction:
     def total_wire_cap_ff(self) -> float:
         return sum(p.wire_cap_ff for p in self.nets.values())
 
+    def loads_ff(self, nets: list[str], factors=None) -> np.ndarray:
+        """(R, len(nets)) driver loads under R rows of wire-RC factors.
+
+        Row r's load of net k is ``wire_cap * factors[r, k] + pin_cap``,
+        the ``total_cap_ff`` of a copy of this extraction with that net's
+        wire RC scaled by the factor; a net without parasitics loads
+        0.0.  ``None`` is one unscaled row.
+        """
+        caps = np.array([(p.wire_cap_ff, p.pin_cap_ff) if p is not None
+                         else (0.0, 0.0) for p in map(self.nets.get, nets)],
+                        dtype=float).reshape(-1, 2)
+        if factors is None:
+            return (caps[:, 0] + caps[:, 1])[None, :]
+        return caps[:, 0] * factors + caps[:, 1]
+
     @property
     def total_wirelength_nm(self) -> float:
         return sum(p.wirelength_nm for p in self.nets.values())

@@ -10,6 +10,7 @@ from .power import (
     DEFAULT_ACTIVITY,
     PowerReport,
     analyze_power,
+    analyze_power_rows,
 )
 
 __all__ = [
@@ -19,5 +20,6 @@ __all__ = [
     "DEFAULT_INPUT_PROBABILITY",
     "PowerReport",
     "analyze_power",
+    "analyze_power_rows",
     "propagate_activities",
 ]

@@ -17,9 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..cells import VDD_V, Library
+from ..core.telemetry import current_tracer
 from ..extract import Extraction
 from ..netlist import Netlist
+from ..sta.nldm import TableStack
 
 #: Data-net toggles per clock cycle (vectorless default).
 DEFAULT_ACTIVITY = 0.25
@@ -57,15 +61,68 @@ def analyze_power(netlist: Netlist, library: Library, extraction: Extraction,
                   activities: dict[str, float] | None = None) -> PowerReport:
     """Compute block power at ``frequency_ghz``.
 
-    ``activities`` optionally carries per-net toggle rates (e.g. from
-    :func:`repro.power.propagate_activities`); nets without an entry
-    fall back to the flat ``activity`` factor.
+    The one-row case of :func:`analyze_power_rows`, gauged on the
+    current tracer.  ``activities`` optionally carries per-net toggle
+    rates (e.g. from :func:`repro.power.propagate_activities`); nets
+    without an entry fall back to the flat ``activity`` factor.
     """
-    if frequency_ghz <= 0:
-        raise ValueError("frequency must be positive")
-    freq_hz = frequency_ghz * 1e9
-    activities = activities or {}
+    report = analyze_power_rows(netlist, library, extraction, None,
+                                [frequency_ghz], activity, clock,
+                                activities)[0]
+    tracer = current_tracer()
+    if tracer.enabled:
+        tracer.gauge("power.switching_mw", report.switching_mw)
+        tracer.gauge("power.internal_mw", report.internal_mw)
+        tracer.gauge("power.leakage_mw", report.leakage_mw)
+    return report
 
+
+def analyze_power_rows(netlist: Netlist, library: Library,
+                       extraction: Extraction, wire_factors,
+                       frequencies_ghz,
+                       activity: float = DEFAULT_ACTIVITY,
+                       clock: str = "clk",
+                       activities: dict[str, float] | None = None
+                       ) -> list[PowerReport]:
+    """Block power of R perturbed views of one extraction, one pass.
+
+    Row r scales every net's wire cap by ``wire_factors[r, net]`` (an
+    (R, nets) array, nets in ``netlist.nets`` order, as for
+    :func:`~repro.sta.analyze_timing_rows`; ``None`` is one unscaled
+    row) and runs at ``frequencies_ghz[r]``.  Returns one report per row.
+    """
+    if any(f <= 0 for f in frequencies_ghz):
+        raise ValueError("frequency must be positive")
+    freq_hz = np.asarray(frequencies_ghz, dtype=float) * 1e9
+    switching_w, internal_w, leakage_w = _power_sums(
+        netlist, library, extraction, wire_factors, freq_hz,
+        activity, clock, activities or {})
+    return [PowerReport(frequency_ghz=frequency_ghz,
+                        switching_mw=float(switching_w[r]) * 1e3,
+                        internal_mw=float(internal_w[r]) * 1e3,
+                        leakage_mw=leakage_w * 1e3)
+            for r, frequency_ghz in enumerate(frequencies_ghz)]
+
+
+def _running_sums(terms: np.ndarray) -> np.ndarray:
+    """Each row's terms added left to right from 0.0, as a scalar loop
+    adds them (``np.sum`` adds pairwise and would move the bits)."""
+    acc = np.zeros((terms.shape[0], terms.shape[1] + 1))
+    acc[:, 1:] = terms
+    return np.add.accumulate(acc, axis=1)[:, -1]
+
+
+def _power_sums(netlist: Netlist, library: Library, extraction: Extraction,
+                wire_factors, freq_hz: np.ndarray, activity: float,
+                clock: str, activities: dict[str, float]):
+    """(switching W per row, internal W per row, leakage W).
+
+    Switching charges every extracted net's capacitance at its toggle
+    rate; internal power spends each cell's per-transition energy, read
+    through a :class:`~repro.sta.nldm.TableStack` at the row's load.
+    Terms are summed in netlist order, as
+    ``tests/reference/power.py`` does one at a time.
+    """
     clock_nets = _clock_cone(netlist, library, clock)
 
     def toggle_rate(net_name: str) -> float:
@@ -73,17 +130,21 @@ def analyze_power(netlist: Netlist, library: Library, extraction: Extraction,
             return CLOCK_ACTIVITY
         return activities.get(net_name, activity)
 
-    switching_w = 0.0
-    for net_name, net in netlist.nets.items():
-        if net_name not in extraction:
-            continue
-        cap_f = extraction[net_name].total_cap_ff * 1e-15
-        toggles = toggle_rate(net_name)
-        # E = C * V^2 / 2 per transition.
-        switching_w += 0.5 * cap_f * VDD_V * VDD_V * toggles * freq_hz
+    exn = extraction.nets
+    names = list(netlist.nets)
+    loads = extraction.loads_ff(names, wire_factors)
+    fhz = freq_hz[:, None]
 
-    internal_w = 0.0
+    extracted = [i for i, name in enumerate(names) if name in exn]
+    toggles = np.array([toggle_rate(names[i]) for i in extracted])
+    cap_f = loads[:, extracted] * 1e-15
+    # E = C * V^2 / 2 per transition.
+    switching = _running_sums(0.5 * cap_f * VDD_V * VDD_V * toggles * fhz)
+
+    net_id = {name: i for i, name in enumerate(names)}
+    stack = TableStack()
     leakage_w = 0.0
+    out_ids, rates, sequential, tables = [], [], [], []
     for inst in netlist.instances.values():
         master = library[inst.master]
         if master.power is None:
@@ -93,33 +154,30 @@ def analyze_power(netlist: Netlist, library: Library, extraction: Extraction,
         if not out_pins:
             continue
         out_net = inst.connections.get(out_pins[0].name)
-        load_ff = extraction[out_net].total_cap_ff \
-            if out_net and out_net in extraction else 0.0
+        out_ids.append(net_id.get(out_net, -1))
         if master.is_sequential:
             # Q toggles at the data rate.
-            toggles = activities.get(out_net, activity)
+            rates.append(activities.get(out_net, activity))
         else:
-            toggles = toggle_rate(out_net) if out_net else activity
-        # Transition energy covers one rise + one fall: halve per toggle.
-        energy_fj = master.power.transition_energy_fj(20.0, load_ff) / 2.0
-        internal_w += energy_fj * 1e-15 * toggles * freq_hz
-        if master.is_sequential:
-            # Clock pin switches every cycle regardless of data.
-            internal_w += 0.15 * energy_fj * 1e-15 * CLOCK_ACTIVITY * freq_hz
-
-    report = PowerReport(
-        frequency_ghz=frequency_ghz,
-        switching_mw=switching_w * 1e3,
-        internal_mw=internal_w * 1e3,
-        leakage_mw=leakage_w * 1e3,
-    )
-    from ..core.telemetry import current_tracer
-    tracer = current_tracer()
-    if tracer.enabled:
-        tracer.gauge("power.switching_mw", report.switching_mw)
-        tracer.gauge("power.internal_mw", report.internal_mw)
-        tracer.gauge("power.leakage_mw", report.leakage_mw)
-    return report
+            rates.append(toggle_rate(out_net) if out_net else activity)
+        sequential.append(master.is_sequential)
+        tables.append(stack.add(master.power.rise_energy)
+                      + stack.add(master.power.fall_energy))
+    ids = np.array(out_ids, dtype=np.intp)
+    refs = np.array(tables, dtype=np.intp).reshape(-1, 4).T
+    load = np.where(ids >= 0, loads[:, ids], 0.0)
+    slew = np.full(load.shape, 20.0)
+    # Transition energy covers one rise + one fall: halve per toggle.
+    energy_fj = (stack.evaluate(refs[0], refs[1], slew, load)
+                 + stack.evaluate(refs[2], refs[3], slew, load)) / 2.0
+    data = energy_fj * 1e-15 * np.array(rates) * fhz
+    # Clock pin switches every cycle regardless of data.
+    clock_pin = np.where(sequential,
+                         0.15 * energy_fj * 1e-15 * CLOCK_ACTIVITY * fhz,
+                         0.0)
+    internal = _running_sums(
+        np.stack([data, clock_pin], axis=2).reshape(len(fhz), -1))
+    return switching, internal, leakage_w
 
 
 def _clock_cone(netlist: Netlist, library: Library, clock: str) -> set[str]:

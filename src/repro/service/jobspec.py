@@ -94,8 +94,8 @@ class McParams:
     def __call__(self, factory, config: FlowConfig, cache) -> dict:
         """Run the study in a worker: the engine's ``study`` body.
 
-        Its sample fan-out stays serial so an MC job cannot starve
-        flow jobs of workers.
+        The study evaluates its samples in that worker's process, so an
+        MC job takes one worker, like a flow job.
         """
         from ..variation import VariationModel, run_monte_carlo, signoff
         model = VariationModel.for_arch(
@@ -103,7 +103,7 @@ class McParams:
             cd_sigma=self.cd_sigma, rc_sigma=self.rc_sigma)
         study = run_monte_carlo(factory, config, model=model,
                                 samples=self.samples, seed=self.seed or None,
-                                jobs=1, cache=cache)
+                                cache=cache)
         report = signoff(study).to_dict()
         report["failed_samples"] = len(study.failed)
         report["nominal_cached"] = study.nominal_cached

@@ -3,13 +3,13 @@
 from .corners import CORNERS, Corner, analyze_corners, derate_report, worst_corner
 from .hold import FAST_CORNER_DERATE, HoldReport, analyze_hold, fix_hold
 from .paths import PathStage, TimingPath, format_path, report_critical_path
-from .rc_scale import scale_extraction, scale_extraction_sided
 from .sta import (
     PRIMARY_INPUT_SLEW_PS,
     PinTiming,
     TimingGraph,
     TimingReport,
     analyze_timing,
+    analyze_timing_rows,
 )
 
 __all__ = [
@@ -26,11 +26,10 @@ __all__ = [
     "analyze_hold",
     "TimingPath",
     "analyze_timing",
+    "analyze_timing_rows",
     "derate_report",
     "format_path",
     "report_critical_path",
-    "scale_extraction",
-    "scale_extraction_sided",
     "worst_corner",
     "fix_hold",
 ]

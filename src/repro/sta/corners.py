@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..cells import Library
+from ..core.telemetry import current_tracer
 from ..extract import Extraction
 from ..netlist import Netlist
-from .rc_scale import scale_extraction
-from .sta import TimingGraph, TimingReport, analyze_timing
+from .sta import TimingReport, analyze_timing_rows
 
 
 @dataclass(frozen=True)
@@ -42,18 +44,17 @@ def analyze_corners(netlist: Netlist, library: Library,
     """Setup analysis at each corner; returns reports keyed by name.
 
     Cell derates scale the whole arrival (cell delays dominate), wire
-    derates scale the extracted parasitics before the run; the netlist
-    is the same at every corner, so all of them share one timing graph.
+    derates scale the extracted parasitics; the netlist is the same at
+    every corner, so all of them are one propagation with one uniform
+    wire-RC row per corner (:func:`~repro.sta.sta.analyze_timing_rows`).
     """
-    reports: dict[str, TimingReport] = {}
-    graph = TimingGraph(netlist, library)
-    for corner in corners:
-        scaled = scale_extraction(extraction, corner.wire_derate)
-        report = analyze_timing(netlist, library, scaled, period_ps, clock,
-                                graph=graph)
-        reports[corner.name] = derate_report(report, corner.cell_derate,
-                                             period_ps)
-    return reports
+    derates = np.array([c.wire_derate for c in corners], dtype=float)
+    rows = np.repeat(derates[:, None], len(netlist.nets), axis=1)
+    reports = analyze_timing_rows(netlist, library, extraction, rows,
+                                  period_ps, clock, tracer=current_tracer())
+    return {corner.name: derate_report(report, corner.cell_derate,
+                                       period_ps)
+            for corner, report in zip(corners, reports)}
 
 
 def worst_corner(reports: dict[str, TimingReport]) -> tuple[str, TimingReport]:

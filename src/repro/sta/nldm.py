@@ -107,19 +107,23 @@ class TableStack:
         bottom = v[rows, i + 1, j] * (1 - tc) + v[rows, i + 1, j + 1] * tc
         return top * (1 - ts) + bottom * ts
 
-    def evaluate(self, gids: np.ndarray, rows: np.ndarray,
-                 slews: np.ndarray, loads: np.ndarray) -> np.ndarray:
-        """Interpolate every lane; all four arrays share one shape.
+    def evaluate(self, gids, rows, slews, loads) -> np.ndarray:
+        """Interpolate every lane; the four arguments broadcast to one
+        query shape (a leading sample axis on the slews or loads only).
 
         Lanes may carry garbage rows (padding): the caller masks the
         result, and a padded lane's row must simply be in range (0 is
         always safe).
         """
-        slews = np.ascontiguousarray(slews, dtype=float)
-        loads = np.broadcast_to(np.asarray(loads, dtype=float), slews.shape)
+        slews = np.asarray(slews, dtype=float)
+        loads = np.asarray(loads, dtype=float)
         if self.single_group:
             return self._eval_group(self._groups[0], rows, slews, loads)
-        out = np.zeros(slews.shape)
+        shape = np.broadcast_shapes(np.shape(gids), np.shape(rows),
+                                    slews.shape, loads.shape)
+        gids, rows, slews, loads = (np.broadcast_to(a, shape)
+                                    for a in (gids, rows, slews, loads))
+        out = np.zeros(shape)
         for gid, group in enumerate(self._groups):
             mask = gids == gid
             if not mask.any():

@@ -8,29 +8,40 @@ values, and setup is checked at every sequential data pin and primary output.
 ``achieved frequency`` is the frequency at which the worst path just
 closes — the paper's Figs. 9-11 metric.
 
+One propagation times R *rows* of one extraction
+(:func:`analyze_timing_rows`): row r scales every net's wire RC by its
+own factor, which is how PVT corners and Monte-Carlo samples perturb a
+routed design without re-extracting it.  :func:`analyze_timing` is the
+one-row case every other caller uses.
+
 A netlist's timing structure is a :class:`TimingGraph` owned by its
 caller.  Callers that re-time one netlist build one and pass it to each
-:func:`analyze_timing` call: sizing per ``size_for_target`` call, the
-Monte-Carlo engine per chunk of samples, ``analyze_corners`` per call.
-Signoff and path reports time once and pass nothing, so each call
-builds a one-off graph.  :meth:`TimingGraph.refresh` patches
-drive-strength swaps in; any other edit needs a new graph.  There is
-no module-level memo: a graph lives exactly as long as its owner.
+call: sizing per ``size_for_target`` call, the Monte-Carlo engine per
+study.  ``analyze_corners``, signoff and path reports time once and
+pass nothing, so each call builds a one-off graph.
+:meth:`TimingGraph.refresh` patches drive-strength swaps in; any other
+edit needs a new graph.  There is no module-level memo: a graph lives
+exactly as long as its owner.
 
 The combinational propagation — the hottest loop in the whole flow,
 dominating the sizing stage — is a level-batched engine
 (:func:`_propagate_comb`) that groups instances by logic level and
-evaluates every timing-arc candidate of a level through one
-stacked-table interpolation (:class:`repro.sta.nldm.TableStack`).
+evaluates every timing-arc candidate of a level, in every row, through
+one stacked-table interpolation (:class:`repro.sta.nldm.TableStack`).
+Launch arcs go through the same stack; the clock tree stays a scalar
+walk per row.
 
 It agrees bit-for-bit with the scalar topological-order oracle in
 ``tests/reference/sta.py``, which folds one arc at a time through
-:func:`_propagate_arc` like the clock and launch arcs here do: the
-batched engine performs the same adds in the same order, replaces the running strict-``>`` maximum with an argmax (first
-occurrence of the maximum — exactly what first-wins strict updates
-keep), and resolves ``from_pin`` as the later of the two edges'
-winning arcs, which is precisely the last arc the scalar loop would
-have accepted.
+:func:`_propagate_arc` like the clock arcs here do: the batched engine
+performs the same adds in the same order, replaces the running
+strict-``>`` maximum with an argmax (first occurrence of the maximum —
+exactly what first-wins strict updates keep), and resolves
+``from_pin`` as the later of the two edges' winning arcs, which is
+precisely the last arc the scalar loop would have accepted.  The
+endpoint checks keep the scalar order too: TNS accumulates left to
+right (``np.add.accumulate``, never the pairwise ``np.sum``) and WNS is
+the first minimum in endpoint order.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cells import Library, SequentialTiming, TimingArc
-from ..core.telemetry import current_tracer
+from ..core.telemetry import NULL_TRACER, current_tracer
 from ..extract import Extraction
 from ..netlist import Netlist
 from .nldm import TableStack
@@ -80,10 +91,6 @@ class PinTiming:
         else:
             self.arrival_fall_ps = arrival
             self.slew_fall_ps = slew
-
-    @property
-    def worst_arrival_ps(self) -> float:
-        return max(self.arrival_rise_ps, self.arrival_fall_ps)
 
     def delayed(self, wire_ps: float) -> "PinTiming":
         """This timing seen after a wire segment of the given Elmore delay."""
@@ -155,9 +162,29 @@ def analyze_timing(netlist: Netlist, library: Library, extraction: Extraction,
                    graph: TimingGraph | None = None) -> TimingReport:
     """Run setup analysis at ``period_ps``; see :class:`TimingReport`.
 
-    ``graph``, the caller's :class:`TimingGraph` of this netlist and
-    library, is refreshed and reused; without one the call builds its
-    own.  The report is the same either way.
+    The one-row case of :func:`analyze_timing_rows`, traced on the
+    current tracer.  ``graph``, the caller's :class:`TimingGraph` of
+    this netlist and library, is refreshed and reused; without one the
+    call builds its own.  The report is the same either way.
+    """
+    return analyze_timing_rows(netlist, library, extraction, None,
+                               period_ps, clock, graph=graph,
+                               tracer=current_tracer())[0]
+
+
+def analyze_timing_rows(netlist: Netlist, library: Library,
+                        extraction: Extraction, wire_factors,
+                        period_ps: float, clock: str = "clk",
+                        graph: TimingGraph | None = None,
+                        tracer=None) -> list[TimingReport]:
+    """Setup analysis of R perturbed views of one extraction, one pass.
+
+    ``wire_factors`` is an (R, nets) array, nets in ``netlist.nets``
+    order: row r scales each net's wire cap and sink Elmore delays by
+    its factor and keeps its pin cap, exactly as timing a scaled copy
+    of the extraction would.  ``None`` is one unscaled row.  Returns one
+    report per row.  Telemetry goes to ``tracer`` only (none without
+    one); ``graph`` is as for :func:`analyze_timing`.
     """
     if graph is None:
         graph = TimingGraph(netlist, library)
@@ -166,85 +193,185 @@ def analyze_timing(netlist: Netlist, library: Library, extraction: Extraction,
             "timing graph was built for another netlist or library")
     else:
         graph.refresh()
-    net_timing: dict[str, PinTiming] = {}
+    tracer = tracer if tracer is not None else NULL_TRACER
+    par = _Parasitics(graph, extraction, wire_factors)
+    st = _Arrivals(graph.n_nets, par.rows)
     net_from: dict[str, tuple[str, str] | None] = {}
 
-    for net in netlist.nets.values():
-        if net.is_primary_input:
-            net_timing[net.name] = PinTiming.at_time(0.0)
-            net_from[net.name] = None
-
-    def net_load(net_name: str) -> float:
-        return extraction[net_name].total_cap_ff if net_name in extraction \
-            else 0.0
-
-    # Clock network first: propagate along clock tree (CLKBUF chains).
-    clock_arrivals: dict[str, float] = {}  # flop instance -> CK arrival
-    if clock in netlist.nets:
-        _propagate_clock(netlist, library, extraction, clock,
-                         net_timing, clock_arrivals)
-
-    # Sequential launch points, one per clock-to-output arc.
-    for inst_name, arc, out_net in graph.launches:
-        out = PinTiming()
-        _propagate_arc(arc, PinTiming.at_time(
-            clock_arrivals.get(inst_name, 0.0)), net_load(out_net), out)
-        net_timing[out_net] = out
+    st.start(graph.input_ids, 0.0, PRIMARY_INPUT_SLEW_PS)
+    net_from.update((name, None) for name in graph.inputs)
+    clock_arrivals, spans = _propagate_clock(graph, par, clock, st)
+    _launch(graph, par, clock_arrivals, st)
+    for inst_name, _arc, out_net in graph.launches:
         net_from[out_net] = (inst_name, "CK")
+    ties = [(name, oid) for _i, name, oid in graph.ties
+            if not st.timed[oid]]
+    st.start([oid for _n, oid in ties], 0.0, PRIMARY_INPUT_SLEW_PS)
+    for name, _oid in ties:
+        net_from.setdefault(name, None)
 
-    # Combinational propagation in topological order.
-    tracer = current_tracer()
+    # Nets timed before the propagation that it also drives
+    # (clock-buffer outputs) keep their first timing for the checks.
+    kept = np.flatnonzero(st.timed & graph.comb_out)
+    kept_r, kept_f = st.arr_r[:, kept], st.arr_f[:, kept]
     with tracer.span("kernel.sta.propagate"):
-        nets_timed, net_from_view = _propagate_comb(
-            graph, extraction, net_timing, net_from, tracer)
+        _propagate_comb(graph, par, st, tracer)
+    ar, af = st.arr_r, st.arr_f
+    if len(kept):
+        ar, af = ar.copy(), af.copy()
+        ar[:, kept], af[:, kept] = kept_r, kept_f
+    timed = st.timed | st.written
 
-    def checks():
-        """(endpoint, net, arrival, required) of every timed endpoint."""
-        for inst_name, pin, d_net, seq in graph.endpoints:
-            if d_net in net_timing:
-                wire = extraction[d_net].elmore_to(inst_name, pin) \
-                    if d_net in extraction else 0.0
-                yield (inst_name, d_net,
-                       net_timing[d_net].delayed(wire).worst_arrival_ps,
-                       period_ps + clock_arrivals.get(inst_name, 0.0)
-                       - seq.setup_ps)
-        for net_name in graph.outputs:
-            pt = net_timing.get(net_name)
-            if pt is not None and pt.worst_arrival_ps >= _NEG / 2:
-                yield f"PO:{net_name}", net_name, pt.worst_arrival_ps, \
-                    period_ps
-
-    wns = float("inf")
-    tns = 0.0
-    worst_endpoint = worst_net = ""
-    worst_arrival = 0.0
-    endpoints = 0
-    for name, net_name, arrival, required in checks():
-        endpoints += 1
-        slack = required - arrival
-        tns += min(slack, 0.0)
-        if slack < wns:
-            wns, worst_endpoint, worst_net, worst_arrival = \
-                slack, name, net_name, arrival
-
-    if endpoints == 0:
+    # Endpoint checks, sequential data pins first, then primary outputs.
+    sel = timed[graph.ep_net]
+    ids = graph.ep_net[sel]
+    wire = par.scale(par.elmore(graph.ep_pins), graph.ep_net)[:, sel]
+    ep_r = np.where(ar[:, ids] > _NEG / 2, ar[:, ids] + wire, _NEG)
+    ep_f = np.where(af[:, ids] > _NEG / 2, af[:, ids] + wire, _NEG)
+    required = (period_ps + clock_arrivals[:, graph.ep_seq[sel]]) \
+        - graph.ep_setup[sel]
+    po_ids = graph.output_ids[timed[graph.output_ids]]
+    po_r, po_f = ar[:, po_ids], af[:, po_ids]
+    po_arrival = np.where(po_f > po_r, po_f, po_r)
+    arrival = np.concatenate(
+        [np.where(ep_f > ep_r, ep_f, ep_r), po_arrival], axis=1)
+    required = np.concatenate(
+        [required, np.full(po_arrival.shape, period_ps)], axis=1)
+    counted = np.concatenate(
+        [np.ones(ep_r.shape, dtype=bool), po_arrival >= _NEG / 2], axis=1)
+    slack = required - arrival
+    rows = par.rows
+    mins = np.zeros((rows, slack.shape[1] + 1))
+    # min(slack, 0.0) and a strict `slack < wns` scan, as scalar code
+    # would: a NaN slack adds to TNS but never becomes the WNS.
+    mins[:, 1:] = np.where(counted & ~(0.0 < slack), slack, 0.0)
+    tns = np.add.accumulate(mins, axis=1)[:, -1]
+    endpoints = counted.sum(axis=1)
+    if rows and endpoints.min() == 0:
         raise ValueError("design has no timing endpoints")
+    ranked = np.where(counted & (slack < np.inf), slack, np.inf)
+    worst = ranked.argmin(axis=1) if ranked.size else []
 
-    path = _trace_path(netlist, net_from_view, worst_net)
-    skews = list(clock_arrivals.values())
-    tracer.gauge("sta.endpoints", endpoints)
-    tracer.gauge("sta.nets_timed", nets_timed)
-    return TimingReport(
-        period_ps=period_ps,
-        wns_ps=wns,
-        tns_ps=tns,
-        worst_endpoint=worst_endpoint,
-        critical_path=path,
-        clock_skew_ps=(max(skews) - min(skews)) if skews else 0.0,
-        insertion_delay_ps=max(skews) if skews else 0.0,
-        endpoint_count=endpoints,
-        worst_arrival_ps=worst_arrival,
-    )
+    names = [graph.endpoints[k][0] for k in np.flatnonzero(sel)] \
+        + [f"PO:{graph.net_names[i]}" for i in po_ids]
+    nets = ids.tolist() + po_ids.tolist()
+    reports = []
+    for r in range(rows):
+        k = int(worst[r])
+        wns = float(ranked[r, k])
+        worst_endpoint = worst_net = ""
+        worst_arrival = 0.0
+        if wns < np.inf:
+            worst_endpoint = names[k]
+            worst_net = graph.net_names[nets[k]]
+            worst_arrival = float(arrival[r, k])
+        view = _ArrayFromMap(net_from, graph, st.from_inst, st.from_arc[r])
+        insertion, skew = spans[r]
+        reports.append(TimingReport(
+            period_ps=period_ps,
+            wns_ps=wns,
+            tns_ps=float(tns[r]),
+            worst_endpoint=worst_endpoint,
+            critical_path=_trace_path(netlist, view, worst_net),
+            clock_skew_ps=skew,
+            insertion_delay_ps=insertion,
+            endpoint_count=int(endpoints[r]),
+            worst_arrival_ps=worst_arrival,
+        ))
+    if rows:
+        tracer.gauge("sta.endpoints", int(endpoints[0]))
+    tracer.gauge("sta.nets_timed", int(timed.sum()))
+    return reports
+
+
+class _Parasitics:
+    """One extraction seen through R rows of per-net wire-RC factors.
+
+    Nominal values are gathered into flat arrays once per call, then
+    scaled per row: ``loads`` is (R, nets) driver load, wire cap times
+    the factor plus pin cap; ``wires`` is (R, wire pairs) Elmore delay
+    into every timing-arc input.  A row of ones reproduces the nominal
+    bits, because ``x * 1.0 == x``.
+    """
+
+    def __init__(self, graph: TimingGraph, extraction: Extraction,
+                 factors) -> None:
+        self.extraction = extraction
+        self.factors = factors
+        self.rows = 1 if factors is None else len(factors)
+        self.loads = extraction.loads_ff(graph.net_names, factors)
+        self.wires = self.scale(self.elmore(graph.wire_pairs),
+                                graph.wire_net_ids)
+        if not self.wires.shape[1]:
+            self.wires = np.zeros((self.rows, 1))  # padded lanes read 0
+
+    def elmore(self, pins) -> np.ndarray:
+        """Nominal wire delay to each ``(instance, pin, net)`` sink."""
+        exn = self.extraction.nets
+        out = []
+        for inst, pin, net in pins:
+            p = exn.get(net)
+            out.append(p.sink_elmore_ps.get((inst, pin), 0.0)
+                       if p is not None else 0.0)
+        return np.array(out, dtype=float)
+
+    def scale(self, nominal: np.ndarray, net_ids) -> np.ndarray:
+        """(R, k): each row's view of per-sink values on ``net_ids``."""
+        if self.factors is None:
+            return nominal[None, :]
+        return nominal * self.factors[:, net_ids]
+
+
+class _Arrivals:
+    """Rise/fall arrivals and slews of every net, R rows deep.
+
+    ``timed`` marks nets given a timing before the combinational
+    propagation (inputs, clock tree, launches, ties); ``written`` the
+    nets it drives.  ``from_inst``/``from_arc`` are the provenance the
+    critical path is traced from: the driving row of the graph and,
+    per row, the index of the arc that set the worst arrival.
+    """
+
+    def __init__(self, n_nets: int, rows: int) -> None:
+        self.arr_r = np.full((rows, n_nets), _NEG)
+        self.arr_f = np.full((rows, n_nets), _NEG)
+        self.slw_r = np.full((rows, n_nets), PRIMARY_INPUT_SLEW_PS)
+        self.slw_f = np.full((rows, n_nets), PRIMARY_INPUT_SLEW_PS)
+        self.timed = np.zeros(n_nets, dtype=bool)
+        self.written = np.zeros(n_nets, dtype=bool)
+        self.from_inst = np.full(n_nets, -1, dtype=np.int64)
+        self.from_arc = np.full((rows, n_nets), -1, dtype=np.int64)
+
+    def start(self, ids, arr_r, slw_r, arr_f=None, slw_f=None) -> None:
+        """Time nets ``ids`` before propagation (fall defaults to rise)."""
+        self.arr_r[:, ids] = arr_r
+        self.arr_f[:, ids] = arr_r if arr_f is None else arr_f
+        self.slw_r[:, ids] = slw_r
+        self.slw_f[:, ids] = slw_r if slw_f is None else slw_f
+        self.timed[ids] = True
+
+
+def _launch(graph: TimingGraph, par: _Parasitics, clock_arrivals,
+            st: _Arrivals) -> None:
+    """Time every clock-to-output arc from its cell's CK arrival.
+
+    A launch's input is a clean edge at the CK arrival, so each output
+    edge's candidates are equal and the first one wins, as in
+    :func:`_propagate_arc`.
+    """
+    if not graph.launches:
+        return
+    t = clock_arrivals[:, graph.launch_seq]
+    loads = par.loads[:, graph.launch_out]
+    slew = np.full(loads.shape, PRIMARY_INPUT_SLEW_PS)
+    ok = t >= _NEG / 2
+    out = []
+    for (gd, rd), (gt, rt) in graph.launch_tables:
+        delay = graph.stack.evaluate(gd, rd, slew, loads)
+        trans = graph.stack.evaluate(gt, rt, slew, loads)
+        out += [np.where(ok, t + delay, _NEG),
+                np.where(ok, trans, PRIMARY_INPUT_SLEW_PS)]
+    st.start(graph.launch_out, *out)
 
 
 # -- level-batched combinational propagation ---------------------------------
@@ -290,7 +417,7 @@ class _LevelBatch:
 
     __slots__ = ("rows", "out_ids", "out_names", "R", "F", "in_ids",
                  "rise_in", "present", "gid_d", "row_d", "gid_t", "row_t",
-                 "arc_idx", "wire_slot", "wire_pairs")
+                 "arc_idx", "wire_slot")
 
 
 class TimingGraph:
@@ -319,7 +446,8 @@ class TimingGraph:
         netlist = self.netlist
         self.stack = TableStack()
         self.templates: dict[str, _MasterTemplate] = {}
-        self.net_id = {name: i for i, name in enumerate(netlist.nets)}
+        self.net_names = list(netlist.nets)
+        self.net_id = {name: i for i, name in enumerate(self.net_names)}
         self.n_nets = len(self.net_id)
         self.size = (len(netlist.instances), self.n_nets)
 
@@ -347,9 +475,17 @@ class TimingGraph:
         self.comb_names = comb_names
         self.comb_masters = [instances[n].master for n in comb_names]
         self.row_template = comb_tmpls
+        self.seq_index = {name: i for i, name in enumerate(self.seq_names)}
         self._list_sequential()
+        self.inputs = [n.name for n in nets.values() if n.is_primary_input]
+        self.input_ids = np.array([self.net_id[n] for n in self.inputs],
+                                  dtype=np.intp)
         self.outputs = [n.name for n in nets.values()
                         if n.is_primary_output and not n.is_primary_input]
+        self.output_ids = np.array([self.net_id[n] for n in self.outputs],
+                                   dtype=np.intp)
+        self.comb_out = np.zeros(self.n_nets, dtype=bool)
+        self.comb_out[[self.net_id[o] for o in out_names]] = True
 
         # Logic levels over the same dependency edges the reference
         # topological order uses (non-clock input pins, combinational
@@ -388,8 +524,13 @@ class TimingGraph:
         for i in range(n):
             by_level.setdefault(level[i], []).append(i)
 
+        #: ``(instance, pin, net)`` of every arc input, all levels.
+        self.wire_pairs: list[tuple[str, str, str]] = []
         self.levels = [self._build_level(rows, out_names)
                        for _lvl, rows in sorted(by_level.items())]
+        self.wire_net_ids = np.array(
+            [self.net_id[net] for _i, _p, net in self.wire_pairs],
+            dtype=np.intp)
         #: row -> (level index, row-within-level) for master refreshes.
         self.row_pos: list[tuple[int, int]] = [(0, 0)] * n
         for li, lvl in enumerate(self.levels):
@@ -404,7 +545,12 @@ class TimingGraph:
         return t
 
     def _list_sequential(self) -> None:
-        """List launch arcs and endpoints from the current masters."""
+        """List launch arcs and endpoints from the current masters.
+
+        Also their array forms: each launch's cell, output net and
+        (rise, fall) x (delay, transition) table rows, and each
+        endpoint's cell, net, ``(instance, pin, net)`` sink and setup.
+        """
         instances = self.netlist.instances
         self.seq_masters = [instances[n].master for n in self.seq_names]
         self.launches: list[tuple[str, TimingArc, str]] = []
@@ -415,6 +561,31 @@ class TimingGraph:
                               for arc in m.arcs if arc.to_pin in conn]
             self.endpoints += [(name, p.name, conn[p.name], m.sequential)
                                for p in m.input_pins if p.name in conn]
+
+        def ids(values) -> np.ndarray:
+            return np.array(values, dtype=np.intp)
+
+        def refs(tables) -> tuple[np.ndarray, np.ndarray]:
+            pairs = [self.stack.add(t) for t in tables]
+            return ids([g for g, _ in pairs]), ids([r for _, r in pairs])
+
+        arcs = [arc for _n, arc, _o in self.launches]
+        self.launch_seq = ids([self.seq_index[n] for n, _a, _o in
+                               self.launches])
+        self.launch_out = ids([self.net_id[o] for _n, _a, o in
+                               self.launches])
+        self.launch_tables = [
+            (refs(a.rise_delay for a in arcs),
+             refs(a.rise_transition for a in arcs)),
+            (refs(a.fall_delay for a in arcs),
+             refs(a.fall_transition for a in arcs))]
+        self.ep_pins = [(n, p, d) for n, p, d, _s in self.endpoints]
+        self.ep_seq = ids([self.seq_index[n] for n, _p, _d, _s in
+                           self.endpoints])
+        self.ep_net = ids([self.net_id[d] for _n, _p, d, _s in
+                           self.endpoints])
+        self.ep_setup = np.array([s.setup_ps for *_x, s in self.endpoints],
+                                 dtype=float)
 
     def _build_level(self, rows: list[int],
                      out_names: list[str]) -> _LevelBatch:
@@ -439,7 +610,6 @@ class TimingGraph:
         lvl.row_t = np.zeros((n, P), dtype=np.intp)
         lvl.arc_idx = np.full((n, P), -1, dtype=np.int32)
         lvl.wire_slot = np.zeros((n, P), dtype=np.intp)
-        lvl.wire_pairs = []
         for r, i in enumerate(rows):
             t = tmpls[r]
             conn = instances[self.comb_names[i]].connections
@@ -449,8 +619,8 @@ class TimingGraph:
                 if in_net is None:
                     arc_info.append(None)
                     continue
-                arc_info.append((self.net_id[in_net], len(lvl.wire_pairs)))
-                lvl.wire_pairs.append((self.comb_names[i], fp, in_net))
+                arc_info.append((self.net_id[in_net], len(self.wire_pairs)))
+                self.wire_pairs.append((self.comb_names[i], fp, in_net))
             self._fill_row(lvl, r, t, arc_info)
         return lvl
 
@@ -520,7 +690,7 @@ class TimingGraph:
 
 
 class _ArrayFromMap:
-    """`net_from` view over the batched engine's provenance arrays."""
+    """One row's `net_from` view over the propagation's provenance arrays."""
 
     def __init__(self, base: dict, graph: TimingGraph, from_inst,
                  from_arc) -> None:
@@ -542,62 +712,28 @@ class _ArrayFromMap:
         return self.base.get(name, default)
 
 
-def _propagate_comb(graph: TimingGraph, extraction: Extraction,
-                    net_timing: dict[str, PinTiming],
-                    net_from: dict, tracer):
-    """Time every combinational output, all arcs of a level in one pass.
+def _propagate_comb(graph: TimingGraph, par: _Parasitics, st: _Arrivals,
+                    tracer) -> None:
+    """Time every combinational output: all arcs of a level, in every
+    row, in one pass.
 
-    Extends ``net_timing`` (the launch points on entry) with the nets
-    the endpoint checks read and returns ``(nets timed, net_from
-    view)``.
+    Reads the nets ``st`` timed on entry and writes each level's
+    outputs into it, with their provenance.
     """
-    n_nets = graph.n_nets
-    arr_r = np.full(n_nets, _NEG)
-    arr_f = np.full(n_nets, _NEG)
-    slw_r = np.full(n_nets, PRIMARY_INPUT_SLEW_PS)
-    slw_f = np.full(n_nets, PRIMARY_INPUT_SLEW_PS)
-    init_mask = np.zeros(n_nets, dtype=bool)
-    net_id = graph.net_id
-    for name, pt in net_timing.items():
-        i = net_id[name]
-        arr_r[i] = pt.arrival_rise_ps
-        arr_f[i] = pt.arrival_fall_ps
-        slw_r[i] = pt.slew_rise_ps
-        slw_f[i] = pt.slew_fall_ps
-        init_mask[i] = True
-
-    for _inst_name, out_name, oid in graph.ties:
-        if out_name not in net_timing:
-            net_timing[out_name] = PinTiming.at_time(0.0)
-            net_from.setdefault(out_name, None)
-            arr_r[oid] = arr_f[oid] = 0.0
-            slw_r[oid] = slw_f[oid] = PRIMARY_INPUT_SLEW_PS
-            init_mask[oid] = True
-
-    written = np.zeros(n_nets, dtype=bool)
-    from_inst = np.full(n_nets, -1, dtype=np.int64)
-    from_arc = np.full(n_nets, -1, dtype=np.int64)
-    exn = extraction.nets
+    arr_r, arr_f, slw_r, slw_f = st.arr_r, st.arr_f, st.slw_r, st.slw_f
+    rows = par.rows
+    rsel = np.arange(rows)[:, None]
     counting = tracer.enabled
     evals = 0
     batch_max = 0
     for lvl in graph.levels:
         n = len(lvl.out_names)
         batch_max = max(batch_max, n)
-        wires = np.zeros(max(len(lvl.wire_pairs), 1))
-        for k, (iname, pin, in_net) in enumerate(lvl.wire_pairs):
-            p = exn.get(in_net)
-            wires[k] = p.sink_elmore_ps.get((iname, pin), 0.0) \
-                if p is not None else 0.0
-        loads = np.empty(n)
-        for k, out_name in enumerate(lvl.out_names):
-            p = exn.get(out_name)
-            loads[k] = p.total_cap_ff if p is not None else 0.0
-
+        loads = par.loads[:, lvl.out_ids]
         in_ids = lvl.in_ids
-        arr_sel = np.where(lvl.rise_in, arr_r[in_ids], arr_f[in_ids])
-        slw_sel = np.where(lvl.rise_in, slw_r[in_ids], slw_f[in_ids])
-        w = wires[lvl.wire_slot]
+        arr_sel = np.where(lvl.rise_in, arr_r[:, in_ids], arr_f[:, in_ids])
+        slw_sel = np.where(lvl.rise_in, slw_r[:, in_ids], slw_f[:, in_ids])
+        w = par.wires[:, lvl.wire_slot]
         # Same three adds, same order, as PinTiming.delayed + the arc
         # fold: (arrival + wire) + delay, slew + (1.8 * wire).
         arr_in = arr_sel + w
@@ -606,84 +742,102 @@ def _propagate_comb(graph: TimingGraph, extraction: Extraction,
         if counting:
             evals += int(valid.sum())
         delay = graph.stack.evaluate(lvl.gid_d, lvl.row_d, slw_in,
-                                    loads[:, None])
+                                     loads[:, :, None])
         cand = np.where(valid, arr_in + delay, -np.inf)
 
-        rowsel = np.arange(n)
+        lane = np.arange(n)
         edge_arc = []
-        for lo, hi in ((0, lvl.R), (lvl.R, lvl.R + lvl.F)):
+        for lo, hi, arr_o, slw_o in ((0, lvl.R, arr_r, slw_r),
+                                     (lvl.R, lvl.R + lvl.F, arr_f, slw_f)):
             if hi == lo:
-                edge_arc.append(np.full(n, -1, dtype=np.int64))
+                edge_arc.append(np.full((rows, n), -1, dtype=np.int64))
                 continue
-            block = cand[:, lo:hi]
-            idx = np.argmax(block, axis=1)
-            best = block[rowsel, idx]
-            has = valid[:, lo:hi].any(axis=1)
+            block = cand[:, :, lo:hi]
+            idx = np.argmax(block, axis=2)
+            best = block[rsel, lane, idx]
+            has = valid[:, :, lo:hi].any(axis=2)
             wcol = idx + lo
-            trans = graph.stack.evaluate(lvl.gid_t[rowsel, wcol],
-                                         lvl.row_t[rowsel, wcol],
-                                         slw_in[rowsel, wcol], loads)
-            arrv = np.where(has, best, _NEG)
-            slv = np.where(has, trans, PRIMARY_INPUT_SLEW_PS)
-            if lo == 0:
-                arr_r[lvl.out_ids] = arrv
-                slw_r[lvl.out_ids] = slv
-            else:
-                arr_f[lvl.out_ids] = arrv
-                slw_f[lvl.out_ids] = slv
-            edge_arc.append(np.where(has, lvl.arc_idx[rowsel, wcol], -1))
-        written[lvl.out_ids] = True
-        from_inst[lvl.out_ids] = lvl.rows
-        from_arc[lvl.out_ids] = np.maximum(edge_arc[0], edge_arc[1])
+            trans = graph.stack.evaluate(lvl.gid_t[lane, wcol],
+                                         lvl.row_t[lane, wcol],
+                                         slw_in[rsel, lane, wcol], loads)
+            arr_o[:, lvl.out_ids] = np.where(has, best, _NEG)
+            slw_o[:, lvl.out_ids] = np.where(has, trans,
+                                             PRIMARY_INPUT_SLEW_PS)
+            edge_arc.append(np.where(has, lvl.arc_idx[lane, wcol], -1))
+        st.written[lvl.out_ids] = True
+        st.from_inst[lvl.out_ids] = lvl.rows
+        st.from_arc[:, lvl.out_ids] = np.maximum(edge_arc[0], edge_arc[1])
 
-    nets_timed = len(net_timing) + int((written & ~init_mask).sum())
     if counting:
-        tracer.count("kernel.sta.insts", len(graph.comb_names))
+        tracer.count("kernel.sta.insts", len(graph.comb_names) * rows)
         tracer.count("kernel.sta.delay_evals", evals)
         tracer.count("kernel.sta.batches", len(graph.levels))
         tracer.gauge("kernel.sta.batch_max", batch_max)
 
-    # Materialize only the nets the endpoint checks read.
-    for name in [e[2] for e in graph.endpoints] + graph.outputs:
-        i = net_id.get(name)
-        if i is not None and written[i] and name not in net_timing:
-            net_timing[name] = PinTiming(
-                float(arr_r[i]), float(arr_f[i]),
-                float(slw_r[i]), float(slw_f[i]))
-    return nets_timed, _ArrayFromMap(net_from, graph, from_inst, from_arc)
 
+def _propagate_clock(graph: TimingGraph, par: _Parasitics, clock: str,
+                     st: _Arrivals):
+    """Walk the clock tree, accumulating buffer and wire delays.
 
-def _propagate_clock(netlist: Netlist, library: Library,
-                     extraction: Extraction, clock: str,
-                     net_timing: dict[str, PinTiming],
-                     clock_arrivals: dict[str, float]) -> None:
-    """BFS down the clock tree, accumulating buffer and wire delays.
-
-    Flops latch on the rising edge, so the capture arrival is the rise
-    arrival at each CK pin.
+    The walk's order is structural and taken once; each row then times
+    it scalar, buffer by buffer.  Flops latch on the rising edge, so
+    the capture arrival is the rise arrival at each CK pin.  Times the
+    tree's nets in ``st`` and returns the (R, sequential cells) CK
+    arrivals (0.0 where no clock arrives) and each row's (insertion
+    delay, skew) over the cells it reaches.
     """
+    netlist, library = graph.netlist, graph.library
+    arrivals = np.zeros((par.rows, len(graph.seq_names)))
+    if clock not in netlist.nets:
+        return arrivals, [(0.0, 0.0)] * par.rows
+    # (instance, pin, net, arc, output net) per clock sink; a flop has
+    # no arc, a clock buffer times its first one.
+    steps: list[tuple[str, str, str, TimingArc | None, str | None]] = []
     frontier = [clock]
-    net_timing.setdefault(clock, PinTiming.at_time(0.0))
     while frontier:
         net_name = frontier.pop()
-        base = net_timing[net_name]
         for inst_name, pin_name in netlist.nets[net_name].sinks:
             inst = netlist.instances[inst_name]
             master = library[inst.master]
-            wire = extraction[net_name].elmore_to(inst_name, pin_name) \
-                if net_name in extraction else 0.0
-            at_pin = base.delayed(wire)
             if master.is_sequential:
-                clock_arrivals[inst_name] = at_pin.arrival(rise=True)
+                steps.append((inst_name, pin_name, net_name, None, None))
                 continue
-            # A clock buffer: propagate through it.
             out_net = inst.connections[master.output.name]
-            load = extraction[out_net].total_cap_ff \
-                if out_net in extraction else 0.0
-            out = PinTiming()
-            _propagate_arc(master.arcs[0], at_pin, load, out)
-            net_timing[out_net] = out
+            steps.append((inst_name, pin_name, net_name, master.arcs[0],
+                          out_net))
             frontier.append(out_net)
+    net_id = graph.net_id
+    buffered = [net_id[o] for *_s, o in steps if o is not None]
+    wires = par.scale(par.elmore([s[:3] for s in steps]),
+                      [net_id[s[2]] for s in steps]).tolist()
+    loads = par.loads[:, buffered].tolist()
+    spans = []
+    for r in range(par.rows):
+        net_timing = {clock: PinTiming.at_time(0.0)}
+        reached: dict[str, float] = {}
+        buffers = iter(loads[r])
+        for (inst_name, _pin, net_name, arc, out_net), wire in zip(
+                steps, wires[r]):
+            at_pin = net_timing[net_name].delayed(wire)
+            if arc is None:
+                reached[inst_name] = at_pin.arrival(rise=True)
+                continue
+            out = PinTiming()
+            _propagate_arc(arc, at_pin, next(buffers), out)
+            net_timing[out_net] = out
+        for name, pt in net_timing.items():
+            i = net_id[name]
+            st.arr_r[r, i], st.arr_f[r, i] = pt.arrival_rise_ps, \
+                pt.arrival_fall_ps
+            st.slw_r[r, i], st.slw_f[r, i] = pt.slew_rise_ps, \
+                pt.slew_fall_ps
+        for inst_name, t in reached.items():
+            arrivals[r, graph.seq_index[inst_name]] = t
+        skews = list(reached.values())
+        spans.append((max(skews), max(skews) - min(skews)) if skews
+                     else (0.0, 0.0))
+    st.timed[[net_id[clock]] + buffered] = True
+    return arrivals, spans
 
 
 def _trace_path(netlist: Netlist, net_from, end_net: str) -> list[str]:

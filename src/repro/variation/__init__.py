@@ -8,12 +8,13 @@ does (cf. the companion overlay study, arXiv:2501.16063).
 
 Layers: seeded variation models (:mod:`.models`), pure perturbation
 appliers over a completed flow's artifacts (:mod:`.perturb`), the
-parallel Monte-Carlo engine (:mod:`.engine`), and statistical PPA
+block-evaluating Monte-Carlo engine (:mod:`.engine`), and statistical PPA
 signoff (:mod:`.signoff`).  CLI: ``repro mc``; docs:
 ``docs/variation.md``.
 """
 
 from .engine import (
+    SAMPLE_BLOCK,
     MonteCarloResult,
     NominalBundle,
     nominal_bundle,
@@ -33,10 +34,10 @@ from .perturb import (
     OVERLAY_RC_SLOPE,
     FailedSample,
     SampleResult,
-    evaluate_sample,
+    evaluate_block,
     mc_corner,
     overlay_rc_factor,
-    perturb_extraction,
+    wire_factors,
 )
 from .signoff import (
     SIGNOFF_METRICS,
@@ -54,21 +55,22 @@ __all__ = [
     "NominalBundle",
     "OVERLAY_RC_SLOPE",
     "OverlayModel",
+    "SAMPLE_BLOCK",
     "SIGNOFF_METRICS",
     "SampleResult",
     "SignoffReport",
     "VariationModel",
     "VariationSample",
-    "evaluate_sample",
+    "evaluate_block",
     "format_signoff",
     "mc_corner",
     "nominal_bundle",
     "overlay_rc_factor",
-    "perturb_extraction",
     "run_monte_carlo",
     "run_samples",
     "sample_seed",
     "sigma_comparison_table",
     "signoff",
     "splitmix64",
+    "wire_factors",
 ]

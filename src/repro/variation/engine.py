@@ -11,26 +11,29 @@ Execution model:
 2. N :class:`~repro.variation.models.VariationSample` draws are taken
    with per-sample seeds derived SplitMix-style from the root seed
    (:func:`~repro.variation.models.sample_seed`) — a pure function of
-   (root, index), never of scheduling;
-3. the perturbed STA+power evaluations fan out over a process pool in
-   contiguous chunks (``jobs`` from the same ``--jobs``/``$REPRO_JOBS``
-   convention as the :class:`~repro.core.runner.SweepRunner`), each
-   chunk timing its samples on one :class:`~repro.sta.TimingGraph`.
-   Because each sample is seeded by its index, ``jobs=1`` and
-   ``jobs=4`` produce bit-identical results;
-4. a sample whose evaluation raises is quarantined as a
-   :class:`~repro.variation.perturb.FailedSample` — one bad draw never
-   aborts a study — and counted on the ``mc.failed`` trace counter.
+   (root, index);
+3. the perturbed STA+power evaluations run in this process, in
+   contiguous blocks of :data:`SAMPLE_BLOCK` samples on one
+   :class:`~repro.sta.TimingGraph` per study.  A block is one STA
+   propagation and one power pass with a row per sample
+   (:func:`~repro.variation.perturb.evaluate_block`), and a row's
+   arithmetic never reads another row, so sample ``i`` depends only on
+   (root seed, ``i``): not on the study size, its block, or its
+   position there.  Blocks bound memory, whatever the sample count;
+4. a block whose evaluation raises is quarantined as one
+   :class:`~repro.variation.perturb.FailedSample` per sample, with the
+   exception's type and message — one bad block never aborts a study —
+   and counted on the ``mc.failed`` trace counter.
 
 Telemetry: ``mc.nominal`` / ``mc.samples`` spans, and
 ``mc.samples`` / ``mc.failed`` / ``mc.nominal_cache_hits`` counters.
+The nominal flow traces as any flow run does; sample evaluation emits
+nothing else.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
-from concurrent import futures
 from dataclasses import dataclass, field
 
 from ..cells import Library
@@ -40,13 +43,16 @@ from ..core.cache import FlowCache, netlist_fingerprint
 from ..core.config import FlowConfig
 from ..core.flow import artifact_key, run_flow
 from ..core.ppa import PPAResult
-from ..core.runner import resolve_jobs
 from ..core.stages import StageStore
 from ..extract import Extraction
 from ..netlist import Netlist
 from ..sta import TimingGraph
 from .models import VariationModel
-from .perturb import FailedSample, SampleResult, evaluate_sample
+from .perturb import FailedSample, SampleResult, evaluate_block
+
+#: Samples per STA/power pass.  Peak memory grows with the block, not
+#: with the study; per-sample cost is near its floor from 64 rows on.
+SAMPLE_BLOCK = 64
 
 
 @dataclass
@@ -134,96 +140,40 @@ def nominal_bundle(netlist_factory, config: FlowConfig,
     return bundle
 
 
-def _eval_chunk(netlist: Netlist, library: Library, extraction: Extraction,
-                config: FlowConfig, samples: list
-                ) -> list[SampleResult | FailedSample]:
-    # Module-level so the process pool can pickle it as a task target.
-    # Per-sample failures are quarantined here, inside the worker, so a
-    # single pathological draw costs one record, not the chunk.  Samples
-    # perturb only parasitics and delays, so they share one graph.
-    graph = TimingGraph(netlist, library)
-    out: list[SampleResult | FailedSample] = []
-    for sample in samples:
-        try:
-            out.append(evaluate_sample(netlist, library, extraction,
-                                       config, sample, graph=graph))
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            out.append(FailedSample(index=sample.index, seed=sample.seed,
-                                    cause=type(exc).__name__,
-                                    reason=str(exc)))
-    return out
-
-
-def _chunk_indices(n: int, chunks: int) -> list[range]:
-    """Split ``range(n)`` into at most ``chunks`` contiguous ranges."""
-    chunks = max(1, min(chunks, n))
-    base, extra = divmod(n, chunks)
-    out = []
-    start = 0
-    for i in range(chunks):
-        size = base + (1 if i < extra else 0)
-        out.append(range(start, start + size))
-        start += size
-    return out
-
-
 def run_samples(bundle: NominalBundle, config: FlowConfig,
                 model: VariationModel, samples: int, seed: int,
-                jobs: int | None = None, tracer=None
-                ) -> tuple[list[SampleResult], list[FailedSample]]:
+                tracer=None) -> tuple[list[SampleResult], list[FailedSample]]:
     """Evaluate ``samples`` perturbed draws of one nominal design.
 
-    Returns (successful, quarantined), both ordered by sample index and
-    independent of ``jobs`` — the partition over workers affects only
-    wall time, never a single bit of the results.
+    Returns (successful, quarantined), both ordered by sample index.
+    Each sample's result depends only on (``seed``, its index); see the
+    module docstring.
     """
     if samples < 0:
         raise ValueError("sample count must be non-negative")
     tr = tracer if tracer is not None else telemetry.NULL_TRACER
     drawn = [model.draw(seed, i) for i in range(samples)]
-    jobs = resolve_jobs(jobs)
-
     outcomes: list[SampleResult | FailedSample] = []
     with tr.span("mc.samples"):
-        if jobs > 1 and samples > 1:
-            outcomes = _sample_pool(bundle, config, drawn, jobs)
-        if not outcomes and samples:
-            outcomes = _eval_chunk(bundle.netlist, bundle.library,
-                                   bundle.extraction, config, drawn)
-    outcomes.sort(key=lambda s: s.index)
+        graph = TimingGraph(bundle.netlist, bundle.library) \
+            if drawn else None
+        for start in range(0, samples, SAMPLE_BLOCK):
+            block = drawn[start:start + SAMPLE_BLOCK]
+            try:
+                outcomes += evaluate_block(
+                    bundle.netlist, bundle.library, bundle.extraction,
+                    config, block, graph)
+            except Exception as exc:
+                outcomes += [FailedSample(index=s.index, seed=s.seed,
+                                          cause=type(exc).__name__,
+                                          reason=str(exc))
+                             for s in block]
     good = [s for s in outcomes if isinstance(s, SampleResult)]
     bad = [s for s in outcomes if isinstance(s, FailedSample)]
     tr.count("mc.samples", len(outcomes))
     if bad:
         tr.count("mc.failed", len(bad))
     return good, bad
-
-
-def _sample_pool(bundle: NominalBundle, config: FlowConfig, drawn: list,
-              jobs: int) -> list:
-    """Chunked pool fan-out; [] when the pool cannot be used at all."""
-    payload = (bundle.netlist, bundle.library, bundle.extraction, config)
-    try:
-        pickle.dumps(payload)
-    except Exception:
-        return []
-    ranges = _chunk_indices(len(drawn), jobs * 4)
-    outcomes: list = []
-    try:
-        with futures.ProcessPoolExecutor(
-                max_workers=min(jobs, len(ranges))) as pool:
-            tasks = [pool.submit(_eval_chunk, *payload,
-                                 [drawn[i] for i in r])
-                     for r in ranges if len(r)]
-            for task in tasks:
-                outcomes.extend(task.result())
-    except (OSError, ImportError, futures.process.BrokenProcessPool):
-        # The pool is unusable or died mid-study: the serial path
-        # recomputes everything — identical results, just slower.
-        return []
-    return outcomes
 
 
 def run_monte_carlo(netlist_factory, config: FlowConfig,
@@ -235,9 +185,12 @@ def run_monte_carlo(netlist_factory, config: FlowConfig,
     """The full study: nominal flow once, then N perturbed evaluations.
 
     ``seed`` defaults to the flow config's seed, so a config fully
-    determines its study.  See the module docstring for the execution
-    model and determinism contract.
+    determines its study.  ``jobs`` is accepted and ignored: samples
+    are evaluated in this process.  See the module docstring for the
+    execution model and determinism contract.
     """
+    if samples < 0:
+        raise ValueError("sample count must be non-negative")
     started = time.perf_counter()
     if seed is None:
         seed = config.seed
@@ -247,7 +200,7 @@ def run_monte_carlo(netlist_factory, config: FlowConfig,
         bundle = nominal_bundle(netlist_factory, config, cache=cache,
                                 tracer=tracer)
         good, bad = run_samples(bundle, config, model, samples, seed,
-                                jobs=jobs, tracer=tr)
+                                tracer=tr)
     return MonteCarloResult(
         config=config, model=model, seed=seed, nominal=bundle.result,
         samples=good, failed=bad, nominal_cached=bundle.cached,

@@ -13,8 +13,8 @@ study (arXiv:2501.16063):
 * **CD/gate-length** — a per-sample global cell-delay sigma, applied
   through the :class:`~repro.sta.corners.Corner` derate machinery;
 * **metal thickness/width** — per-side wire-RC sigma (thicker/narrower
-  metal moves R and C), applied through
-  :func:`~repro.sta.rc_scale.scale_extraction_sided`.
+  metal moves R and C), applied as per-net wire-RC factors
+  (:func:`~repro.variation.perturb.wire_factors`).
 
 Every model is a frozen dataclass with a deterministic
 ``sample(rng)``: the draw *order* is fixed and independent of the
@@ -23,9 +23,8 @@ underlying normal deviates — which is what makes sigma-sweep
 benchmarks monotonic by construction instead of by luck.
 
 Per-sample seeds derive from the root seed SplitMix-style
-(:func:`sample_seed`), so sample ``i`` sees the same stream no matter
-how samples are chunked over workers — ``--jobs 1`` and ``--jobs 4``
-are bit-identical.
+(:func:`sample_seed`), so sample ``i`` sees the same stream however
+large the study and whichever block it is evaluated in.
 """
 
 from __future__ import annotations
@@ -51,8 +50,8 @@ def sample_seed(root_seed: int, index: int) -> int:
     """The RNG seed of sample ``index`` under ``root_seed``.
 
     A pure function of (root, index) — never of execution order — so
-    any partition of samples over worker processes draws identical
-    variates for every sample.
+    any partition of samples into blocks draws identical variates for
+    every sample.
     """
     return splitmix64(splitmix64(root_seed & _MASK64) ^ (index & _MASK64))
 

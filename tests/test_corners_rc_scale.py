@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -15,12 +16,13 @@ from repro.sta import (
     analyze_corners,
     analyze_timing,
     derate_report,
-    scale_extraction,
     worst_corner,
 )
 from repro.synth import generate_counter
 from repro.core import FlowConfig
 from repro.core.flow import run_flow
+
+from .reference.sta import scale_extraction
 
 
 def _net(name="n", cap=2.0, res=0.5, elmore=3.0):
@@ -68,6 +70,24 @@ class TestCorners:
         # alphabetical order.
         assert name == "b_corner"
         assert picked is report
+
+    def test_corners_equal_scaled_copies_timed_one_at_a_time(self,
+                                                            artifacts):
+        """One three-row propagation reproduces, bit for bit, timing
+        each corner's scaled copy of the extraction on its own."""
+        _, netlist, library, extraction = artifacts
+
+        def bits(report):
+            return {k: v.hex() if isinstance(v, float) else v
+                    for k, v in dataclasses.asdict(report).items()}
+
+        reports = analyze_corners(netlist, library, extraction, 1000.0)
+        for corner in CORNERS:
+            alone = analyze_timing(
+                netlist, library,
+                scale_extraction(extraction, corner.wire_derate), 1000.0)
+            assert bits(reports[corner.name]) == bits(derate_report(
+                alone, corner.cell_derate, 1000.0))
 
     def test_unity_derate_report_is_identity(self, artifacts):
         _, netlist, library, extraction = artifacts

@@ -208,7 +208,7 @@ class TestDualCtsFlowThrough:
         """Backside clock wires inherit the FFET overlay RC model; a
         single-sided clock is exactly overlay-insensitive."""
         from repro.variation.models import VariationSample
-        from repro.variation.perturb import perturb_extraction
+        from .reference.variation import perturb_extraction
 
         single, dual = flows
         pitch = single.library.tech.rules.track_pitch_nm

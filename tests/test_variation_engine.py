@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import time
@@ -9,13 +10,20 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.core import FlowCache, FlowConfig, Tracer
+from repro.core import FlowCache, FlowConfig, Tracer, run_flow
 from repro.core.cache import netlist_fingerprint
 from repro.core.flow import FLOW_STAGES, artifact_key, stage_keys
 from repro.core.locking import LOCK_TIMEOUT_ENV
 from repro.core.stages import StageStore
-from repro.synth import generate_counter
+from repro.sta import TimingGraph
+from repro.synth import (
+    RiscvConfig,
+    generate_counter,
+    generate_riscv_core,
+    generate_rv16_sram,
+)
 from repro.variation import (
+    SAMPLE_BLOCK,
     FailedSample,
     SampleResult,
     VariationModel,
@@ -26,7 +34,8 @@ from repro.variation import (
     sigma_comparison_table,
     signoff,
 )
-from repro.variation.engine import _chunk_indices
+
+from .reference.variation import evaluate_sample
 
 
 def counter_factory():
@@ -42,14 +51,23 @@ def bundle():
     return nominal_bundle(counter_factory, CONFIG)
 
 
+def bits(results) -> list[dict]:
+    """Every field of every result, floats by ``float.hex``."""
+    return [{k: v.hex() if isinstance(v, float) else v
+             for k, v in dataclasses.asdict(r).items()} for r in results]
+
+
 class TestEngine:
-    def test_jobs_do_not_change_results(self, bundle):
-        serial, _ = run_samples(bundle, CONFIG, MODEL, 8, seed=11, jobs=1)
-        pooled, _ = run_samples(bundle, CONFIG, MODEL, 8, seed=11, jobs=4)
-        assert serial == pooled
+    def test_block_partition_does_not_change_results(self, bundle):
+        """Sample i depends on (root seed, i) only: not on the study
+        size, on its block, or on its position in the block."""
+        small, _ = run_samples(bundle, CONFIG, MODEL, 16, seed=11)
+        large, _ = run_samples(bundle, CONFIG, MODEL, 100, seed=11)
+        assert 100 > SAMPLE_BLOCK
+        assert bits(large[:16]) == bits(small)
 
     def test_samples_are_index_ordered_and_seeded(self, bundle):
-        good, bad = run_samples(bundle, CONFIG, MODEL, 6, seed=5, jobs=1)
+        good, bad = run_samples(bundle, CONFIG, MODEL, 6, seed=5)
         assert not bad
         assert [s.index for s in good] == list(range(6))
         assert len({s.seed for s in good}) == 6
@@ -72,29 +90,63 @@ class TestEngine:
 
     def test_failed_sample_is_quarantined_not_fatal(self, bundle,
                                                     monkeypatch):
+        """A block that raises quarantines its own samples; the other
+        block of the study comes back exactly as in a clean run."""
         import repro.variation.engine as engine_mod
 
-        real = engine_mod.evaluate_sample
+        samples = SAMPLE_BLOCK + 6
+        clean, _ = run_samples(bundle, CONFIG, MODEL, samples, seed=2)
+        real = engine_mod.evaluate_block
 
-        def flaky(netlist, library, extraction, config, sample, graph=None):
-            if sample.index == 1:
-                raise RuntimeError("injected sample failure")
-            return real(netlist, library, extraction, config, sample,
-                        graph=graph)
+        def flaky(netlist, library, extraction, config, block, graph):
+            if block[0].index == 0:
+                raise RuntimeError("injected block failure")
+            return real(netlist, library, extraction, config, block, graph)
 
-        monkeypatch.setattr(engine_mod, "evaluate_sample", flaky)
-        good, bad = run_samples(bundle, CONFIG, MODEL, 4, seed=2, jobs=1)
-        assert [s.index for s in good] == [0, 2, 3]
-        assert len(bad) == 1 and isinstance(bad[0], FailedSample)
-        assert bad[0].index == 1
-        assert bad[0].cause == "RuntimeError"
+        monkeypatch.setattr(engine_mod, "evaluate_block", flaky)
+        good, bad = run_samples(bundle, CONFIG, MODEL, samples, seed=2)
+        assert [f.index for f in bad] == list(range(SAMPLE_BLOCK))
+        assert all(isinstance(f, FailedSample) for f in bad)
+        assert {(f.cause, f.reason) for f in bad} \
+            == {("RuntimeError", "injected block failure")}
+        assert [f.seed for f in bad] \
+            == [MODEL.draw(2, i).seed for i in range(SAMPLE_BLOCK)]
+        assert bits(good) == bits(clean[SAMPLE_BLOCK:])
 
-    def test_chunking_covers_every_index_once(self):
-        for n in (1, 7, 16, 33):
-            for chunks in (1, 3, 16, 50):
-                ranges = _chunk_indices(n, chunks)
-                flat = [i for r in ranges for i in r]
-                assert flat == list(range(n))
+    def test_negative_sample_count_fails_before_the_nominal(self,
+                                                            tmp_path):
+        calls = []
+
+        def factory():
+            calls.append(1)
+            return generate_counter(8)
+
+        cache = FlowCache(tmp_path / "cache")
+        with pytest.raises(ValueError, match="non-negative"):
+            run_monte_carlo(factory, CONFIG, model=MODEL, samples=-1,
+                            cache=cache)
+        assert calls == []
+        assert cache.info()["entries"] == 0
+
+    def test_samples_add_no_sta_or_power_telemetry(self, tmp_path):
+        """The study's trace reads the nominal flow's power and STA
+        work, however many samples it times."""
+        study = Tracer(label="mc")
+        run_monte_carlo(counter_factory, CONFIG, model=MODEL, samples=4,
+                        seed=1, cache=FlowCache(tmp_path / "cache"),
+                        tracer=study)
+        flow = Tracer(label="flow")
+        run_flow(counter_factory, CONFIG, tracer=flow)
+        study, flow = study.finish(), flow.finish()
+
+        def power(trace):
+            return {k: v for k, v in trace.gauges.items()
+                    if k.startswith("power.")}
+
+        assert power(study) and power(study) == power(flow)
+        assert study.counters["kernel.sta.delay_evals"] \
+            == flow.counters["kernel.sta.delay_evals"]
+        assert study.counters["mc.samples"] == 4
 
     def test_nominal_bundle_round_trips_the_cache(self, tmp_path):
         cache = FlowCache(tmp_path / "cache")
@@ -146,7 +198,7 @@ class TestEngine:
     def test_run_monte_carlo_traces_and_counts(self):
         tracer = Tracer(label="mc test")
         mc = run_monte_carlo(counter_factory, CONFIG, model=MODEL,
-                             samples=4, seed=1, jobs=1, tracer=tracer)
+                             samples=4, seed=1, tracer=tracer)
         assert len(mc.samples) == 4
         assert mc.seed == 1
         trace = tracer.finish()
@@ -157,14 +209,14 @@ class TestEngine:
 
     def test_default_seed_is_the_config_seed(self):
         mc = run_monte_carlo(counter_factory, CONFIG.with_(seed=9),
-                             model=MODEL, samples=2, jobs=1)
+                             model=MODEL, samples=2)
         assert mc.seed == 9
 
 
 class TestSignoff:
     @pytest.fixture(scope="class")
     def mc(self, bundle):
-        good, bad = run_samples(bundle, CONFIG, MODEL, 12, seed=4, jobs=1)
+        good, bad = run_samples(bundle, CONFIG, MODEL, 12, seed=4)
         from repro.variation.engine import MonteCarloResult
         return MonteCarloResult(config=CONFIG, model=MODEL, seed=4,
                                 nominal=bundle.result, samples=good,
@@ -211,8 +263,8 @@ class TestCliMc:
 
     def test_mc_command_writes_deterministic_json(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main([*self.SMALL, "--jobs", "1", "--json", str(a)]) == 0
-        assert main([*self.SMALL, "--jobs", "2", "--json", str(b)]) == 0
+        assert main([*self.SMALL, "--json", str(a)]) == 0
+        assert main([*self.SMALL, "--json", str(b)]) == 0
         assert a.read_text() == b.read_text()
         payload = json.loads(a.read_text())
         assert payload["samples"] == 4
@@ -226,3 +278,45 @@ class TestCliMc:
         assert main([*self.SMALL, "--no-cache",
                      "--trace", str(trace_dir)]) == 0
         assert list(trace_dir.glob("*.jsonl"))
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_sample_count_below_one_is_rejected_at_parse_time(
+            self, count, capsys, tmp_path):
+        argv = list(self.SMALL)
+        argv[argv.index("--samples") + 1] = count
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
+
+#: rv8 FFET and CFET, and rv8_sram for the macro launch arcs.
+ORACLE_DESIGNS = {
+    "rv8_ffet": (lambda: generate_riscv_core(
+        RiscvConfig(xlen=8, nregs=8, name="rv8")), FlowConfig(seed=0)),
+    "rv8_cfet": (lambda: generate_riscv_core(
+        RiscvConfig(xlen=8, nregs=8, name="rv8")),
+        FlowConfig(seed=0, arch="cfet", back_layers=0,
+                   backside_pin_fraction=0.0)),
+    "rv8_sram": (lambda: generate_rv16_sram(
+        xlen=8, nregs=8, words=16, name="rv8_sram"), FlowConfig(seed=0)),
+}
+
+
+@pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
+def test_blocks_match_the_one_sample_oracle(design):
+    """Every sample of a study that crosses a block boundary equals,
+    bit for bit, the oracle's scaled-copy evaluation of that sample."""
+    factory, config = ORACLE_DESIGNS[design]
+    nominal = nominal_bundle(factory, config)
+    model = VariationModel.for_arch(config.arch)
+    samples = SAMPLE_BLOCK + 6
+    good, bad = run_samples(nominal, config, model, samples, seed=3)
+    assert not bad and len(good) == samples
+    graph = TimingGraph(nominal.netlist, nominal.library)
+    oracle = [evaluate_sample(nominal.netlist, nominal.library,
+                              nominal.extraction, config,
+                              model.draw(3, i), graph=graph)
+              for i in range(samples)]
+    assert bits(good) == bits(oracle)

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from repro.extract import Extraction
 from repro.extract.rc import NetParasitics
-from repro.sta import scale_extraction, scale_extraction_sided
 from repro.variation import (
     CDVariationModel,
     MetalRCVariationModel,
@@ -18,11 +17,13 @@ from repro.variation import (
     VariationModel,
     VariationSample,
     overlay_rc_factor,
-    perturb_extraction,
     mc_corner,
     sample_seed,
     splitmix64,
 )
+
+from .reference.sta import scale_extraction, scale_extraction_sided
+from .reference.variation import perturb_extraction
 
 
 def _net(name="n", wl=1000.0, back=0.0, cap=2.0, res=0.5):
