@@ -7,6 +7,10 @@ targets; the power gain at matched operating frequency (the curves'
 vertical distance).
 """
 
+import functools
+
+import pytest
+
 from repro.core import FlowConfig, PPAResult
 from repro.core.sweeps import frequency_sweep
 
@@ -29,6 +33,12 @@ def run_fig9():
     }
 
 
+@functools.cache
+def fig9_sweeps():
+    """:func:`run_fig9`, run once for both of the figure's claims."""
+    return run_fig9()
+
+
 def _power_at_frequency(points, freq):
     """Linear interpolation of power at a given operating frequency."""
     points = sorted((p.achieved_frequency_ghz, p.total_power_mw)
@@ -45,26 +55,38 @@ def _power_at_frequency(points, freq):
 
 
 def test_fig9_power_frequency(benchmark):
-    sweeps = benchmark.pedantic(run_fig9, rounds=1, iterations=1)
+    sweeps = benchmark.pedantic(fig9_sweeps, rounds=1, iterations=1)
 
     print_header(f"Fig. 9: power-frequency at {UTIL:.0%} utilization")
     print(f"{'target GHz':>11}"
           f"{'CFET f':>9}{'CFET P':>9}{'FFET f':>9}{'FFET P':>9}")
-    cfet_points, ffet_points = [], []
     for i, target in enumerate(FREQ_TARGETS):
         cfet = sweeps["CFET"][i]
         ffet = sweeps["FFET FM12"][i]
         assert isinstance(cfet, PPAResult) and isinstance(ffet, PPAResult)
-        cfet_points.append(cfet)
-        ffet_points.append(ffet)
         print(f"{target:>11.1f}{cfet.achieved_frequency_ghz:>9.2f}"
               f"{cfet.total_power_mw:>9.2f}"
               f"{ffet.achieved_frequency_ghz:>9.2f}"
               f"{ffet.total_power_mw:>9.2f}")
 
-    cfet_fmax = max(p.achieved_frequency_ghz for p in cfet_points)
-    ffet_fmax = max(p.achieved_frequency_ghz for p in ffet_points)
+    cfet_fmax = max(p.achieved_frequency_ghz for p in sweeps["CFET"])
+    ffet_fmax = max(p.achieved_frequency_ghz for p in sweeps["FFET FM12"])
     freq_gain = ffet_fmax / cfet_fmax - 1
+
+    print(f"\nFFET FM12 vs CFET max achieved frequency: {freq_gain:+.1%} "
+          "(paper: +25.0%)")
+
+    assert freq_gain > 0.05          # FFET clearly faster
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3: sizing emits one netlist per design whatever the "
+    "target, so every FFET point lies above the CFET's fmax and no "
+    "frequency is matched"))
+def test_fig9_power_at_matched_frequency(benchmark):
+    sweeps = benchmark.pedantic(fig9_sweeps, rounds=1, iterations=1)
+    cfet_points, ffet_points = sweeps["CFET"], sweeps["FFET FM12"]
+    cfet_fmax = max(p.achieved_frequency_ghz for p in cfet_points)
 
     # Power at matched operating frequency: evaluate the CFET curve at
     # each valid FFET point's frequency (within the overlap).
@@ -74,13 +96,12 @@ def test_fig9_power_frequency(benchmark):
         if f <= cfet_fmax:
             diffs.append(p.total_power_mw / _power_at_frequency(
                 cfet_points, f) - 1)
-    power_gain = sum(diffs) / len(diffs) if diffs else float("nan")
+    assert diffs, (f"no FFET point at or below the CFET's fmax "
+                   f"({cfet_fmax:.2f} GHz): power at matched frequency "
+                   "cannot be evaluated")
+    power_gain = sum(diffs) / len(diffs)
 
-    print(f"\nFFET FM12 vs CFET max achieved frequency: {freq_gain:+.1%} "
-          "(paper: +25.0%)")
-    print(f"FFET FM12 vs CFET power at matched frequency: {power_gain:+.1%} "
+    print(f"\nFFET FM12 vs CFET power at matched frequency: {power_gain:+.1%} "
           "(paper: -11.9%)")
 
-    assert freq_gain > 0.05          # FFET clearly faster
-    if diffs:
-        assert power_gain < 0.02     # no power penalty at iso-frequency
+    assert power_gain < 0.02         # no power penalty at iso-frequency

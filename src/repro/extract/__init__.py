@@ -1,4 +1,4 @@
-"""Dual-sided RC extraction: RC trees, Elmore delay, DEF-based extraction."""
+"""Dual-sided RC extraction: the merged DEF to per-net parasitics."""
 
 from .extract import (
     VIA_RES_KOHM,
@@ -7,22 +7,18 @@ from .extract import (
     estimate_loads,
     estimate_parasitics,
     extract_design,
-    extract_net,
 )
-from .rc import NetParasitics, RCTree, elmore_forest
+from .rc import NetParasitics
 from .spef import SpefNet, parse_spef, write_spef
 
 __all__ = [
     "Extraction",
     "NetParasitics",
-    "RCTree",
     "VIA_RES_KOHM",
     "congestion_derates",
-    "elmore_forest",
     "estimate_loads",
     "estimate_parasitics",
     "extract_design",
-    "extract_net",
     "parse_spef",
     "write_spef",
     "SpefNet",

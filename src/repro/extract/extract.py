@@ -11,25 +11,20 @@ and power (switched capacitance).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..cells import Library
 from ..core.telemetry import current_tracer
-from ..lefdef.def_ import DefDesign, RouteSegment
+from ..lefdef.def_ import DefDesign
 from ..netlist import Netlist
 from ..pnr.placement import Placement, pin_point
-from ..tech import Side, Stackup
-from .rc import NetParasitics, RCTree, elmore_forest
+from ..tech import Stackup
+from .rc import NetParasitics
 
 #: Resistance of one via cut between adjacent metal levels, kOhm.
 VIA_RES_KOHM = 0.035
-
-
-def _layer_level(layer_name: str) -> int:
-    return int(layer_name[2:])
 
 
 @dataclass
@@ -91,139 +86,201 @@ def _net_pins(netlist: Netlist, library: Library, net_name: str,
     return net.driver, sinks
 
 
-@dataclass
-class _NetBuild:
-    """One net's RC tree plus everything needed to finalize it."""
-
-    net: str
-    tree: RCTree
-    sink_keys: dict[tuple[str, str], tuple]
-    pin_cap_total: float
-    wire_res: float
-    wirelength: float
-    back_wirelength: float
-    via_count: int
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each of consecutive runs of ``counts`` items starts."""
+    return np.cumsum(counts) - counts
 
 
-def _prepare_net(net_name: str, segments: list[RouteSegment],
-                 stackup: Stackup, driver_xy: tuple[float, float] | None,
-                 sinks: list[tuple[str, str, float, tuple[float, float]]],
-                 rc_scale: float = 1.0) -> _NetBuild:
-    """Build one net's RC tree (everything except the Elmore solve)."""
-    root = ("root",)
-    tree = RCTree(root=root)
-
-    endpoints: list[tuple[float, float]] = []
-    wirelength = 0.0
-    back_wirelength = 0.0
-    via_count = 0
-    max_level = 0
-    for seg in segments:
-        layer = stackup[seg.layer]
-        max_level = max(max_level, layer.index)
-        length_um = seg.length_nm / 1000.0
-        wirelength += seg.length_nm
-        if seg.layer.startswith("BM"):
-            back_wirelength += seg.length_nm
-        r = layer.resistance_kohm_per_um * length_um * rc_scale
-        c = layer.capacitance_ff_per_um * length_um * rc_scale
-        a = (round(seg.x1_nm), round(seg.y1_nm))
-        b = (round(seg.x2_nm), round(seg.y2_nm))
-        tree.add_cap(a, c / 2.0)
-        tree.add_cap(b, c / 2.0)
-        if a != b:
-            tree.add_edge(a, b, max(r, 1e-6))
-        endpoints.append((seg.x1_nm, seg.y1_nm))
-        endpoints.append((seg.x2_nm, seg.y2_nm))
-
-    if len(endpoints) >= 32:
-        # Vectorized nearest-endpoint search, worthwhile only on nets
-        # with many segments.  ``np.argmin`` returns the first minimum,
-        # exactly like the scalar ``min`` over indices, and the
-        # Manhattan distances are the same IEEE-754 expressions — so
-        # both paths pick the same endpoint at any threshold.
-        ex = np.array([e[0] for e in endpoints])
-        ey = np.array([e[1] for e in endpoints])
-
-        def nearest(xy: tuple[float, float]):
-            best = int(np.argmin(np.abs(ex - xy[0]) + np.abs(ey - xy[1])))
-            e = endpoints[best]
-            return (round(e[0]), round(e[1]))
-    else:
-        def nearest(xy: tuple[float, float]):
-            if not endpoints:
-                return None
-            best = min(
-                range(len(endpoints)),
-                key=lambda i: abs(endpoints[i][0] - xy[0]) + abs(endpoints[i][1] - xy[1]),
-            )
-            e = endpoints[best]
-            return (round(e[0]), round(e[1]))
-
-    # Via stack from the pins (M0) up to the routing tier.
-    stack_r = VIA_RES_KOHM * max(max_level, 1) if segments else 0.0
-
-    if driver_xy is not None and endpoints:
-        tree.add_edge(root, nearest(driver_xy), stack_r)
-
-    sink_keys: dict[tuple[str, str], tuple] = {}
-    pin_cap_total = 0.0
-    for i, (inst, pin, cap, xy) in enumerate(sinks):
-        pin_cap_total += cap
-        key = ("sink", i)
-        attach = nearest(xy) if endpoints else root
-        tree.add_edge(attach if attach is not None else root, key, stack_r)
-        tree.add_cap(key, cap)
-        sink_keys[(inst, pin)] = key
-        via_count += max_level if segments else 0
-
-    wire_res = rc_scale * sum(
-        stackup[seg.layer].resistance_kohm_per_um * seg.length_nm / 1000.0
-        for seg in segments
-    )
-    return _NetBuild(
-        net=net_name,
-        tree=tree,
-        sink_keys=sink_keys,
-        pin_cap_total=pin_cap_total,
-        wire_res=wire_res,
-        wirelength=wirelength,
-        back_wirelength=back_wirelength,
-        via_count=via_count,
-    )
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(start, start + count)`` per (start, count)."""
+    return np.arange(int(counts.sum())) \
+        + np.repeat(starts - _starts(counts), counts)
 
 
-def _finalize_net(build: _NetBuild, delays: dict) -> NetParasitics:
-    """Turn a built tree plus its Elmore solution into parasitics."""
-    sink_elmore = {}
-    for (inst, pin), key in build.sink_keys.items():
-        sink_elmore[(inst, pin)] = delays.get(key, 0.0)
-    wire_cap = build.tree.total_cap_ff - build.pin_cap_total
-    return NetParasitics(
-        net=build.net,
-        wire_cap_ff=wire_cap,
-        wire_res_kohm=build.wire_res,
-        pin_cap_ff=build.pin_cap_total,
-        sink_elmore_ps=sink_elmore,
-        wirelength_nm=build.wirelength,
-        via_count=build.via_count,
-        back_wirelength_nm=build.back_wirelength,
-    )
+def _net_sums(n_nets: int, net: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-net totals, added left to right from 0.0 in index order.
 
-
-def extract_net(net_name: str, segments: list[RouteSegment],
-                stackup: Stackup, driver_xy: tuple[float, float] | None,
-                sinks: list[tuple[str, str, float, tuple[float, float]]],
-                rc_scale: float = 1.0) -> NetParasitics:
-    """Extract one net from its routed segments.
-
-    ``sinks`` rows are (instance, pin, pin cap, (x, y)).  ``rc_scale``
-    derates wire R and C for congestion (detailed-routing detours and
-    coupling in crowded regions).
+    ``np.add.at`` applies its updates one at a time in index order, so
+    each total is the plain loop's; ``np.sum`` and ``np.add.reduceat``
+    add pairwise, and ``builtins.sum`` is compensated on Python >= 3.12.
     """
-    build = _prepare_net(net_name, segments, stackup, driver_xy, sinks,
-                         rc_scale)
-    return _finalize_net(build, build.tree.elmore_ps())
+    out = np.zeros(n_nets)
+    np.add.at(out, net, values)
+    return out
+
+
+def _extract_nets(stackup: Stackup, nets: list[tuple]
+                  ) -> tuple[list[NetParasitics], int]:
+    """Extract many nets as one flat RC forest, solved in one pass.
+
+    ``nets`` rows are ``(name, segments, driver_xy, sinks, rc_scale)``,
+    with ``sinks`` rows ``(instance, pin, pin cap, (x, y))``; ``rc_scale``
+    derates wire R and C for congestion.  Returns the parasitics in
+    input order and the number of RC nodes.
+
+    A net's nodes are its root (the driver), its segment endpoints
+    rounded to the nm grid in order of first appearance, then one node
+    per sink.  Each segment puts half its capacitance on either end and,
+    if the ends differ, its resistance between them.  The driver and
+    each sink hang off the endpoint nearest to their pin (the first
+    minimum of the Manhattan distance) through the via stack from M0 to
+    the net's top level; without segments the sinks hang off the root.
+    Elmore delay runs over the BFS spanning forest from the roots, so
+    loops are tolerated; a sink the root cannot reach reads 0.0.
+    """
+    n_nets = len(nets)
+    layers = list(stackup)
+    layer_id = {layer.name: i for i, layer in enumerate(layers)}
+    lay_r = np.array([layer.resistance_kohm_per_um for layer in layers])
+    lay_c = np.array([layer.capacitance_ff_per_um for layer in layers])
+    lay_level = np.array([layer.index for layer in layers], dtype=np.intp)
+    lay_back = np.array([layer.name.startswith("BM") for layer in layers])
+
+    # -- per segment ---------------------------------------------------
+    n_seg = np.array([len(net[1]) for net in nets], dtype=np.intp)
+    scale = np.array([net[4] for net in nets], dtype=float)
+    segs = [seg for net in nets for seg in net[1]]
+    seg_net = np.repeat(np.arange(n_nets), n_seg)
+    seg_layer = np.array([layer_id[seg.layer] for seg in segs], dtype=np.intp)
+    xy = np.array([(seg.x1_nm, seg.y1_nm, seg.x2_nm, seg.y2_nm)
+                   for seg in segs], dtype=float).reshape(-1, 4)
+    length = np.abs(xy[:, 2] - xy[:, 0]) + np.abs(xy[:, 3] - xy[:, 1])
+    length_um = length / 1000.0
+    r = lay_r[seg_layer] * length_um * scale[seg_net]
+    c = lay_c[seg_layer] * length_um * scale[seg_net]
+
+    wirelength = _net_sums(n_nets, seg_net, length)
+    back = lay_back[seg_layer]
+    back_wirelength = _net_sums(n_nets, seg_net[back], length[back])
+    wire_res = scale * _net_sums(n_nets, seg_net,
+                                 lay_r[seg_layer] * length / 1000.0)
+    max_level = np.zeros(n_nets, dtype=np.intp)
+    np.maximum.at(max_level, seg_net, lay_level[seg_layer])
+    # Via stack from the pins (M0) up to the routing tier.
+    stack_r = np.where(n_seg > 0, VIA_RES_KOHM * np.maximum(max_level, 1), 0.0)
+
+    # -- nodes ---------------------------------------------------------
+    # Endpoints a0, b0, a1, b1, ...; one node per distinct rounded point
+    # of a net, numbered by first appearance (the stable sort keeps the
+    # first occurrence at the head of each run).
+    ex, ey = xy[:, 0::2].ravel(), xy[:, 1::2].ravel()
+    ep_net = np.repeat(seg_net, 2)
+    rx, ry = np.round(ex).astype(np.int64), np.round(ey).astype(np.int64)
+    order = np.lexsort((ry, rx, ep_net))
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = ((np.diff(ep_net[order]) != 0) | (np.diff(rx[order]) != 0)
+                | (np.diff(ry[order]) != 0))
+    first = order[head]
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    ep_group = np.empty(len(order), dtype=np.intp)
+    ep_group[order] = rank[np.cumsum(head) - 1]
+    n_points = np.bincount(ep_net[first], minlength=n_nets)
+
+    sinks = [sink for net in nets for sink in net[3]]
+    n_sink = np.array([len(net[3]) for net in nets], dtype=np.intp)
+    sink_net = np.repeat(np.arange(n_nets), n_sink)
+    sink_cap = np.array([sink[2] for sink in sinks], dtype=float)
+    sink_xy = np.array([sink[3] for sink in sinks], dtype=float).reshape(-1, 2)
+
+    per_net = 1 + n_points + n_sink
+    root = _starts(per_net)
+    n_nodes = int(per_net.sum())
+    ep_node = ep_group + (root + 1 - _starts(n_points))[ep_net]
+    sink_node = np.arange(len(sinks)) \
+        + (root + 1 + n_points - _starts(n_sink))[sink_net]
+
+    cap = np.zeros(n_nodes)
+    np.add.at(cap, ep_node, np.repeat(c / 2.0, 2))
+    np.add.at(cap, sink_node, sink_cap)
+    node_net = np.repeat(np.arange(n_nets), per_net)
+    pin_cap = _net_sums(n_nets, sink_net, sink_cap)
+    wire_cap = _net_sums(n_nets, node_net, cap) - pin_cap
+
+    # -- nearest endpoint of every driver and sink ---------------------
+    has_driver = np.array([net[2] is not None for net in nets], dtype=bool)
+    drv_net = np.flatnonzero(has_driver & (n_seg > 0))
+    drv_xy = np.array([nets[i][2] for i in drv_net.tolist()],
+                      dtype=float).reshape(-1, 2)
+    wired = np.flatnonzero(n_seg[sink_net] > 0)
+    pin_net = np.concatenate([drv_net, sink_net[wired]])
+    pin_xy = np.concatenate([drv_xy, sink_xy[wired]])
+    counts = 2 * n_seg[pin_net]
+    cand = _ranges(2 * _starts(n_seg)[pin_net], counts)
+    pair_pin = np.repeat(np.arange(len(pin_net)), counts)
+    dist = np.abs(ex[cand] - pin_xy[pair_pin, 0]) \
+        + np.abs(ey[cand] - pin_xy[pair_pin, 1])
+    attach = np.empty(len(pin_net), dtype=np.intp)
+    if len(dist):
+        least = np.minimum.reduceat(dist, _starts(counts))
+        hit = np.flatnonzero(dist == least[pair_pin])
+        lead = np.ones(len(hit), dtype=bool)
+        lead[1:] = pair_pin[hit[1:]] != pair_pin[hit[:-1]]
+        attach = ep_node[cand[hit[lead]]]
+    sink_attach = root[sink_net]
+    sink_attach[wired] = attach[len(drv_net):]
+
+    # -- edges, adjacency in insertion order ---------------------------
+    a_node, b_node = ep_node[0::2], ep_node[1::2]
+    wire = a_node != b_node
+    src = np.concatenate([a_node[wire], root[drv_net], sink_attach])
+    dst = np.concatenate([b_node[wire], attach[:len(drv_net)], sink_node])
+    res = np.concatenate([np.maximum(r[wire], 1e-6), stack_r[drv_net],
+                          stack_r[sink_net]])
+    half_src = np.stack([src, dst], axis=1).ravel()
+    by_src = np.argsort(half_src, kind="stable")
+    adj_src = half_src[by_src]
+    adj_dst = np.stack([dst, src], axis=1).ravel()[by_src]
+    adj_res = np.repeat(res, 2)[by_src]
+    degree = np.bincount(half_src, minlength=n_nodes)
+    adj_start = _starts(degree)
+
+    # -- BFS from every root at once, one level per step ---------------
+    # A level keeps the first occurrence of each newly reached node:
+    # the parents and discovery order of a FIFO BFS per net.
+    parent = np.full(n_nodes, -1, dtype=np.intp)
+    edge_res = np.zeros(n_nodes)
+    seen = np.zeros(n_nodes, dtype=bool)
+    seen[root] = True
+    levels = []
+    frontier = root
+    while True:
+        pos = _ranges(adj_start[frontier], degree[frontier])
+        pos = pos[~seen[adj_dst[pos]]]
+        if not len(pos):
+            break
+        _, firsts = np.unique(adj_dst[pos], return_index=True)
+        pos = pos[np.sort(firsts)]
+        frontier = adj_dst[pos]
+        seen[frontier] = True
+        parent[frontier] = adj_src[pos]
+        edge_res[frontier] = adj_res[pos]
+        levels.append(frontier)
+
+    # -- Elmore: subtree caps bottom-up, delays top-down ---------------
+    with current_tracer().span("kernel.extract.elmore"):
+        sub = cap.copy()
+        for level in reversed(levels):
+            np.add.at(sub, parent[level], sub[level])
+        delay = np.zeros(n_nodes)
+        for level in levels:
+            delay[level] = delay[parent[level]] \
+                + edge_res[level] * sub[level]
+
+    keys = [(sink[0], sink[1]) for sink in sinks]
+    taps = delay[sink_node].tolist()
+    out, k = [], 0
+    for net, wc, wr, pc, wl, bwl, vias in zip(
+            nets, wire_cap.tolist(), wire_res.tolist(), pin_cap.tolist(),
+            wirelength.tolist(), back_wirelength.tolist(),
+            (n_sink * max_level).tolist()):
+        end = k + len(net[3])
+        out.append(NetParasitics(
+            net=net[0], wire_cap_ff=wc, wire_res_kohm=wr, pin_cap_ff=pc,
+            sink_elmore_ps=dict(zip(keys[k:end], taps[k:end])),
+            wirelength_nm=wl, via_count=vias, back_wirelength_nm=bwl))
+        k = end
+    return out, n_nodes
 
 
 def extract_design(merged: DefDesign, netlist: Netlist, library: Library,
@@ -234,12 +291,10 @@ def extract_design(merged: DefDesign, netlist: Netlist, library: Library,
     ``rc_derates`` maps net names to congestion derate factors >= 1
     (see :func:`congestion_derates`).
     """
-    stackup = library.tech.stackup
-    extraction = Extraction()
     rc_derates = rc_derates or {}
     tracer = current_tracer()
     cap_memo: dict[tuple[str, str], float] = {}
-    builds: list[_NetBuild] = []
+    nets = []
     for net_name in netlist.nets:
         driver, sink_pins = _net_pins(netlist, library, net_name, cap_memo)
         if driver is not None:
@@ -254,23 +309,13 @@ def extract_design(merged: DefDesign, netlist: Netlist, library: Library,
             master = library[netlist.instances[inst].master]
             p = pin_point(placement, master, inst, pin)
             sinks.append((inst, pin, cap, (p.x_nm, p.y_nm)))
-        segments = merged.nets.get(net_name, [])
-        builds.append(_prepare_net(
-            net_name, segments, stackup, driver_xy, sinks,
-            rc_scale=rc_derates.get(net_name, 1.0),
-        ))
-    # Elmore solve: one batched pass over the whole forest, bit-equal
-    # to the per-tree RCTree.elmore_ps that extract_net uses.
-    with tracer.span("kernel.extract.elmore"):
-        all_delays = elmore_forest(
-            [b.tree for b in builds],
-            wanted=[list(b.sink_keys.values()) for b in builds])
-    for build, delays in zip(builds, all_delays):
-        extraction.nets[build.net] = _finalize_net(build, delays)
+        nets.append((net_name, merged.nets.get(net_name, []), driver_xy,
+                     sinks, rc_derates.get(net_name, 1.0)))
+    parasitics, n_nodes = _extract_nets(library.tech.stackup, nets)
+    extraction = Extraction({p.net: p for p in parasitics})
     if tracer.enabled:
-        tracer.count("kernel.extract.nets", len(builds))
-        tracer.count("kernel.extract.nodes",
-                     sum(len(b.tree.cap_ff) for b in builds))
+        tracer.count("kernel.extract.nets", len(nets))
+        tracer.count("kernel.extract.nodes", n_nodes)
         tracer.gauge("extract.nets", len(extraction.nets))
         tracer.gauge("extract.derated_nets", len(rc_derates))
         tracer.gauge("extract.total_wire_cap_ff", extraction.total_wire_cap_ff)
@@ -328,7 +373,9 @@ def estimate_parasitics(netlist: Netlist, library: Library,
             length_um = fanout_length_um * max(len(sink_pins), 1)
         wire_cap = cap_per_um_ff * length_um
         wire_res = res_per_um_kohm * length_um
-        pin_cap = sum(cap for _i, _p, cap in sink_pins)
+        pin_cap = 0.0
+        for _inst, _pin, cap in sink_pins:
+            pin_cap += cap
         # Lumped-pi estimate: every sink sees half the wire RC.
         elmore = 0.5 * wire_res * (wire_cap + pin_cap)
         extraction.nets[net_name] = NetParasitics(

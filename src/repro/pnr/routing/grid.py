@@ -73,14 +73,6 @@ class RoutingGrid:
     def center_of(self, col: int, row: int) -> tuple[float, float]:
         return ((col + 0.5) * self.gcell_nm, (row + 0.5) * self.gcell_nm)
 
-    @property
-    def horizontal_layers(self) -> list[Layer]:
-        return [l for l in self.layers if l.direction.value == "H"]
-
-    @property
-    def vertical_layers(self) -> list[Layer]:
-        return [l for l in self.layers if l.direction.value == "V"]
-
     def total_capacity(self) -> float:
         return float(self.cap_h.sum() + self.cap_v.sum())
 
@@ -106,15 +98,24 @@ def build_grid(tech: TechNode, die: Die, side: Side, powerplan: PowerPlan,
         raw = gcell_nm / layer.pitch_nm
         return raw * powerplan.capacity_factor(layer.name) * GLOBAL_ROUTING_EFFICIENCY
 
-    h_total = sum(layer_tracks(l) for l in grid.horizontal_layers)
-    v_total = sum(layer_tracks(l) for l in grid.vertical_layers)
-    # Tracks on the two lowest layers, the ones pins eat into.
-    low_layers = layers[:2]
-    h_low = sum(layer_tracks(l) for l in low_layers if l.direction.value == "H")
-    v_low = sum(layer_tracks(l) for l in low_layers if l.direction.value == "V")
+    # Track totals per direction, and on the two lowest layers (the ones
+    # pins eat into), added left to right: builtins.sum over floats is a
+    # compensated sum on Python >= 3.12, which would make the grid
+    # depend on the interpreter.
+    h_total = v_total = h_low = v_low = 0.0
+    for i, layer in enumerate(layers):
+        tracks = layer_tracks(layer)
+        if layer.direction.value == "H":
+            h_total += tracks
+            if i < 2:
+                h_low += tracks
+        elif layer.direction.value == "V":
+            v_total += tracks
+            if i < 2:
+                v_low += tracks
 
-    node_h = np.full((rows, cols), float(h_total))
-    node_v = np.full((rows, cols), float(v_total))
+    node_h = np.full((rows, cols), h_total)
+    node_v = np.full((rows, cols), v_total)
     if pin_counts is not None:
         if pin_counts.shape != (rows, cols):
             raise ValueError(

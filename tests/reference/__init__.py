@@ -8,14 +8,15 @@ can either compare the two or swap the oracle in:
 * :func:`routing.dist_field` (Dijkstra) for
   ``repro.pnr.routing.router._dist_field``;
 * :func:`sta.propagate_comb` for ``repro.sta.sta._propagate_comb``;
-* :func:`power.power_sums` for ``repro.power.power._power_sums``.
+* :func:`power.power_sums` for ``repro.power.power._power_sums``;
+* :func:`extract.extract_nets` (one :class:`extract.RCTree` per net)
+  for ``repro.extract.extract._extract_nets``.
 
 The oracles perform every floating-point operation in the same order as
 the kernels, so they agree bit-for-bit (tests/test_kernel_equivalence.py
 and the reference-patched golden case in tests/test_golden_regression.py
-pin that).  The other two kernels keep their scalar form in ``src/``
-because production still calls it: ``RCTree.elmore_ps`` (single-net
-extraction) and ``LookupTable.__call__`` (clock-tree arcs).
+pin that).  Only ``LookupTable.__call__`` keeps its scalar form in
+``src/``, because production still calls it (clock-tree arcs).
 
 :mod:`variation` is the Monte-Carlo oracle: one sample at a time on a
 scaled copy of the extraction (:func:`sta.scale_extraction_sided`),
@@ -24,7 +25,7 @@ where the engine times a block of samples as rows of one propagation.
 
 from __future__ import annotations
 
-from . import placement, power, routing, sta, variation
+from . import extract, placement, power, routing, sta, variation
 
 
 def install(monkeypatch) -> None:
@@ -35,3 +36,5 @@ def install(monkeypatch) -> None:
                         routing.dist_field)
     monkeypatch.setattr("repro.sta.sta._propagate_comb", sta.propagate_comb)
     monkeypatch.setattr("repro.power.power._power_sums", power.power_sums)
+    monkeypatch.setattr("repro.extract.extract._extract_nets",
+                        extract.extract_nets)

@@ -1,0 +1,204 @@
+"""Scalar oracle for extraction: one RC graph per net, solved per net.
+
+:class:`RCTree` is a dict graph with one Python call per segment end;
+:func:`extract_net` builds one net's tree from its routed segments and
+solves it with :meth:`RCTree.elmore_ps`.  :func:`extract_nets` has the
+signature of ``repro.extract.extract._extract_nets``, which builds every
+net's RC forest as flat arrays and solves it in one pass.
+
+Every floating-point operation happens in the kernel's order.  The
+per-net totals add left to right from 0.0 in explicit loops, because
+``builtins.sum`` over floats is a compensated sum on Python >= 3.12.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Hashable
+
+from repro.extract.extract import VIA_RES_KOHM
+from repro.extract.rc import NetParasitics
+
+
+@dataclass
+class RCTree:
+    """A grounded-capacitance RC network rooted at the driver node.
+
+    Built as a graph; loops (overlapping route segments) are tolerated —
+    Elmore evaluation uses a BFS spanning tree from the root, which is
+    the standard conservative treatment.
+    """
+
+    root: Hashable
+    cap_ff: dict[Hashable, float] = field(default_factory=dict)
+    adj: dict[Hashable, list[tuple[Hashable, float]]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.cap_ff.setdefault(self.root, 0.0)
+        self.adj.setdefault(self.root, [])
+
+    def add_node(self, node: Hashable, cap_ff: float = 0.0) -> None:
+        self.cap_ff[node] = self.cap_ff.get(node, 0.0) + cap_ff
+        self.adj.setdefault(node, [])
+
+    def add_cap(self, node: Hashable, cap_ff: float) -> None:
+        self.add_node(node, cap_ff)
+
+    def add_edge(self, a: Hashable, b: Hashable, res_kohm: float) -> None:
+        self.add_node(a)
+        self.add_node(b)
+        self.adj[a].append((b, res_kohm))
+        self.adj[b].append((a, res_kohm))
+
+    @property
+    def total_cap_ff(self) -> float:
+        total = 0.0
+        for cap in self.cap_ff.values():
+            total += cap
+        return total
+
+    def spanning_tree(self) -> dict[Hashable, tuple[Hashable, float]]:
+        """BFS parents: node -> (parent, edge resistance)."""
+        parents: dict[Hashable, tuple[Hashable, float]] = {}
+        seen = {self.root}
+        queue = deque([self.root])
+        while queue:
+            node = queue.popleft()
+            for neighbor, res in self.adj[node]:
+                if neighbor in seen:
+                    continue
+                seen.add(neighbor)
+                parents[neighbor] = (node, res)
+                queue.append(neighbor)
+        return parents
+
+    def elmore_ps(self) -> dict[Hashable, float]:
+        """Elmore delay (ps) from the root to every reachable node."""
+        parents = self.spanning_tree()
+        children: dict[Hashable, list[Hashable]] = {}
+        for node, (parent, _res) in parents.items():
+            children.setdefault(parent, []).append(node)
+
+        # Post-order subtree capacitance.
+        subtree_cap: dict[Hashable, float] = {}
+        order: list[Hashable] = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(children.get(node, ()))
+        for node in reversed(order):
+            cap = self.cap_ff.get(node, 0.0)
+            for child in children.get(node, ()):
+                cap += subtree_cap[child]
+            subtree_cap[node] = cap
+
+        # Pre-order delay accumulation.
+        delay: dict[Hashable, float] = {self.root: 0.0}
+        for node in order:
+            for child in children.get(node, ()):
+                _parent, res = parents[child]
+                delay[child] = delay[node] + res * subtree_cap[child]
+        return delay
+
+    def is_connected(self, node: Hashable) -> bool:
+        if node == self.root:
+            return True
+        return node in self.spanning_tree()
+
+
+def net_tree(net_name, segments, stackup, driver_xy, sinks,
+             rc_scale=1.0) -> tuple[NetParasitics, RCTree]:
+    """One net's RC tree and the parasitics solved from it."""
+    root = ("root",)
+    tree = RCTree(root=root)
+
+    endpoints: list[tuple[float, float]] = []
+    wirelength = 0.0
+    back_wirelength = 0.0
+    wire_res = 0.0
+    max_level = 0
+    for seg in segments:
+        layer = stackup[seg.layer]
+        max_level = max(max_level, layer.index)
+        length_um = seg.length_nm / 1000.0
+        wirelength += seg.length_nm
+        if seg.layer.startswith("BM"):
+            back_wirelength += seg.length_nm
+        wire_res += layer.resistance_kohm_per_um * seg.length_nm / 1000.0
+        r = layer.resistance_kohm_per_um * length_um * rc_scale
+        c = layer.capacitance_ff_per_um * length_um * rc_scale
+        a = (round(seg.x1_nm), round(seg.y1_nm))
+        b = (round(seg.x2_nm), round(seg.y2_nm))
+        tree.add_cap(a, c / 2.0)
+        tree.add_cap(b, c / 2.0)
+        if a != b:
+            tree.add_edge(a, b, max(r, 1e-6))
+        endpoints.append((seg.x1_nm, seg.y1_nm))
+        endpoints.append((seg.x2_nm, seg.y2_nm))
+    wire_res = rc_scale * wire_res
+
+    def nearest(xy):
+        """The rounded endpoint at the first minimum Manhattan distance."""
+        best = min(
+            range(len(endpoints)),
+            key=lambda i: abs(endpoints[i][0] - xy[0]) + abs(endpoints[i][1] - xy[1]),
+        )
+        e = endpoints[best]
+        return (round(e[0]), round(e[1]))
+
+    # Via stack from the pins (M0) up to the routing tier.
+    stack_r = VIA_RES_KOHM * max(max_level, 1) if segments else 0.0
+
+    if driver_xy is not None and endpoints:
+        tree.add_edge(root, nearest(driver_xy), stack_r)
+
+    sink_keys: dict[tuple[str, str], tuple] = {}
+    pin_cap = 0.0
+    for i, (inst, pin, cap, xy) in enumerate(sinks):
+        pin_cap += cap
+        key = ("sink", i)
+        tree.add_edge(nearest(xy) if endpoints else root, key, stack_r)
+        tree.add_cap(key, cap)
+        sink_keys[(inst, pin)] = key
+
+    delays = tree.elmore_ps()
+    parasitics = NetParasitics(
+        net=net_name,
+        wire_cap_ff=tree.total_cap_ff - pin_cap,
+        wire_res_kohm=wire_res,
+        pin_cap_ff=pin_cap,
+        sink_elmore_ps={pin: delays.get(key, 0.0)
+                        for pin, key in sink_keys.items()},
+        wirelength_nm=wirelength,
+        via_count=len(sinks) * max_level,
+        back_wirelength_nm=back_wirelength,
+    )
+    return parasitics, tree
+
+
+def extract_net(net_name, segments, stackup, driver_xy, sinks,
+                rc_scale=1.0) -> NetParasitics:
+    """Extract one net from its routed segments.
+
+    ``sinks`` rows are (instance, pin, pin cap, (x, y)).  ``rc_scale``
+    derates wire R and C for congestion.
+    """
+    return net_tree(net_name, segments, stackup, driver_xy, sinks,
+                    rc_scale)[0]
+
+
+def extract_nets(stackup, nets) -> tuple[list[NetParasitics], int]:
+    """One :func:`net_tree` per net.
+
+    Same signature and result as ``repro.extract.extract._extract_nets``:
+    the parasitics in input order and the total RC node count.
+    """
+    out, nodes = [], 0
+    for name, segments, driver_xy, sinks, rc_scale in nets:
+        parasitics, tree = net_tree(name, segments, stackup, driver_xy,
+                                    sinks, rc_scale)
+        out.append(parasitics)
+        nodes += len(tree.cap_ff)
+    return out, nodes

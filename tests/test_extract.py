@@ -2,9 +2,20 @@
 
 import pytest
 
-from repro.extract import RCTree, estimate_parasitics, extract_net
+from repro.extract import estimate_parasitics
+from repro.extract.extract import _extract_nets
 from repro.lefdef import RouteSegment
 from repro.tech import build_stackup
+
+from .reference.extract import RCTree, extract_net
+
+
+def extract_one(net_name, segments, stackup, driver_xy, sinks, rc_scale=1.0):
+    """One net through the production seam, with ``extract_net``'s
+    signature."""
+    parasitics, _nodes = _extract_nets(
+        stackup, [(net_name, segments, driver_xy, sinks, rc_scale)])
+    return parasitics[0]
 
 
 class TestRCTree:
@@ -60,13 +71,17 @@ class TestRCTree:
 
 
 class TestExtractNet:
+    """Physics of one net, through the production seam."""
+
+    extract_net = staticmethod(extract_one)
+
     @pytest.fixture(scope="class")
     def stackup(self):
         return build_stackup("ffet")
 
     def test_simple_net(self, stackup):
         segments = [RouteSegment("FM2", 0.0, 0.0, 1000.0, 0.0)]
-        parasitics = extract_net(
+        parasitics = self.extract_net(
             "n", segments, stackup, driver_xy=(0.0, 0.0),
             sinks=[("u1", "A", 0.25, (1000.0, 0.0))],
         )
@@ -80,7 +95,7 @@ class TestExtractNet:
 
     def test_far_sink_slower(self, stackup):
         segments = [RouteSegment("FM2", 0.0, 0.0, 2000.0, 0.0)]
-        parasitics = extract_net(
+        parasitics = self.extract_net(
             "n", segments, stackup, (0.0, 0.0),
             [("near", "A", 0.2, (0.0, 0.0)),
              ("far", "A", 0.2, (2000.0, 0.0))],
@@ -89,8 +104,8 @@ class TestExtractNet:
             parasitics.elmore_to("near", "A")
 
     def test_no_segments_zero_wire(self, stackup):
-        parasitics = extract_net("n", [], stackup, (0.0, 0.0),
-                                 [("u1", "A", 0.3, (10.0, 10.0))])
+        parasitics = self.extract_net("n", [], stackup, (0.0, 0.0),
+                                      [("u1", "A", 0.3, (10.0, 10.0))])
         assert parasitics.wire_cap_ff == 0.0
         assert parasitics.total_cap_ff == pytest.approx(0.3)
 
@@ -99,18 +114,24 @@ class TestExtractNet:
             RouteSegment("FM2", 0.0, 0.0, 1000.0, 0.0),
             RouteSegment("BM2", 0.0, 0.0, 1000.0, 0.0),
         ]
-        parasitics = extract_net("n", segments, stackup, (0.0, 0.0), [])
-        single = extract_net(
+        parasitics = self.extract_net("n", segments, stackup, (0.0, 0.0), [])
+        single = self.extract_net(
             "n", segments[:1], stackup, (0.0, 0.0), [])
         assert parasitics.wire_cap_ff == pytest.approx(
             2 * single.wire_cap_ff, rel=1e-6)
 
     def test_higher_layer_less_resistive(self, stackup):
-        lo = extract_net("n", [RouteSegment("FM2", 0, 0, 1000, 0)],
-                         stackup, (0, 0), [])
-        hi = extract_net("n", [RouteSegment("FM12", 0, 0, 1000, 0)],
-                         stackup, (0, 0), [])
+        lo = self.extract_net("n", [RouteSegment("FM2", 0, 0, 1000, 0)],
+                              stackup, (0, 0), [])
+        hi = self.extract_net("n", [RouteSegment("FM12", 0, 0, 1000, 0)],
+                              stackup, (0, 0), [])
         assert hi.wire_res_kohm < lo.wire_res_kohm / 10
+
+
+class TestExtractNetOracle(TestExtractNet):
+    """The same physics through the per-net oracle."""
+
+    extract_net = staticmethod(extract_net)
 
 
 class TestEstimateParasitics:

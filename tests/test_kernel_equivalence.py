@@ -1,8 +1,8 @@
 """Numeric-equivalence harness: every hot kernel against its oracle.
 
-Each vectorized kernel in ``src/`` has a scalar oracle, either in
-``src/`` itself (where production still calls it) or in
-``tests/reference/``; this suite pins their agreement with
+Each vectorized kernel in ``src/`` has a scalar oracle, in
+``tests/reference/`` or, for NLDM interpolation, in ``src/`` itself
+(production still calls it); this suite pins their agreement with
 property-based tests.
 
 Tolerance policy (also in docs/performance.md): kernel and oracle are
@@ -12,8 +12,11 @@ ULP everywhere**:
 
 * **NLDM interpolation** — :class:`TableStack` vs scalar
   :class:`LookupTable` calls: bit-equal;
-* **Elmore delay** — :func:`elmore_forest` vs per-tree
-  :meth:`RCTree.elmore_ps`: bit-equal;
+* **extraction** — ``repro.extract.extract._extract_nets`` (one flat RC
+  forest, one Elmore pass) vs one ``RCTree`` per net
+  (``tests/reference/extract.py``): every ``NetParasitics`` field, the
+  sink order and the node count bit-equal, on random nets and on whole
+  routed designs;
 * **maze routing** — min-plus sweeps and the Dijkstra oracle settle the
   same shortest-distance field (unique fixed point under strictly
   positive costs), so the deterministic backtrack gives identical
@@ -33,14 +36,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cells import LookupTable
-from repro.extract.rc import RCTree, elmore_forest
+from repro.core import FlowConfig, Tracer, telemetry
+from repro.core.flow import run_flow
+from repro.extract import congestion_derates, extract_design
+from repro.extract import extract as extract_mod
+from repro.lefdef import RouteSegment
 from repro.pnr import FloorplanSpec, global_place, plan_floor
 from repro.pnr import placement as placement_mod
 from repro.pnr.routing import router as router_mod
 from repro.pnr.routing.grid import RoutingGrid
 from repro.pnr.routing.router import GlobalRouter, NetSpec
 from repro.sta.nldm import TableStack
-from repro.tech import Side
+from repro.synth import RiscvConfig, generate_riscv_core, generate_rv16_sram
+from repro.tech import Side, build_stackup
 
 from . import reference
 
@@ -112,46 +120,97 @@ class TestNldmStackEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Elmore delay over RC forests
+# Extraction: the flat RC forest against one RC graph per net
 # ---------------------------------------------------------------------------
+STACKUPS = {arch: build_stackup(arch) for arch in ("ffet", "cfet")}
+
+#: Coordinates on a coarse grid with offsets around the half-nm, so
+#: distinct points round onto one node (half to even) and pins sit at
+#: equal distances from several endpoints.
+coords = st.builds(lambda k, f: 40.0 * k + f, st.integers(0, 3),
+                   st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.5, 2.5, -0.5]))
+points = st.tuples(coords, coords)
+
+
 @st.composite
-def rc_trees(draw):
-    n = draw(st.integers(1, 25))
-    tree = RCTree(root=0)
-    tree.add_cap(0, draw(st.floats(0.0, 5.0)))
-    for i in range(1, n):
-        parent = draw(st.integers(0, i - 1))
-        tree.add_edge(parent, i, draw(st.floats(1e-6, 3.0)))
-        tree.add_cap(i, draw(st.floats(0.0, 5.0)))
-    if n > 3 and draw(st.booleans()):
-        # A loop edge: Elmore must fall back to the BFS spanning tree.
-        tree.add_edge(0, n - 1, draw(st.floats(1e-6, 3.0)))
-    return tree
+def routed_nets(draw):
+    """``_extract_nets`` inputs: one stackup and a few nets, some with
+    no driver, no segments or 32 and more endpoints.  A net's segments
+    join points of a small pool, which makes zero-length and duplicate
+    segments, loops and nodes reached twice in one BFS level."""
+    arch = draw(st.sampled_from(sorted(STACKUPS)))
+    names = [layer.name for layer in STACKUPS[arch]]
+    # Half the segments on a level <= 0, so whole nets sit below M1.
+    layers = st.sampled_from(names) | st.sampled_from(
+        [layer.name for layer in STACKUPS[arch] if layer.index <= 0])
+    nets = []
+    for n in range(draw(st.integers(1, 5))):
+        pool = draw(st.lists(points, min_size=1, max_size=8))
+        ends = st.sampled_from(pool)
+        segments = [RouteSegment(draw(layers),
+                                 *draw(ends), *draw(ends))
+                    for _ in range(draw(st.integers(0, 6)
+                                        | st.integers(16, 22)))]
+        pins = ends | points
+        driver_xy = draw(st.none() | pins)
+        sinks = [(f"u{draw(st.integers(0, 3))}", draw(st.sampled_from("AB")),
+                  draw(st.floats(0.0, 5.0)), draw(pins))
+                 for _ in range(draw(st.integers(0, 6)))]
+        rc_scale = draw(st.just(1.0) | st.floats(1.0, 3.0))
+        nets.append((f"n{n}", segments, driver_xy, sinks, rc_scale))
+    return STACKUPS[arch], nets
 
 
-class TestElmoreForestEquivalence:
-    @slow
-    @given(st.lists(rc_trees(), min_size=1, max_size=6))
-    def test_forest_matches_scalar_bitwise(self, trees):
-        batch = elmore_forest(trees)
-        for tree, forest in zip(trees, batch):
-            scalar = tree.elmore_ps()
-            assert set(scalar) == set(forest)
-            for node, delay in scalar.items():
-                assert forest[node] == delay
+def parasitics_bits(p):
+    """Every field of a ``NetParasitics``, floats by ``float.hex``, with
+    the sink dict as an ordered list."""
+    return (p.net, p.wire_cap_ff.hex(), p.wire_res_kohm.hex(),
+            p.pin_cap_ff.hex(), p.wirelength_nm.hex(),
+            p.back_wirelength_nm.hex(), p.via_count,
+            [(pin, delay.hex()) for pin, delay in p.sink_elmore_ps.items()])
 
-    @slow
-    @given(st.lists(rc_trees(), min_size=1, max_size=4))
-    def test_wanted_restriction(self, trees):
-        wanted = [list(t.cap_ff)[::2] + ["absent"] for t in trees]
-        batch = elmore_forest(trees, wanted=wanted)
-        for tree, want, taps in zip(trees, wanted, batch):
-            scalar = tree.elmore_ps()
-            for node in want:
-                if node in scalar:
-                    assert taps[node] == scalar[node]
-                else:
-                    assert node not in taps
+
+class TestExtractionEquivalence:
+    @settings(max_examples=100)
+    @given(routed_nets())
+    def test_arrays_match_per_net_oracle_bitwise(self, case):
+        stackup, nets = case
+        got, got_nodes = extract_mod._extract_nets(stackup, nets)
+        want, want_nodes = reference.extract.extract_nets(stackup, nets)
+        assert got_nodes == want_nodes
+        assert [parasitics_bits(p) for p in got] == \
+            [parasitics_bits(p) for p in want]
+
+    @pytest.mark.parametrize("design,config", [
+        ("rv8", FlowConfig()),
+        ("rv8_sram", FlowConfig()),
+        ("rv8", FlowConfig(arch="cfet", back_layers=0,
+                           backside_pin_fraction=0.0)),
+        ("rv8", FlowConfig(front_layers=3, back_layers=3)),
+    ], ids=["rv8", "rv8_sram", "rv8_cfet", "rv8_fm3bm3"])
+    def test_routed_design_matches_oracle(self, design, config, monkeypatch):
+        factory = {
+            "rv8": lambda: generate_riscv_core(
+                RiscvConfig(xlen=8, nregs=8, name="rv8")),
+            "rv8_sram": lambda: generate_rv16_sram(
+                xlen=8, nregs=8, words=16, name="rv8_sram"),
+        }[design]
+        art = run_flow(factory, config, return_artifacts=True,
+                       stop_after="def_merge")
+        args = (art.merged_def, art.netlist, art.library, art.placement,
+                congestion_derates(art.routing_results))
+
+        def extract():
+            tracer = Tracer()
+            with telemetry.activate(tracer):
+                extraction = extract_design(*args)
+            return ([parasitics_bits(p) for p in extraction.nets.values()],
+                    tracer.finish().counters["kernel.extract.nodes"])
+
+        got = extract()
+        monkeypatch.setattr(extract_mod, "_extract_nets",
+                            reference.extract.extract_nets)
+        assert got == extract()
 
 
 # ---------------------------------------------------------------------------

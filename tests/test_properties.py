@@ -8,10 +8,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cells import LookupTable
-from repro.extract import RCTree
 from repro.pnr.routing.grid import RoutingGrid
 from repro.pnr.routing.router import GlobalRouter, NetSpec
 from repro.tech import Side, make_ffet_node
+
+from .reference.extract import RCTree
 
 slow = settings(max_examples=30,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
