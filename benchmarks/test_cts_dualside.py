@@ -72,7 +72,7 @@ def test_dual_cts_routes_clock_on_backside(benchmark):
     artifacts = benchmark.pedantic(run, rounds=1, iterations=1)
     back_clock_nm = sum(
         p.back_wirelength_nm
-        for name, p in artifacts.extraction.nets.items()
+        for name, p in artifacts.extraction.items()
         if name.startswith("ctsnet_")
     )
     print_header("Dual-sided CTS artifact check (rv core, u=0.50)")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from ..tech import Side, TechNode
@@ -102,41 +102,3 @@ class CellMaster:
             if a.from_pin == from_pin and a.to_pin == to_pin:
                 return a
         raise KeyError(f"{self.name}: no arc {from_pin} -> {to_pin}")
-
-    # -- variants ----------------------------------------------------------------
-    def with_input_sides(self, sides: Mapping[str, Side], suffix: str) -> "CellMaster":
-        """A pin variant with each listed input pin moved to a given side.
-
-        Timing, power and geometry are shared with the base master (the
-        M0-only structural change barely affects intra-cell parasitics,
-        per Section IV of the paper).
-        """
-        new_pins = dict(self.pins)
-        for pin_name, side in sides.items():
-            pin = self.pin(pin_name)
-            if not pin.is_input:
-                raise ValueError(f"{self.name}: {pin_name} is not an input pin")
-            new_pins[pin_name] = pin.moved_to(side)
-        return replace(
-            self,
-            name=f"{self.name}{suffix}",
-            pins=new_pins,
-            base_name=self.base_name or self.name,
-        )
-
-    def with_dual_sided_inputs(self) -> "CellMaster":
-        """Variant with every input pin present on both sides (Gate Merge).
-
-        This is the *dual-sided input pin* alternative the paper rejects
-        for its pin-density explosion; kept for the ablation study.
-        """
-        new_pins = {
-            name: (pin.widened() if pin.is_input else pin)
-            for name, pin in self.pins.items()
-        }
-        return replace(
-            self,
-            name=f"{self.name}_DSIN",
-            pins=new_pins,
-            base_name=self.base_name or self.name,
-        )

@@ -69,10 +69,6 @@ class Library:
         return {m.function for m in self.masters.values() if m.base_name is None}
 
     # -- aggregate statistics ------------------------------------------------
-    def total_area_nm2(self, counts: dict[str, int]) -> float:
-        """Area of an instance mix, ``counts`` mapping cell name to count."""
-        return sum(self[name].area_nm2(self.tech) * n for name, n in counts.items())
-
     def mean_pin_density(self, side: Side) -> float:
         """Average pin shapes per CPP across base masters on one side."""
         bases = [m for m in self.masters.values() if m.base_name is None]

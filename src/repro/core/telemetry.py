@@ -95,13 +95,6 @@ class Trace:
                 times[s.name] = times.get(s.name, 0.0) + s.duration_s
         return times
 
-    def span_times(self) -> dict[str, float]:
-        """All span durations (any depth), summed per name."""
-        times: dict[str, float] = {}
-        for s in self.spans:
-            times[s.name] = times.get(s.name, 0.0) + s.duration_s
-        return times
-
     # -- JSONL codec ---------------------------------------------------------
     def to_jsonl(self) -> str:
         """Serialize as begin/end events plus a trailer, one JSON per line."""

@@ -7,11 +7,16 @@ the net climbs from the cell pins (M0) to its routing tier.  Sinks
 attach at their cell locations with their pin capacitance; the driver
 is the root.  The result feeds STA (Elmore wire delays, driver loads)
 and power (switched capacitance).
+
+Both extraction and the synthesis-time wireload model write one
+:class:`Extraction`: per-net arrays plus one sink table, which STA,
+hold, power and the Monte-Carlo engine read by net name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,63 +32,122 @@ from .rc import NetParasitics
 VIA_RES_KOHM = 0.035
 
 
-@dataclass
-class Extraction:
-    """All per-net parasitics of a design."""
+def _gather(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``values[rows]``, reading 0.0 where a row is -1 (absent)."""
+    return np.append(values, 0.0)[rows]
 
-    nets: dict[str, NetParasitics] = field(default_factory=dict)
+
+@dataclass(eq=False)
+class Extraction(Mapping):
+    """All per-net parasitics of a design: per-net arrays, one sink table.
+
+    Row ``k`` of every per-net array is net ``names[k]``, and ``row``
+    maps a name to its row.  Sink ``s`` is the ``(instance, pin)``
+    ``sinks[s]`` of net row ``sink_net[s]``, with wire-only Elmore delay
+    ``sink_elmore_ps[s]``; sinks run in net-row order, each net's in its
+    sink order.
+
+    STA, power and the Monte-Carlo engine read it by net name through
+    :meth:`loads_ff`, :meth:`elmore_ps` and :meth:`back_fraction`; a net
+    it lacks, or a sink no longer on that net, reads 0.0.  As a mapping
+    from net name, ``extraction[net]`` builds that net's
+    :class:`NetParasitics` (Python floats and ints) on demand for SPEF,
+    path reports and tests; ``in``, ``len`` and iteration follow
+    ``names``.
+    """
+
+    names: list[str]
+    wire_cap_ff: np.ndarray
+    wire_res_kohm: np.ndarray
+    pin_cap_ff: np.ndarray
+    wirelength_nm: np.ndarray
+    #: Wirelength on backside (BM*) layers, nm.
+    back_wirelength_nm: np.ndarray
+    via_count: np.ndarray
+    sinks: list[tuple[str, str]]
+    sink_net: np.ndarray
+    sink_elmore_ps: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.row = {name: k for k, name in enumerate(self.names)}
 
     def __getitem__(self, net: str) -> NetParasitics:
-        return self.nets[net]
+        k = self.row[net]
+        lo, hi = np.searchsorted(self.sink_net, (k, k + 1)).tolist()
+        return NetParasitics(
+            net=net,
+            wire_cap_ff=float(self.wire_cap_ff[k]),
+            wire_res_kohm=float(self.wire_res_kohm[k]),
+            pin_cap_ff=float(self.pin_cap_ff[k]),
+            sink_elmore_ps=dict(zip(self.sinks[lo:hi],
+                                    self.sink_elmore_ps[lo:hi].tolist())),
+            wirelength_nm=float(self.wirelength_nm[k]),
+            via_count=int(self.via_count[k]),
+            back_wirelength_nm=float(self.back_wirelength_nm[k]))
 
-    def __contains__(self, net: str) -> bool:
-        return net in self.nets
+    def __contains__(self, net: object) -> bool:
+        return net in self.row
+
+    def __iter__(self):
+        return iter(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
 
     @property
     def total_wire_cap_ff(self) -> float:
-        return sum(p.wire_cap_ff for p in self.nets.values())
+        """Wire cap of every net, added left to right from 0.0."""
+        return float(np.add.accumulate(np.append(0.0, self.wire_cap_ff))[-1])
 
-    def loads_ff(self, nets: list[str], factors=None) -> np.ndarray:
-        """(R, len(nets)) driver loads under R rows of wire-RC factors.
+    def _rows(self, names: Iterable[str]) -> np.ndarray:
+        """Each net's row, -1 where the net has no parasitics."""
+        row = self.row
+        return np.array([row.get(name, -1) for name in names], dtype=np.intp)
+
+    def loads_ff(self, names: Iterable[str], factors=None) -> np.ndarray:
+        """(R, nets) driver loads of ``names`` under R rows of wire-RC
+        factors.
 
         Row r's load of net k is ``wire_cap * factors[r, k] + pin_cap``,
-        the ``total_cap_ff`` of a copy of this extraction with that net's
-        wire RC scaled by the factor; a net without parasitics loads
-        0.0.  ``None`` is one unscaled row.
+        the ``total_cap_ff`` of a copy of this extraction with that
+        net's wire RC scaled by the factor.  ``None`` is one unscaled
+        row.
         """
-        caps = np.array([(p.wire_cap_ff, p.pin_cap_ff) if p is not None
-                         else (0.0, 0.0) for p in map(self.nets.get, nets)],
-                        dtype=float).reshape(-1, 2)
+        rows = self._rows(names)
+        wire = _gather(self.wire_cap_ff, rows)
+        pin = _gather(self.pin_cap_ff, rows)
         if factors is None:
-            return (caps[:, 0] + caps[:, 1])[None, :]
-        return caps[:, 0] * factors + caps[:, 1]
+            return (wire + pin)[None, :]
+        return wire * factors + pin
 
-    @property
-    def total_wirelength_nm(self) -> float:
-        return sum(p.wirelength_nm for p in self.nets.values())
+    def back_fraction(self, names: Iterable[str]) -> np.ndarray:
+        """Each net's :attr:`NetParasitics.back_fraction`: its share of
+        wirelength on backside layers, 0.0 for an unrouted net."""
+        rows = self._rows(names)
+        length = _gather(self.wirelength_nm, rows)
+        return np.minimum(np.divide(
+            _gather(self.back_wirelength_nm, rows), length,
+            out=np.zeros(len(rows)), where=length > 0), 1.0)
 
+    def elmore_ps(self, names: list[str], sinks: list[tuple[str, str]],
+                  sink_net: np.ndarray) -> np.ndarray:
+        """Nominal wire delay to every sink of another sink table.
 
-def _net_pins(netlist: Netlist, library: Library, net_name: str,
-              cap_memo: dict[tuple[str, str], float] | None = None):
-    """Driver (inst, pin) or None, and [(inst, pin, cap_ff)] sinks.
-
-    ``cap_memo`` caches pin capacitance per (master, pin) across nets
-    of one extraction call — the values are identical either way.
-    """
-    net = netlist.nets[net_name]
-    sinks = []
-    for inst_name, pin_name in net.sinks:
-        master_name = netlist.instances[inst_name].master
-        if cap_memo is None:
-            cap = library[master_name].pin(pin_name).cap_ff
-        else:
-            key = (master_name, pin_name)
-            cap = cap_memo.get(key)
-            if cap is None:
-                cap = library[master_name].pin(pin_name).cap_ff
-                cap_memo[key] = cap
-        sinks.append((inst_name, pin_name, cap))
-    return net.driver, sinks
+        The table (``names``, ``sinks``, ``sink_net``) is laid out as
+        this extraction's own, typically a netlist's current sinks; a
+        sink whose net has no such sink here reads 0.0.  A table equal
+        to this one, as every extraction of an unchanged netlist has,
+        reads ``sink_elmore_ps`` itself.
+        """
+        if names == self.names and sinks == self.sinks \
+                and np.array_equal(sink_net, self.sink_net):
+            return self.sink_elmore_ps
+        here = self.names
+        at = {(inst, pin, here[k]): s for s, ((inst, pin), k) in
+              enumerate(zip(self.sinks, self.sink_net.tolist()))}
+        return _gather(self.sink_elmore_ps, np.array(
+            [at.get((inst, pin, names[k]), -1) for (inst, pin), k in
+             zip(sinks, sink_net.tolist())], dtype=np.intp))
 
 
 def _starts(counts: np.ndarray) -> np.ndarray:
@@ -110,13 +174,13 @@ def _net_sums(n_nets: int, net: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _extract_nets(stackup: Stackup, nets: list[tuple]
-                  ) -> tuple[list[NetParasitics], int]:
+                  ) -> tuple[Extraction, int]:
     """Extract many nets as one flat RC forest, solved in one pass.
 
     ``nets`` rows are ``(name, segments, driver_xy, sinks, rc_scale)``,
     with ``sinks`` rows ``(instance, pin, pin cap, (x, y))``; ``rc_scale``
-    derates wire R and C for congestion.  Returns the parasitics in
-    input order and the number of RC nodes.
+    derates wire R and C for congestion.  Returns the extraction, nets
+    in input order, and the number of RC nodes.
 
     A net's nodes are its root (the driver), its segment endpoints
     rounded to the nm grid in order of first appearance, then one node
@@ -267,20 +331,12 @@ def _extract_nets(stackup: Stackup, nets: list[tuple]
             delay[level] = delay[parent[level]] \
                 + edge_res[level] * sub[level]
 
-    keys = [(sink[0], sink[1]) for sink in sinks]
-    taps = delay[sink_node].tolist()
-    out, k = [], 0
-    for net, wc, wr, pc, wl, bwl, vias in zip(
-            nets, wire_cap.tolist(), wire_res.tolist(), pin_cap.tolist(),
-            wirelength.tolist(), back_wirelength.tolist(),
-            (n_sink * max_level).tolist()):
-        end = k + len(net[3])
-        out.append(NetParasitics(
-            net=net[0], wire_cap_ff=wc, wire_res_kohm=wr, pin_cap_ff=pc,
-            sink_elmore_ps=dict(zip(keys[k:end], taps[k:end])),
-            wirelength_nm=wl, via_count=vias, back_wirelength_nm=bwl))
-        k = end
-    return out, n_nodes
+    return Extraction(
+        names=[net[0] for net in nets], wire_cap_ff=wire_cap,
+        wire_res_kohm=wire_res, pin_cap_ff=pin_cap, wirelength_nm=wirelength,
+        back_wirelength_nm=back_wirelength, via_count=n_sink * max_level,
+        sinks=[(sink[0], sink[1]) for sink in sinks], sink_net=sink_net,
+        sink_elmore_ps=delay[sink_node]), n_nodes
 
 
 def extract_design(merged: DefDesign, netlist: Netlist, library: Library,
@@ -293,30 +349,27 @@ def extract_design(merged: DefDesign, netlist: Netlist, library: Library,
     """
     rc_derates = rc_derates or {}
     tracer = current_tracer()
-    cap_memo: dict[tuple[str, str], float] = {}
     nets = []
-    for net_name in netlist.nets:
-        driver, sink_pins = _net_pins(netlist, library, net_name, cap_memo)
-        if driver is not None:
-            drv_master = library[netlist.instances[driver[0]].master]
-            p = pin_point(placement, drv_master, driver[0], driver[1])
+    for net_name, net in netlist.nets.items():
+        if net.driver is not None:
+            drv_master = library[netlist.instances[net.driver[0]].master]
+            p = pin_point(placement, drv_master, *net.driver)
             driver_xy = (p.x_nm, p.y_nm)
         else:
             pad = placement.io_pins.get(net_name)
             driver_xy = (pad.x_nm, pad.y_nm) if pad else None
         sinks = []
-        for inst, pin, cap in sink_pins:
+        for inst, pin in net.sinks:
             master = library[netlist.instances[inst].master]
             p = pin_point(placement, master, inst, pin)
-            sinks.append((inst, pin, cap, (p.x_nm, p.y_nm)))
+            sinks.append((inst, pin, master.pin(pin).cap_ff, (p.x_nm, p.y_nm)))
         nets.append((net_name, merged.nets.get(net_name, []), driver_xy,
                      sinks, rc_derates.get(net_name, 1.0)))
-    parasitics, n_nodes = _extract_nets(library.tech.stackup, nets)
-    extraction = Extraction({p.net: p for p in parasitics})
+    extraction, n_nodes = _extract_nets(library.tech.stackup, nets)
     if tracer.enabled:
         tracer.count("kernel.extract.nets", len(nets))
         tracer.count("kernel.extract.nodes", n_nodes)
-        tracer.gauge("extract.nets", len(extraction.nets))
+        tracer.gauge("extract.nets", len(extraction))
         tracer.gauge("extract.derated_nets", len(rc_derates))
         tracer.gauge("extract.total_wire_cap_ff", extraction.total_wire_cap_ff)
     return extraction
@@ -348,70 +401,42 @@ def congestion_derates(routing_results: dict) -> dict[str, float]:
 
 
 def estimate_parasitics(netlist: Netlist, library: Library,
-                        placement: Placement | None = None,
                         cap_per_um_ff: float = 0.22,
                         res_per_um_kohm: float = 0.55,
                         fanout_length_um: float = 0.70) -> Extraction:
-    """Pre-route wireload estimate (for synthesis-time sizing).
+    """Pre-route fanout wireload model (for synthesis-time sizing).
 
-    With a placement, net length is estimated from HPWL; without one, a
-    fanout-based wireload model is used, like synthesis tools do.
+    Like a synthesis tool's wireload table: a net with n sinks is
+    ``fanout_length_um * max(n, 1)`` long, and every sink sees half its
+    wire RC (lumped pi), ``0.5 * R * (wire cap + pin caps)``.  One pass
+    gathers the sink pin caps; the rest is array arithmetic, with each
+    net's pin caps added left to right from 0.0.
     """
-    extraction = Extraction()
-    cap_memo: dict[tuple[str, str], float] = {}
-    for net_name, net in netlist.nets.items():
-        driver, sink_pins = _net_pins(netlist, library, net_name, cap_memo)
-        if placement is not None:
-            points = placement.net_points(netlist, net_name)
-            if len(points) >= 2:
-                xs = [p.x_nm for p in points]
-                ys = [p.y_nm for p in points]
-                length_um = ((max(xs) - min(xs)) + (max(ys) - min(ys))) / 1000.0
-            else:
-                length_um = 0.0
-        else:
-            length_um = fanout_length_um * max(len(sink_pins), 1)
-        wire_cap = cap_per_um_ff * length_um
-        wire_res = res_per_um_kohm * length_um
-        pin_cap = 0.0
-        for _inst, _pin, cap in sink_pins:
-            pin_cap += cap
-        # Lumped-pi estimate: every sink sees half the wire RC.
-        elmore = 0.5 * wire_res * (wire_cap + pin_cap)
-        extraction.nets[net_name] = NetParasitics(
-            net=net_name,
-            wire_cap_ff=wire_cap,
-            wire_res_kohm=wire_res,
-            pin_cap_ff=pin_cap,
-            sink_elmore_ps={(i, p): elmore for i, p, _c in sink_pins},
-            wirelength_nm=length_um * 1000.0,
-        )
-    return extraction
+    nets = netlist.nets.values()
+    instances = netlist.instances
+    sinks = [pin for net in nets for pin in net.sinks]
+    keys = [(instances[inst].master, pin) for inst, pin in sinks]
+    caps = {key: library[key[0]].pin(key[1]).cap_ff for key in set(keys)}
+    n_sink = np.array([len(net.sinks) for net in nets], dtype=np.intp)
+    sink_net = np.repeat(np.arange(len(n_sink)), n_sink)
+    length_um = fanout_length_um * np.maximum(n_sink, 1)
+    wire_cap = cap_per_um_ff * length_um
+    wire_res = res_per_um_kohm * length_um
+    pin_cap = _net_sums(len(n_sink), sink_net,
+                        np.array([caps[key] for key in keys], dtype=float))
+    elmore = 0.5 * wire_res * (wire_cap + pin_cap)
+    return Extraction(
+        names=list(netlist.nets), wire_cap_ff=wire_cap,
+        wire_res_kohm=wire_res, pin_cap_ff=pin_cap,
+        wirelength_nm=length_um * 1000.0,
+        back_wirelength_nm=np.zeros(len(n_sink)),
+        via_count=np.zeros(len(n_sink), dtype=np.intp), sinks=sinks,
+        sink_net=sink_net, sink_elmore_ps=elmore[sink_net])
 
 
-def estimate_loads(netlist: Netlist, library: Library,
-                   cap_per_um_ff: float = 0.22,
-                   fanout_length_um: float = 0.70) -> dict[str, float]:
-    """Driver loads only, under the fanout wireload model.
-
-    Bit-equal to ``estimate_parasitics(netlist, library)[net]
-    .total_cap_ff`` for every net (the same operations in the same
-    order: ``cap_per_um * length + sum(pin caps in sink order)``) but
-    without building any :class:`NetParasitics`.  The sizing loop's
-    overloaded-driver scan needs nothing else, and this is roughly half
-    of its wireload-model cost.
-    """
-    loads: dict[str, float] = {}
-    cap_memo: dict[tuple[str, str], float] = {}
-    for net_name, net in netlist.nets.items():
-        pin_cap = 0.0
-        for inst_name, pin_name in net.sinks:
-            key = (netlist.instances[inst_name].master, pin_name)
-            cap = cap_memo.get(key)
-            if cap is None:
-                cap = library[key[0]].pin(pin_name).cap_ff
-                cap_memo[key] = cap
-            pin_cap += cap
-        length_um = fanout_length_um * max(len(net.sinks), 1)
-        loads[net_name] = cap_per_um_ff * length_um + pin_cap
-    return loads
+def estimate_loads(netlist: Netlist, library: Library) -> dict[str, float]:
+    """Driver load per net under the fanout wireload model: a view of
+    :func:`estimate_parasitics`'s per-net arrays."""
+    extraction = estimate_parasitics(netlist, library)
+    return dict(zip(extraction.names, (extraction.wire_cap_ff
+                                       + extraction.pin_cap_ff).tolist()))

@@ -17,12 +17,6 @@ class Instance:
     master: str                       # cell master name in the library
     connections: dict[str, str] = field(default_factory=dict)  # pin -> net
 
-    def net_on(self, pin: str) -> str:
-        try:
-            return self.connections[pin]
-        except KeyError:
-            raise KeyError(f"instance {self.name}: pin {pin!r} unconnected") from None
-
 
 @dataclass
 class Net:
@@ -84,12 +78,6 @@ class Netlist:
         for pin, net_name in inst.connections.items():
             self.add_net(net_name)
         return inst
-
-    def set_driver(self, net_name: str, instance: str, pin: str) -> None:
-        net = self.nets[net_name]
-        if net.driver is not None:
-            raise ValueError(f"net {net_name!r} already driven by {net.driver}")
-        net.driver = (instance, pin)
 
     def bind(self, library: Library) -> None:
         """Resolve drivers/sinks from pin directions; validate connectivity.

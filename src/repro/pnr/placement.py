@@ -45,10 +45,6 @@ class Placement:
     def location(self, instance: str) -> Point:
         return self.locations[instance]
 
-    def pin_location(self, instance: str, pin_track: int = 0) -> Point:
-        """Pin positions coincide with the cell center at this abstraction."""
-        return self.locations[instance]
-
     def hpwl_nm(self, netlist: Netlist) -> float:
         """Total half-perimeter wirelength over all nets."""
         total = 0.0

@@ -70,12 +70,6 @@ class RoutingGrid:
         row = min(max(int(y_nm // self.gcell_nm), 0), self.rows - 1)
         return col, row
 
-    def center_of(self, col: int, row: int) -> tuple[float, float]:
-        return ((col + 0.5) * self.gcell_nm, (row + 0.5) * self.gcell_nm)
-
-    def total_capacity(self) -> float:
-        return float(self.cap_h.sum() + self.cap_v.sum())
-
 
 def build_grid(tech: TechNode, die: Die, side: Side, powerplan: PowerPlan,
                pin_counts: np.ndarray | None = None,

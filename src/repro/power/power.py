@@ -130,12 +130,11 @@ def _power_sums(netlist: Netlist, library: Library, extraction: Extraction,
             return CLOCK_ACTIVITY
         return activities.get(net_name, activity)
 
-    exn = extraction.nets
     names = list(netlist.nets)
     loads = extraction.loads_ff(names, wire_factors)
     fhz = freq_hz[:, None]
 
-    extracted = [i for i, name in enumerate(names) if name in exn]
+    extracted = [i for i, name in enumerate(names) if name in extraction]
     toggles = np.array([toggle_rate(names[i]) for i in extracted])
     cap_f = loads[:, extracted] * 1e-15
     # E = C * V^2 / 2 per transition.

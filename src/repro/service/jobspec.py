@@ -137,16 +137,6 @@ def _require(condition: bool, message: str) -> None:
         raise JobSpecError(message)
 
 
-def _typed(doc: dict, key: str, types, default):
-    value = doc.get(key, default)
-    _require(isinstance(value, types) and not isinstance(value, bool)
-             or (bool in (types if isinstance(types, tuple) else (types,))
-                 and isinstance(value, bool)),
-             f"field {key!r} must be of type "
-             f"{getattr(types, '__name__', types)}")
-    return value
-
-
 def _parse_design(doc: dict) -> DesignSpec:
     raw = doc.get("design", {})
     _require(isinstance(raw, dict), "field 'design' must be an object")

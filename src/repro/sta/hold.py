@@ -60,15 +60,14 @@ def analyze_hold(netlist: Netlist, library: Library, extraction: Extraction,
     """
     graph = TimingGraph(netlist, library)
     min_arrival: dict[str, float] = {}
+    wires = (extraction.elmore_ps(graph.net_names, graph.sinks,
+                                  graph.sink_net)
+             * FAST_CORNER_DERATE).tolist()
+    loads = dict(zip(graph.net_names,
+                     extraction.loads_ff(graph.net_names)[0].tolist()))
 
-    def wire_delay(net_name: str, inst: str, pin: str) -> float:
-        if net_name not in extraction:
-            return 0.0
-        return extraction[net_name].elmore_to(inst, pin) * FAST_CORNER_DERATE
-
-    def net_load(net_name: str) -> float:
-        return extraction[net_name].total_cap_ff \
-            if net_name in extraction else 0.0
+    def wire_delay(inst: str, pin: str) -> float:
+        return wires[graph.sink_at[inst, pin]]
 
     # Clock arrivals (min corner) through the buffer tree.
     clock_arrivals: dict[str, float] = {}
@@ -79,13 +78,13 @@ def analyze_hold(netlist: Netlist, library: Library, extraction: Extraction,
             for inst_name, pin_name in netlist.nets[net_name].sinks:
                 inst = netlist.instances[inst_name]
                 master = library[inst.master]
-                at_pin = base + wire_delay(net_name, inst_name, pin_name)
+                at_pin = base + wire_delay(inst_name, pin_name)
                 if master.is_sequential:
                     clock_arrivals[inst_name] = at_pin
                     continue
                 out_net = inst.connections[master.output.name]
                 frontier.append((out_net, at_pin + _min_delay(
-                    master.arcs[0], net_load(out_net))))
+                    master.arcs[0], loads[out_net])))
 
     pi_arrival = input_delay_ps if input_delay_ps is not None else (
         max(clock_arrivals.values()) if clock_arrivals else 0.0
@@ -97,7 +96,7 @@ def analyze_hold(netlist: Netlist, library: Library, extraction: Extraction,
     # Launch: earliest output after the launching edge.
     for inst_name, arc, out_net in graph.launches:
         min_arrival[out_net] = clock_arrivals.get(inst_name, 0.0) + \
-            _min_delay(arc, net_load(out_net))
+            _min_delay(arc, loads[out_net])
 
     for inst in netlist.topological_order(library):
         master = library[inst.master]
@@ -108,14 +107,14 @@ def analyze_hold(netlist: Netlist, library: Library, extraction: Extraction,
         if master.function in ("TIEHI", "TIELO"):
             min_arrival.setdefault(out_net, 0.0)
             continue
-        load = net_load(out_net)
+        load = loads[out_net]
         best = _INF
         for arc in master.arcs:
             in_net = inst.connections.get(arc.from_pin)
             if in_net is None or in_net not in min_arrival:
                 continue
             arrival = min_arrival[in_net] + \
-                wire_delay(in_net, inst.name, arc.from_pin)
+                wire_delay(inst.name, arc.from_pin)
             best = min(best, arrival + _min_delay(arc, load))
         min_arrival[out_net] = best if best < _INF else 0.0
 
@@ -127,7 +126,7 @@ def analyze_hold(netlist: Netlist, library: Library, extraction: Extraction,
         if d_net not in min_arrival:
             continue
         endpoints += 1
-        arrival = min_arrival[d_net] + wire_delay(d_net, inst_name, pin)
+        arrival = min_arrival[d_net] + wire_delay(inst_name, pin)
         capture = clock_arrivals.get(inst_name, 0.0)
         slack = arrival - (capture + seq.hold_ps)
         if slack < 0:

@@ -225,7 +225,7 @@ def analyze_timing_rows(netlist: Netlist, library: Library,
     # Endpoint checks, sequential data pins first, then primary outputs.
     sel = timed[graph.ep_net]
     ids = graph.ep_net[sel]
-    wire = par.scale(par.elmore(graph.ep_pins), graph.ep_net)[:, sel]
+    wire = par.scale(par.elmore(graph.ep_sinks), graph.ep_net)[:, sel]
     ep_r = np.where(ar[:, ids] > _NEG / 2, ar[:, ids] + wire, _NEG)
     ep_f = np.where(af[:, ids] > _NEG / 2, af[:, ids] + wire, _NEG)
     required = (period_ps + clock_arrivals[:, graph.ep_seq[sel]]) \
@@ -287,10 +287,12 @@ def analyze_timing_rows(netlist: Netlist, library: Library,
 class _Parasitics:
     """One extraction seen through R rows of per-net wire-RC factors.
 
-    Nominal values are gathered into flat arrays once per call, then
+    Nominal values are gathered from the extraction once per call, then
     scaled per row: ``loads`` is (R, nets) driver load, wire cap times
-    the factor plus pin cap; ``wires`` is (R, wire pairs) Elmore delay
-    into every timing-arc input.  A row of ones reproduces the nominal
+    the factor plus pin cap; ``sink_wires`` is the Elmore delay to every
+    sink of the graph's netlist, and ``wires`` (R, wire pairs) its view
+    at every timing-arc input.  A net the extraction lacks, or a sink no
+    longer on that net, reads 0.0.  A row of ones reproduces the nominal
     bits, because ``x * 1.0 == x``.
     """
 
@@ -300,20 +302,16 @@ class _Parasitics:
         self.factors = factors
         self.rows = 1 if factors is None else len(factors)
         self.loads = extraction.loads_ff(graph.net_names, factors)
-        self.wires = self.scale(self.elmore(graph.wire_pairs),
+        self.sink_wires = extraction.elmore_ps(
+            graph.net_names, graph.sinks, graph.sink_net)
+        self.wires = self.scale(self.elmore(graph.wire_sinks),
                                 graph.wire_net_ids)
         if not self.wires.shape[1]:
             self.wires = np.zeros((self.rows, 1))  # padded lanes read 0
 
-    def elmore(self, pins) -> np.ndarray:
-        """Nominal wire delay to each ``(instance, pin, net)`` sink."""
-        exn = self.extraction.nets
-        out = []
-        for inst, pin, net in pins:
-            p = exn.get(net)
-            out.append(p.sink_elmore_ps.get((inst, pin), 0.0)
-                       if p is not None else 0.0)
-        return np.array(out, dtype=float)
+    def elmore(self, sinks) -> np.ndarray:
+        """Nominal wire delay to each of the graph's ``sinks``."""
+        return self.sink_wires[sinks]
 
     def scale(self, nominal: np.ndarray, net_ids) -> np.ndarray:
         """(R, k): each row's view of per-sink values on ``net_ids``."""
@@ -476,6 +474,12 @@ class TimingGraph:
         self.comb_masters = [instances[n].master for n in comb_names]
         self.row_template = comb_tmpls
         self.seq_index = {name: i for i, name in enumerate(self.seq_names)}
+        #: Every ``(instance, pin)`` sink, nets in netlist order; sink s
+        #: is on net ``sink_net[s]``, and ``sink_at`` maps a sink to s.
+        self.sinks = [pin for net in nets.values() for pin in net.sinks]
+        self.sink_net = np.repeat(np.arange(self.n_nets), np.array(
+            [len(net.sinks) for net in nets.values()], dtype=np.intp))
+        self.sink_at = dict(zip(self.sinks, range(len(self.sinks))))
         self._list_sequential()
         self.inputs = [n.name for n in nets.values() if n.is_primary_input]
         self.input_ids = np.array([self.net_id[n] for n in self.inputs],
@@ -524,13 +528,12 @@ class TimingGraph:
         for i in range(n):
             by_level.setdefault(level[i], []).append(i)
 
-        #: ``(instance, pin, net)`` of every arc input, all levels.
-        self.wire_pairs: list[tuple[str, str, str]] = []
+        #: The sink of every arc input, all levels.
+        self.wire_sinks = []
         self.levels = [self._build_level(rows, out_names)
                        for _lvl, rows in sorted(by_level.items())]
-        self.wire_net_ids = np.array(
-            [self.net_id[net] for _i, _p, net in self.wire_pairs],
-            dtype=np.intp)
+        self.wire_sinks = np.array(self.wire_sinks, dtype=np.intp)
+        self.wire_net_ids = self.sink_net[self.wire_sinks]
         #: row -> (level index, row-within-level) for master refreshes.
         self.row_pos: list[tuple[int, int]] = [(0, 0)] * n
         for li, lvl in enumerate(self.levels):
@@ -549,7 +552,7 @@ class TimingGraph:
 
         Also their array forms: each launch's cell, output net and
         (rise, fall) x (delay, transition) table rows, and each
-        endpoint's cell, net, ``(instance, pin, net)`` sink and setup.
+        endpoint's cell, net, sink and setup.
         """
         instances = self.netlist.instances
         self.seq_masters = [instances[n].master for n in self.seq_names]
@@ -579,7 +582,8 @@ class TimingGraph:
              refs(a.rise_transition for a in arcs)),
             (refs(a.fall_delay for a in arcs),
              refs(a.fall_transition for a in arcs))]
-        self.ep_pins = [(n, p, d) for n, p, d, _s in self.endpoints]
+        self.ep_sinks = ids([self.sink_at[n, p] for n, p, _d, _s in
+                             self.endpoints])
         self.ep_seq = ids([self.seq_index[n] for n, _p, _d, _s in
                            self.endpoints])
         self.ep_net = ids([self.net_id[d] for _n, _p, d, _s in
@@ -619,8 +623,8 @@ class TimingGraph:
                 if in_net is None:
                     arc_info.append(None)
                     continue
-                arc_info.append((self.net_id[in_net], len(self.wire_pairs)))
-                self.wire_pairs.append((self.comb_names[i], fp, in_net))
+                arc_info.append((self.net_id[in_net], len(self.wire_sinks)))
+                self.wire_sinks.append(self.sink_at[self.comb_names[i], fp])
             self._fill_row(lvl, r, t, arc_info)
         return lvl
 
@@ -808,7 +812,7 @@ def _propagate_clock(graph: TimingGraph, par: _Parasitics, clock: str,
             frontier.append(out_net)
     net_id = graph.net_id
     buffered = [net_id[o] for *_s, o in steps if o is not None]
-    wires = par.scale(par.elmore([s[:3] for s in steps]),
+    wires = par.scale(par.elmore([graph.sink_at[s[:2]] for s in steps]),
                       [net_id[s[2]] for s in steps]).tolist()
     loads = par.loads[:, buffered].tolist()
     spans = []

@@ -156,9 +156,6 @@ class NetlistBuilder:
     def or_tree(self, nets: list[str]) -> str:
         return self.reduce_tree(nets, self.or2)
 
-    def xor_tree(self, nets: list[str]) -> str:
-        return self.reduce_tree(nets, self.xor2)
-
     def half_adder(self, a: str, b: str) -> tuple[str, str]:
         return self.xor2(a, b), self.and2(a, b)
 

@@ -57,15 +57,19 @@ def buffer_high_fanout(netlist: Netlist, library: Library,
         name for name, net in netlist.nets.items()
         if len(net.sinks) > max_fanout and name != clock and not net.is_clock
     ]
+    # A split net's sinks become its buffers' inputs, in creation (that
+    # is, instance) order -- what a bind would list; no other net's
+    # sinks change, so one bind at the end settles the whole netlist.
+    split: dict[str, list[tuple[str, str]]] = {}
     counter = 0
     while work:
         net_name = work.pop()
-        net = netlist.nets[net_name]
-        sinks = sorted(net.sinks)
+        sinks = sorted(split.get(net_name, netlist.nets[net_name].sinks))
         if len(sinks) <= max_fanout:
             continue
         groups = [sinks[i:i + max_fanout]
                   for i in range(0, len(sinks), max_fanout)]
+        buffers = []
         for group in groups:
             counter += 1
             added += 1
@@ -74,12 +78,13 @@ def buffer_high_fanout(netlist: Netlist, library: Library,
             netlist.add_net(buf_net)
             netlist.add_instance(buf_name, "BUFD4",
                                  {"A": net_name, "Z": buf_net})
+            buffers.append((buf_name, "A"))
             for inst_name, pin_name in group:
                 netlist.instances[inst_name].connections[pin_name] = buf_net
-        netlist.bind(library)
+        split[net_name] = buffers
         # The source net now drives the buffers; it may still exceed the
         # budget if there were many groups.
-        if len(netlist.nets[net_name].sinks) > max_fanout:
+        if len(buffers) > max_fanout:
             work.append(net_name)
     if added:
         netlist.bind(library)
@@ -127,9 +132,8 @@ def size_for_target(netlist: Netlist, library: Library,
                     _upsize(netlist, library, inst_name):
                 upsized += 1
                 progressed = True
-        # Also upsize overloaded drivers anywhere in the design.  Only
-        # the driver loads matter here, so skip the full parasitics
-        # build (estimate_loads is bit-equal on total_cap_ff).
+        # Also upsize overloaded drivers anywhere in the design, at the
+        # loads the critical-path upsizes left.
         loads = estimate_loads(netlist, library)
         for inst in list(netlist.instances.values()):
             master = library[inst.master]

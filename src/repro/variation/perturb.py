@@ -71,9 +71,7 @@ def wire_factors(netlist: Netlist, extraction: Extraction,
     with no backside wiring (CFET, FFET FM-only) is therefore exactly
     insensitive to overlay, whatever the shift.
     """
-    exn = extraction.nets
-    fraction = np.array([exn[n].back_fraction if n in exn else 0.0
-                         for n in netlist.nets], dtype=float)
+    fraction = extraction.back_fraction(netlist.nets)
     front = np.array([[s.front_rc_scale] for s in samples], dtype=float)
     back = np.array([[s.back_rc_scale * overlay_rc_factor(s, pitch_nm)]
                      for s in samples], dtype=float)

@@ -12,6 +12,13 @@ can either compare the two or swap the oracle in:
 * :func:`extract.extract_nets` (one :class:`extract.RCTree` per net)
   for ``repro.extract.extract._extract_nets``.
 
+:func:`extract.estimate_parasitics` (one ``NetParasitics`` per net) is
+the oracle of the fanout wireload model's arrays, and
+:class:`sta.Parasitics` (a dict walk per net) of the index gathers in
+``repro.sta.sta._Parasitics``.  :func:`synth.buffer_high_fanout`, with a
+full bind after every split, is the oracle of the one-bind buffering
+pass.
+
 The oracles perform every floating-point operation in the same order as
 the kernels, so they agree bit-for-bit (tests/test_kernel_equivalence.py
 and the reference-patched golden case in tests/test_golden_regression.py
@@ -25,7 +32,7 @@ where the engine times a block of samples as rows of one propagation.
 
 from __future__ import annotations
 
-from . import extract, placement, power, routing, sta, variation
+from . import extract, placement, power, routing, sta, synth, variation
 
 
 def install(monkeypatch) -> None:

@@ -1,10 +1,15 @@
-"""Scalar oracle for extraction: one RC graph per net, solved per net.
+"""Scalar oracles for extraction and the fanout wireload model.
 
 :class:`RCTree` is a dict graph with one Python call per segment end;
 :func:`extract_net` builds one net's tree from its routed segments and
 solves it with :meth:`RCTree.elmore_ps`.  :func:`extract_nets` has the
 signature of ``repro.extract.extract._extract_nets``, which builds every
 net's RC forest as flat arrays and solves it in one pass.
+
+:func:`estimate_parasitics` is the per-net wireload builder that
+``repro.extract.estimate_parasitics`` replaced with array arithmetic,
+plus the HPWL model from a placement that only tests use.
+:func:`from_nets` assembles an extraction from per-net records.
 
 Every floating-point operation happens in the kernel's order.  The
 per-net totals add left to right from 0.0 in explicit loops, because
@@ -15,10 +20,36 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, Iterable
 
+import numpy as np
+
+from repro.extract import Extraction
 from repro.extract.extract import VIA_RES_KOHM
 from repro.extract.rc import NetParasitics
+
+
+def from_nets(nets: Iterable[NetParasitics]) -> Extraction:
+    """The :class:`Extraction` of these per-net records, in their order:
+    the inverse of building ``extraction[net]`` for every net."""
+    nets = list(nets)
+
+    def column(values, dtype=float) -> np.ndarray:
+        return np.array(list(values), dtype=dtype)
+
+    return Extraction(
+        names=[p.net for p in nets],
+        wire_cap_ff=column(p.wire_cap_ff for p in nets),
+        wire_res_kohm=column(p.wire_res_kohm for p in nets),
+        pin_cap_ff=column(p.pin_cap_ff for p in nets),
+        wirelength_nm=column(p.wirelength_nm for p in nets),
+        back_wirelength_nm=column(p.back_wirelength_nm for p in nets),
+        via_count=column((p.via_count for p in nets), np.intp),
+        sinks=[pin for p in nets for pin in p.sink_elmore_ps],
+        sink_net=np.repeat(np.arange(len(nets)),
+                           [len(p.sink_elmore_ps) for p in nets]),
+        sink_elmore_ps=column(
+            d for p in nets for d in p.sink_elmore_ps.values()))
 
 
 @dataclass
@@ -189,11 +220,11 @@ def extract_net(net_name, segments, stackup, driver_xy, sinks,
                     rc_scale)[0]
 
 
-def extract_nets(stackup, nets) -> tuple[list[NetParasitics], int]:
+def extract_nets(stackup, nets) -> tuple[Extraction, int]:
     """One :func:`net_tree` per net.
 
     Same signature and result as ``repro.extract.extract._extract_nets``:
-    the parasitics in input order and the total RC node count.
+    the extraction, nets in input order, and the total RC node count.
     """
     out, nodes = [], 0
     for name, segments, driver_xy, sinks, rc_scale in nets:
@@ -201,4 +232,46 @@ def extract_nets(stackup, nets) -> tuple[list[NetParasitics], int]:
                                     sinks, rc_scale)
         out.append(parasitics)
         nodes += len(tree.cap_ff)
-    return out, nodes
+    return from_nets(out), nodes
+
+
+def estimate_parasitics(netlist, library, placement=None,
+                        cap_per_um_ff=0.22, res_per_um_kohm=0.55,
+                        fanout_length_um=0.70) -> Extraction:
+    """Pre-route wireload estimate, one :class:`NetParasitics` per net.
+
+    Without a placement, the fanout wireload model of
+    ``repro.extract.estimate_parasitics``; with one, net length is the
+    HPWL of the net's pins.
+    """
+    nets = []
+    for net_name, net in netlist.nets.items():
+        sink_pins = [(inst, pin,
+                      library[netlist.instances[inst].master].pin(pin).cap_ff)
+                     for inst, pin in net.sinks]
+        if placement is not None:
+            points = placement.net_points(netlist, net_name)
+            if len(points) >= 2:
+                xs = [p.x_nm for p in points]
+                ys = [p.y_nm for p in points]
+                length_um = ((max(xs) - min(xs)) + (max(ys) - min(ys))) / 1000.0
+            else:
+                length_um = 0.0
+        else:
+            length_um = fanout_length_um * max(len(sink_pins), 1)
+        wire_cap = cap_per_um_ff * length_um
+        wire_res = res_per_um_kohm * length_um
+        pin_cap = 0.0
+        for _inst, _pin, cap in sink_pins:
+            pin_cap += cap
+        # Lumped-pi estimate: every sink sees half the wire RC.
+        elmore = 0.5 * wire_res * (wire_cap + pin_cap)
+        nets.append(NetParasitics(
+            net=net_name,
+            wire_cap_ff=wire_cap,
+            wire_res_kohm=wire_res,
+            pin_cap_ff=pin_cap,
+            sink_elmore_ps={(i, p): elmore for i, p, _c in sink_pins},
+            wirelength_nm=length_um * 1000.0,
+        ))
+    return from_nets(nets)

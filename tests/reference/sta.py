@@ -1,12 +1,16 @@
-"""Scalar oracles for STA: combinational propagation and RC scaling."""
+"""Scalar oracles for STA: propagation, parasitics gathers, RC scaling."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from repro.extract import Extraction
 from repro.extract.rc import NetParasitics
-from repro.sta.sta import PinTiming, _propagate_arc
+from repro.sta.sta import PinTiming, _Parasitics, _propagate_arc
+
+from .extract import from_nets
 
 
 def propagate_comb(graph, par, st, tracer):
@@ -29,7 +33,7 @@ def propagate_comb(graph, par, st, tracer):
         factors = None if par.factors is None else par.factors[r].tolist()
 
         def input_timing(net_name, inst, pin):
-            p = extraction.nets.get(net_name)
+            p = extraction.get(net_name)
             wire = 0.0
             if p is not None:
                 wire = p.elmore_to(inst, pin)
@@ -38,7 +42,7 @@ def propagate_comb(graph, par, st, tracer):
             return net_timing[net_name].delayed(wire)
 
         def net_load(net_name):
-            p = extraction.nets.get(net_name)
+            p = extraction.get(net_name)
             if p is None:
                 return 0.0
             if factors is None:
@@ -84,6 +88,41 @@ def propagate_comb(graph, par, st, tracer):
         tracer.count("kernel.sta.delay_evals", stats[0])
 
 
+class Parasitics(_Parasitics):
+    """``repro.sta.sta._Parasitics`` gathering net by net, through
+    ``extraction[net]``: the dict walk the index gathers replaced.
+
+    Same signature and attributes: a net the extraction lacks loads 0.0,
+    and a sink missing from its net's ``sink_elmore_ps`` reads 0.0.
+    """
+
+    def __init__(self, graph, extraction, factors) -> None:
+        self.graph = graph
+        self.extraction = extraction
+        self.factors = factors
+        self.rows = 1 if factors is None else len(factors)
+        caps = np.array([(p.wire_cap_ff, p.pin_cap_ff) if p is not None
+                         else (0.0, 0.0)
+                         for p in map(extraction.get, graph.net_names)],
+                        dtype=float).reshape(-1, 2)
+        self.loads = (caps[:, 0] + caps[:, 1])[None, :] if factors is None \
+            else caps[:, 0] * factors + caps[:, 1]
+        self.wires = self.scale(self.elmore(graph.wire_sinks),
+                                graph.wire_net_ids)
+        if not self.wires.shape[1]:
+            self.wires = np.zeros((self.rows, 1))
+
+    def elmore(self, sinks) -> np.ndarray:
+        graph = self.graph
+        out = []
+        for s in sinks:
+            (inst, pin), net = graph.sinks[s], \
+                graph.net_names[graph.sink_net[s]]
+            p = self.extraction.get(net)
+            out.append(p.elmore_to(inst, pin) if p is not None else 0.0)
+        return np.array(out, dtype=float)
+
+
 def _scale_net(p: NetParasitics, factor: float) -> NetParasitics:
     """One net's parasitics with wire R, C and Elmore scaled."""
     return replace(
@@ -105,10 +144,8 @@ def scale_extraction(extraction: Extraction, factor: float) -> Extraction:
     """
     if factor == 1.0:
         return extraction
-    scaled = Extraction()
-    for name, p in extraction.nets.items():
-        scaled.nets[name] = _scale_net(p, factor)
-    return scaled
+    return from_nets(_scale_net(p, factor)
+                                for p in extraction.values())
 
 
 def scale_extraction_sided(extraction: Extraction, front_factor: float,
@@ -123,8 +160,9 @@ def scale_extraction_sided(extraction: Extraction, front_factor: float,
     """
     if front_factor == 1.0 and back_factor == 1.0:
         return extraction
-    scaled = Extraction()
-    for name, p in extraction.nets.items():
+
+    def scaled(p: NetParasitics) -> NetParasitics:
         factor = front_factor + p.back_fraction * (back_factor - front_factor)
-        scaled.nets[name] = _scale_net(p, factor) if factor != 1.0 else p
-    return scaled
+        return _scale_net(p, factor) if factor != 1.0 else p
+
+    return from_nets(map(scaled, extraction.values()))

@@ -8,7 +8,6 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.extract import Extraction
 from repro.extract.rc import NetParasitics
 from repro.sta import (
     CORNERS,
@@ -22,6 +21,7 @@ from repro.synth import generate_counter
 from repro.core import FlowConfig
 from repro.core.flow import run_flow
 
+from .reference.extract import from_nets
 from .reference.sta import scale_extraction
 
 
@@ -106,29 +106,26 @@ class TestCorners:
 
 class TestScaleExtraction:
     def test_unity_factor_is_a_no_op_identity(self):
-        extraction = Extraction()
-        extraction.nets["n"] = _net()
+        extraction = from_nets([_net()])
         assert scale_extraction(extraction, 1.0) is extraction
 
     def test_scaling_touches_wire_not_pins(self):
-        extraction = Extraction()
-        extraction.nets["n"] = _net(cap=2.0, res=0.5, elmore=3.0)
+        extraction = from_nets([_net(cap=2.0, res=0.5, elmore=3.0)])
         out = scale_extraction(extraction, 2.0)
-        scaled = out.nets["n"]
+        scaled = out["n"]
         assert scaled.wire_cap_ff == 4.0
         assert scaled.wire_res_kohm == 1.0
         assert scaled.sink_elmore_ps[("i", "A")] == 6.0
-        assert scaled.pin_cap_ff == extraction.nets["n"].pin_cap_ff
+        assert scaled.pin_cap_ff == extraction["n"].pin_cap_ff
         # Input untouched.
-        assert extraction.nets["n"].wire_cap_ff == 2.0
+        assert extraction["n"].wire_cap_ff == 2.0
 
     @given(st.floats(0.5, 2.0), st.floats(0.5, 2.0))
     def test_scaling_composes_multiplicatively(self, a, b):
-        extraction = Extraction()
-        extraction.nets["n"] = _net(cap=2.0, res=0.5, elmore=3.0)
-        once = scale_extraction(extraction, a * b).nets["n"]
+        extraction = from_nets([_net(cap=2.0, res=0.5, elmore=3.0)])
+        once = scale_extraction(extraction, a * b)["n"]
         twice = scale_extraction(
-            scale_extraction(extraction, a), b).nets["n"]
+            scale_extraction(extraction, a), b)["n"]
         assert math.isclose(once.wire_cap_ff, twice.wire_cap_ff,
                             rel_tol=1e-12)
         assert math.isclose(once.wire_res_kohm, twice.wire_res_kohm,

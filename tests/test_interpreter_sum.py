@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from repro.core import FlowConfig
+from repro.core import FlowConfig, Tracer
 from repro.core.cache import result_to_payload
 from repro.core.flow import run_flow
 from repro.synth import RiscvConfig, generate_riscv_core, generate_rv16_tile
@@ -54,10 +54,11 @@ def rv8_tile():
     return generate_rv16_tile(xlen=8, nregs=8, words=16, name="rv8_tile")
 
 
-def run_under(summer, factory, config):
+def run_under(summer, factory, config, tracer=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(builtins, "sum", summer)
-        return run_flow(factory, config, return_artifacts=True)
+        return run_flow(factory, config, return_artifacts=True,
+                        tracer=tracer)
 
 
 def test_the_two_sums_differ():
@@ -75,10 +76,14 @@ def test_rv8_tile_payload_is_independent_of_sum():
 
 
 def test_rv8_grids_and_parasitics_are_independent_of_sum():
-    plain = run_under(left_to_right_sum, rv8, FlowConfig())
-    compensated = run_under(compensated_sum, rv8, FlowConfig())
+    traces = Tracer(), Tracer()
+    plain = run_under(left_to_right_sum, rv8, FlowConfig(), traces[0])
+    compensated = run_under(compensated_sum, rv8, FlowConfig(), traces[1])
     for side, routed in plain.routing_results.items():
         other = compensated.routing_results[side].grid
         assert routed.grid.cap_h.tobytes() == other.cap_h.tobytes(), side
         assert routed.grid.cap_v.tobytes() == other.cap_v.tobytes(), side
-    assert plain.extraction.nets == compensated.extraction.nets
+    assert plain.extraction == compensated.extraction
+    # The extraction's trace gauge is a float total too.
+    gauges = [t.gauges["extract.total_wire_cap_ff"] for t in traces]
+    assert gauges[0].hex() == gauges[1].hex()

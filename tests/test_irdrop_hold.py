@@ -13,6 +13,8 @@ from repro.pnr import (
 )
 from repro.sta import analyze_hold, analyze_timing
 
+from .reference import extract as reference
+
 
 @pytest.fixture()
 def implemented(ffet_lib, mult4):
@@ -68,7 +70,7 @@ class TestHold:
         from repro.sta import fix_hold
 
         _die, _powerplan, placement = implemented
-        extraction = estimate_parasitics(mult4, ffet_lib, placement)
+        extraction = reference.estimate_parasitics(mult4, ffet_lib, placement)
         report = analyze_hold(mult4, ffet_lib, extraction)
         assert report.endpoint_count > 0
         before = len(mult4.instances)
@@ -92,7 +94,7 @@ class TestHold:
 
     def test_setup_and_hold_consistent(self, ffet_lib, mult4, implemented):
         _die, _powerplan, placement = implemented
-        extraction = estimate_parasitics(mult4, ffet_lib, placement)
+        extraction = reference.estimate_parasitics(mult4, ffet_lib, placement)
         setup = analyze_timing(mult4, ffet_lib, extraction, 2000.0)
         hold = analyze_hold(mult4, ffet_lib, extraction)
         # Min-path arrivals cannot exceed max-path arrivals.

@@ -16,7 +16,8 @@ ULP everywhere**:
   forest, one Elmore pass) vs one ``RCTree`` per net
   (``tests/reference/extract.py``): every ``NetParasitics`` field, the
   sink order and the node count bit-equal, on random nets and on whole
-  routed designs;
+  routed designs; the fanout wireload model's arrays vs its per-net
+  builder (tests/test_parasitics_layout.py), likewise;
 * **maze routing** — min-plus sweeps and the Dijkstra oracle settle the
   same shortest-distance field (unique fixed point under strictly
   positive costs), so the deterministic backtrack gives identical
@@ -178,8 +179,8 @@ class TestExtractionEquivalence:
         got, got_nodes = extract_mod._extract_nets(stackup, nets)
         want, want_nodes = reference.extract.extract_nets(stackup, nets)
         assert got_nodes == want_nodes
-        assert [parasitics_bits(p) for p in got] == \
-            [parasitics_bits(p) for p in want]
+        assert [parasitics_bits(p) for p in got.values()] == \
+            [parasitics_bits(p) for p in want.values()]
 
     @pytest.mark.parametrize("design,config", [
         ("rv8", FlowConfig()),
@@ -204,7 +205,7 @@ class TestExtractionEquivalence:
             tracer = Tracer()
             with telemetry.activate(tracer):
                 extraction = extract_design(*args)
-            return ([parasitics_bits(p) for p in extraction.nets.values()],
+            return ([parasitics_bits(p) for p in extraction.values()],
                     tracer.finish().counters["kernel.extract.nodes"])
 
         got = extract()

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.lefdef import DefComponent, DefDesign, RouteSegment, parse_def, write_def
 
+from .reference import extract as reference
+
 slow = settings(max_examples=25,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -92,12 +94,11 @@ class TestLibertyTableProperties:
 @st.composite
 def spef_cases(draw):
     """A synthetic netlist + extraction pair covering the SPEF subset."""
-    from repro.extract import Extraction
     from repro.extract.rc import NetParasitics
     from repro.netlist import Netlist
 
     netlist = Netlist(f"d{draw(st.integers(0, 99))}")
-    extraction = Extraction()
+    nets = []
     for i in range(draw(st.integers(1, 6))):
         name = f"n{i}"
         net = netlist.add_net(name)
@@ -109,15 +110,15 @@ def spef_cases(draw):
             net.sinks.append(
                 (f"u{i}x{s}", draw(st.sampled_from(["A1", "A2", "D", "CP"]))))
         # Values with <= 4 decimal places survive the writer's %.6f.
-        extraction.nets[name] = NetParasitics(
+        nets.append(NetParasitics(
             net=name,
             wire_cap_ff=draw(st.integers(0, 10**6)) / 1e4,
             wire_res_kohm=draw(st.integers(0, 10**6)) / 1e4,
             pin_cap_ff=draw(st.integers(0, 10**4)) / 1e4,
             sink_elmore_ps={},
             wirelength_nm=0.0,
-        )
-    return netlist, extraction
+        ))
+    return netlist, reference.from_nets(nets)
 
 
 class TestSpefRoundTripProperties:
@@ -147,7 +148,8 @@ class TestSpefRoundTripProperties:
         from repro.extract import parse_spef, write_spef
 
         netlist, extraction = case
-        dropped = sorted(extraction.nets)[0]
-        del extraction.nets[dropped]
-        parsed = parse_spef(write_spef(netlist, extraction))
+        dropped = sorted(extraction)[0]
+        kept = reference.from_nets(p for name, p in extraction.items()
+                                   if name != dropped)
+        parsed = parse_spef(write_spef(netlist, kept))
         assert set(parsed) == set(netlist.nets) - {dropped}

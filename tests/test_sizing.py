@@ -5,7 +5,14 @@ import signal
 import pytest
 
 from repro.netlist import Netlist
-from repro.synth import buffer_high_fanout, size_for_target
+from repro.synth import (
+    RiscvConfig,
+    buffer_high_fanout,
+    generate_riscv_core,
+    size_for_target,
+)
+
+from .reference import synth as reference
 
 
 def high_fanout_netlist(fanout=50):
@@ -77,6 +84,45 @@ class TestFanoutBuffering:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+
+def netlist_shape(nl):
+    """Instance order, masters and connections; net order, flags, each
+    net's driver and sink order."""
+    return ([(i.name, i.master, list(i.connections.items()))
+             for i in nl.instances.values()],
+            [(n.name, n.driver, list(n.sinks), n.is_primary_input,
+              n.is_primary_output, n.is_clock) for n in nl.nets.values()])
+
+
+class TestOneBindBuffering:
+    """Buffering binds once, yet builds the netlist that a bind after
+    every split (``tests/reference/synth.py``) builds."""
+
+    @pytest.mark.parametrize("max_fanout", [20, 8, 3])
+    @pytest.mark.parametrize("xlen", [8, 16])
+    def test_same_netlist_as_bind_per_split(self, ffet_lib, xlen,
+                                            max_fanout, monkeypatch):
+        def core():
+            nl = generate_riscv_core(
+                RiscvConfig(xlen=xlen, nregs=8, name=f"rv{xlen}"))
+            nl.bind(ffet_lib)
+            return nl
+
+        want = core()
+        want_added = reference.buffer_high_fanout(want, ffet_lib, max_fanout)
+        got = core()
+        binds = []
+        bind = Netlist.bind
+
+        def counted_bind(netlist, library):
+            binds.append(netlist)
+            bind(netlist, library)
+
+        monkeypatch.setattr(Netlist, "bind", counted_bind)
+        assert buffer_high_fanout(got, ffet_lib, max_fanout) == want_added
+        assert want_added > 0 and len(binds) == 1
+        assert netlist_shape(got) == netlist_shape(want)
 
 
 class TestSizing:

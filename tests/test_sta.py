@@ -6,6 +6,8 @@ from repro.extract import estimate_parasitics
 from repro.netlist import Netlist
 from repro.sta import analyze_timing
 
+from .reference import extract as reference
+
 
 def pipeline_netlist(depth=6):
     """DFF -> INV chain -> DFF."""
@@ -123,7 +125,8 @@ class TestClockTreeTiming:
         pp = plan_power(ffet_lib.tech, die)
         placement = place(mult4, ffet_lib, die, pp)
         synthesize_clock_tree(mult4, ffet_lib, placement, "clk")
-        extraction = estimate_parasitics(mult4, ffet_lib, placement)
+        extraction = reference.estimate_parasitics(mult4, ffet_lib,
+                                                   placement)
         report = analyze_timing(mult4, ffet_lib, extraction, 1000.0)
         assert report.insertion_delay_ps > 0   # buffers add delay
         assert report.clock_skew_ps >= 0
@@ -169,7 +172,7 @@ class TestCorners:
         nl.bind(ffet_lib)
         extraction = estimate_parasitics(nl, ffet_lib)
         scaled = scale_extraction(extraction, 1.5)
-        for name in extraction.nets:
+        for name in extraction:
             assert scaled[name].wire_cap_ff == pytest.approx(
                 extraction[name].wire_cap_ff * 1.5)
             assert scaled[name].pin_cap_ff == pytest.approx(

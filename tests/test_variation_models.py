@@ -8,7 +8,6 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.extract import Extraction
 from repro.extract.rc import NetParasitics
 from repro.variation import (
     CDVariationModel,
@@ -22,6 +21,7 @@ from repro.variation import (
     splitmix64,
 )
 
+from .reference.extract import from_nets
 from .reference.sta import scale_extraction, scale_extraction_sided
 from .reference.variation import perturb_extraction
 
@@ -131,58 +131,51 @@ class TestPerturb:
         assert corner.wire_derate == 1.0
 
     def test_frontside_only_net_ignores_overlay(self):
-        extraction = Extraction()
-        extraction.nets["n"] = _net(back=0.0)
+        extraction = from_nets([_net(back=0.0)])
         shifted = VariationSample(0, 0, 10.0, 0.0, 1.0, 1.0, 1.0)
         out = perturb_extraction(extraction, shifted, pitch_nm=16.0)
-        assert out.nets["n"] == extraction.nets["n"]
+        assert out["n"] == extraction["n"]
 
     def test_backside_net_rc_grows_with_overlay(self):
-        extraction = Extraction()
-        extraction.nets["n"] = _net(back=1000.0)  # fully backside
+        extraction = from_nets([_net(back=1000.0)])  # fully backside
         shifted = VariationSample(0, 0, 8.0, 0.0, 1.0, 1.0, 1.0)
         out = perturb_extraction(extraction, shifted, pitch_nm=16.0)
-        assert out.nets["n"].wire_cap_ff > extraction.nets["n"].wire_cap_ff
-        assert out.nets["n"].wire_res_kohm > \
-            extraction.nets["n"].wire_res_kohm
+        assert out["n"].wire_cap_ff > extraction["n"].wire_cap_ff
+        assert out["n"].wire_res_kohm > \
+            extraction["n"].wire_res_kohm
         # Pin caps belong to the cells: untouched.
-        assert out.nets["n"].pin_cap_ff == extraction.nets["n"].pin_cap_ff
+        assert out["n"].pin_cap_ff == extraction["n"].pin_cap_ff
 
 
 class TestSidedScaling:
     def test_equal_factors_match_plain_scaling(self):
-        extraction = Extraction()
-        extraction.nets["a"] = _net("a", back=300.0)
-        extraction.nets["b"] = _net("b", back=0.0)
+        extraction = from_nets([_net("a", back=300.0),
+                                           _net("b", back=0.0)])
         plain = scale_extraction(extraction, 1.3)
         sided = scale_extraction_sided(extraction, 1.3, 1.3)
-        for name in extraction.nets:
-            assert sided.nets[name] == plain.nets[name]
+        for name in extraction:
+            assert sided[name] == plain[name]
 
     def test_back_fraction_weights_the_factor(self):
-        extraction = Extraction()
-        extraction.nets["half"] = _net("half", wl=1000.0, back=500.0)
+        extraction = from_nets([_net("half", wl=1000.0, back=500.0)])
         out = scale_extraction_sided(extraction, 1.0, 2.0)
-        assert out.nets["half"].wire_cap_ff == pytest.approx(2.0 * 1.5)
+        assert out["half"].wire_cap_ff == pytest.approx(2.0 * 1.5)
 
     def test_unrouted_net_is_untouched(self):
-        extraction = Extraction()
-        extraction.nets["n"] = _net(wl=0.0, back=0.0)
+        extraction = from_nets([_net(wl=0.0, back=0.0)])
         out = scale_extraction_sided(extraction, 1.0, 3.0)
-        assert out.nets["n"] == extraction.nets["n"]
+        assert out["n"] == extraction["n"]
 
     def test_noop_returns_same_object(self):
-        extraction = Extraction()
-        extraction.nets["n"] = _net()
+        extraction = from_nets([_net()])
         assert scale_extraction_sided(extraction, 1.0, 1.0) is extraction
 
     @given(st.floats(0.5, 2.0), st.floats(0.5, 2.0),
            st.floats(0.0, 1.0))
     def test_front_factor_exact_on_front_nets(self, front, back, frac):
-        extraction = Extraction()
-        extraction.nets["n"] = _net(wl=1000.0, back=0.0)
+        extraction = from_nets([_net(wl=1000.0, back=0.0)])
         out = scale_extraction_sided(extraction, front, back)
-        assert out.nets["n"].wire_cap_ff == 2.0 * front
+        assert out["n"].wire_cap_ff == 2.0 * front
 
 
 class TestBackFraction:
