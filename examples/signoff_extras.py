@@ -65,7 +65,8 @@ def main() -> None:
         buffers = sum(1 for n in artifacts.netlist.instances
                       if n.startswith("holdbuf_"))
         print(f"hold: inserted {buffers} delay buffers, "
-              f"worst now {fixed.worst_slack_ps:+.2f} ps")
+              f"worst now {fixed.worst_slack_ps:+.2f} ps "
+              f"({'closed' if fixed.met else 'still violating'})")
 
     # IR-drop signoff on the frontside VSS rails (Power Tap Cells).
     ir = analyze_ir_drop(artifacts.netlist, artifacts.library,

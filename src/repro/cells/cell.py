@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from ..tech import Side, TechNode
-from .pins import Pin, PinDirection
+from .pins import Pin
 from .timing import PowerModel, SequentialTiming, TimingArc
 
 
@@ -74,9 +74,6 @@ class CellMaster:
             return self.pins[name]
         except KeyError:
             raise KeyError(f"cell {self.name} has no pin {name!r}") from None
-
-    def input_cap_ff(self, pin_name: str) -> float:
-        return self.pin(pin_name).cap_ff
 
     # -- geometry --------------------------------------------------------------
     def area_nm2(self, tech: TechNode) -> float:

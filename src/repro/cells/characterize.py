@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from ..tech import Side, TechNode
 from .cell import CellMaster
 from .pins import Pin, PinDirection
-from .templates import CellTemplate, StageSpec
+from .templates import CellTemplate
 from .timing import (
     DEFAULT_LOADS_FF,
     DEFAULT_SLEWS_PS,

@@ -17,7 +17,7 @@ discards it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..tech import Side
 

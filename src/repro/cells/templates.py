@@ -15,7 +15,7 @@ encode the paper's Fig. 4:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 

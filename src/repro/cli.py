@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -45,6 +46,7 @@ from .core import faults as faults_mod
 from .core import guard as guard_mod
 from .core import sweeps
 from .core.cache import cache_from_env
+from .core.config import with_arch_defaults
 from .core.doe import cooptimization_table, pin_density_doe
 from .core.errors import FlowError
 from .core.io import results_to_csv, results_to_json
@@ -70,8 +72,9 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--front-layers", type=int, default=12)
     parser.add_argument("--back-layers", type=int, default=None,
                         help="default: 12 for ffet, 0 for cfet")
-    parser.add_argument("--backside", type=float, default=0.5,
-                        help="backside input-pin fraction (ffet only)")
+    parser.add_argument("--backside", type=float, default=None,
+                        help="backside input-pin fraction (default: 0.5 "
+                             "with backside layers, 0 without)")
     parser.add_argument("--utilization", type=float, default=0.70)
     parser.add_argument("--frequency", type=float, default=1.5,
                         help="synthesis target, GHz")
@@ -90,11 +93,19 @@ def _add_output_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--csv", metavar="FILE", help="write results CSV")
 
 
-def _sample_count(text: str) -> int:
+def _at_least_one(text: str) -> int:
     count = int(text)
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
     return count
+
+
+def _positive_seconds(text: str) -> float:
+    seconds = float(text)
+    if not 0 < seconds < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive, finite number, got {text}")
+    return seconds
 
 
 def _add_runner_args(parser: argparse.ArgumentParser) -> None:
@@ -119,14 +130,15 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
                         help="write one per-stage telemetry trace (JSONL) "
                              "per run into DIR; inspect with "
                              "'repro trace report DIR'")
-    parser.add_argument("--timeout", type=float, default=None,
+    parser.add_argument("--timeout", type=_positive_seconds, default=None,
                         metavar="SECONDS",
-                        help="per-run wall-clock budget; a run past it is "
-                             "retried, then quarantined (default: "
-                             "$REPRO_TIMEOUT or unlimited)")
-    parser.add_argument("--retries", type=int, default=None, metavar="N",
-                        help="max attempts per run for transient failures "
-                             "(default: $REPRO_RETRIES or 3)")
+                        help="per-run wall-clock budget, positive; a run "
+                             "past it is retried, then quarantined "
+                             "(default: $REPRO_TIMEOUT or unlimited)")
+    parser.add_argument("--retries", type=_at_least_one, default=None,
+                        metavar="N",
+                        help="max attempts per run for transient failures, "
+                             "at least 1 (default: $REPRO_RETRIES or 3)")
     parser.add_argument("--checkpoint", metavar="FILE", default=None,
                         help="crash-safe run journal (JSONL); rerunning "
                              "with the same file resumes every run it "
@@ -159,10 +171,10 @@ def _retry_from(args) -> RetryPolicy:
     """``$REPRO_TIMEOUT``/``$REPRO_RETRIES``, overridden by
     ``--timeout``/``--retries``."""
     patch = {}
-    if args.timeout:
+    if args.timeout is not None:
         patch["timeout_s"] = args.timeout
-    if args.retries:
-        patch["max_attempts"] = max(1, args.retries)
+    if args.retries is not None:
+        patch["max_attempts"] = args.retries
     return dataclasses.replace(RetryPolicy.from_env(), **patch)
 
 
@@ -196,21 +208,20 @@ def _report_traces(args, runner: SweepRunner) -> None:
 
 
 def _config_from(args) -> FlowConfig:
-    back = args.back_layers
-    if back is None:
-        back = 12 if args.arch == "ffet" else 0
-    backside = args.backside if (args.arch == "ffet" and back) else 0.0
-    return FlowConfig(
+    fields = dict(
         arch=args.arch,
         front_layers=args.front_layers,
-        back_layers=back,
-        backside_pin_fraction=backside,
         utilization=args.utilization,
         target_frequency_ghz=args.frequency,
         seed=args.seed,
         cts_mode=getattr(args, "cts_mode", "single"),
         cts_back_fraction=getattr(args, "cts_back_fraction", 0.5),
     )
+    if args.back_layers is not None:
+        fields["back_layers"] = args.back_layers
+    if args.backside is not None:
+        fields["backside_pin_fraction"] = args.backside
+    return FlowConfig(**with_arch_defaults(fields))
 
 
 class RiscvFactory:
@@ -782,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "with statistical PPA signoff")
     _add_core_args(p)
     _add_config_args(p)
-    p.add_argument("--samples", type=_sample_count, default=64,
+    p.add_argument("--samples", type=_at_least_one, default=64,
                    help="Monte-Carlo sample count, at least 1 (default: 64)")
     p.add_argument("--overlay-sigma", type=float, default=2.0,
                    metavar="NM",
@@ -872,12 +883,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default=_serve_env("MAX_RUNS", 256),
                    help="per-job quota: a spec expanding to more runs is "
                         "rejected (default: $REPRO_SERVE_MAX_RUNS or 256)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="default per-run wall-clock budget (default: "
-                        "$REPRO_TIMEOUT or unlimited)")
-    p.add_argument("--retries", type=int, default=None, metavar="N",
-                   help="default max attempts per run (default: "
-                        "$REPRO_RETRIES or 3)")
+    p.add_argument("--timeout", type=_positive_seconds, default=None,
+                   metavar="SECONDS",
+                   help="default per-run wall-clock budget, positive "
+                        "(default: $REPRO_TIMEOUT or unlimited)")
+    p.add_argument("--retries", type=_at_least_one, default=None,
+                   metavar="N",
+                   help="default max attempts per run, at least 1 "
+                        "(default: $REPRO_RETRIES or 3)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("client",

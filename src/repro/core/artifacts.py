@@ -16,9 +16,8 @@ from ..lefdef import write_def, write_lef
 from ..extract import write_spef
 from ..netlist import write_verilog
 from ..sta import format_path, report_critical_path
-from ..tech import Side
 from .flow import FlowArtifacts
-from .io import result_to_dict, results_to_json
+from .io import results_to_json
 
 
 def save_artifacts(artifacts: FlowArtifacts, directory: str) -> list[str]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..cells import pin_density_label
 from ..tech import TechNode, make_cfet_node, make_ffet_node
@@ -104,3 +104,20 @@ class FlowConfig:
     def with_(self, **overrides) -> "FlowConfig":
         """A modified copy, e.g. ``config.with_(utilization=0.8)``."""
         return replace(self, **overrides)
+
+
+def with_arch_defaults(fields: dict) -> dict:
+    """``fields`` with the wafer-side fields ``arch`` implies where unset.
+
+    ``back_layers`` defaults to 12 for FFET and 0 for CFET, and
+    ``backside_pin_fraction`` to 0.5 with backside layers and 0.0
+    without.  Fields the caller set are kept as they are, for
+    :class:`FlowConfig` to check.
+    """
+    out = dict(fields)
+    ffet = out.get("arch", FlowConfig.arch) == "ffet"
+    out.setdefault("back_layers", FlowConfig.back_layers if ffet else 0)
+    out.setdefault("backside_pin_fraction",
+                   FlowConfig.backside_pin_fraction
+                   if ffet and out["back_layers"] else 0.0)
+    return out

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 from ..analysis import Ellipse, confidence_ellipse, relative_diff
 from ..netlist import Netlist
 from .config import FlowConfig
-from .ppa import FailedRun, PPAResult
+from .ppa import PPAResult
 from .runner import SweepRunner
 from .sweeps import DEFAULT_UTILIZATIONS, utilization_sweep
 

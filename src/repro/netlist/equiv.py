@@ -12,7 +12,7 @@ library already carries.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..cells import Library
 from .netlist import Netlist

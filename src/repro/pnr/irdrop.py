@@ -14,7 +14,7 @@ Power Tap Cell resistance; for the CFET's BPR it crosses the nTSV.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from ..cells import Library
 from ..netlist import Netlist
-from .geometry import Point
 from .placement import Placement
 from .powerplan import PowerPlan
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...cells import Library
 from ...netlist import Netlist
 from ..geometry import Die
 from ..placement import Placement

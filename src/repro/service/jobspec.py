@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass, field
 
 from ..core import sweeps
-from ..core.config import FlowConfig
+from ..core.config import FlowConfig, with_arch_defaults
 from ..core.runner import RetryPolicy, RunItem
 
 #: Spec kinds a server accepts.
@@ -170,7 +170,7 @@ def _parse_config(doc: dict, overrides: dict | None = None) -> FlowConfig:
              f"unknown config fields {sorted(unknown)} "
              f"(known: {sorted(known)})")
     try:
-        return FlowConfig(**raw)
+        return FlowConfig(**with_arch_defaults(raw))
     except (TypeError, ValueError) as exc:
         raise JobSpecError(f"invalid config: {exc}")
 

@@ -5,7 +5,6 @@ from .hold import FAST_CORNER_DERATE, HoldReport, analyze_hold, fix_hold
 from .paths import PathStage, TimingPath, format_path, report_critical_path
 from .sta import (
     PRIMARY_INPUT_SLEW_PS,
-    PinTiming,
     TimingGraph,
     TimingReport,
     analyze_timing,
@@ -19,7 +18,6 @@ __all__ = [
     "HoldReport",
     "PRIMARY_INPUT_SLEW_PS",
     "PathStage",
-    "PinTiming",
     "TimingGraph",
     "TimingReport",
     "analyze_corners",

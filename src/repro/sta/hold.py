@@ -1,21 +1,24 @@
 """Hold-time analysis: min-delay propagation at the fast corner.
 
-Complements the setup analysis in :mod:`repro.sta.sta`.  Arrivals are
-propagated as *minimum* delays (each gate's fastest edge, derated to a
-fast process corner); the hold check at each sequential data pin
-compares the earliest data arrival after a clock edge against the
-capture clock arrival plus that cell's hold time.  Launch arcs and
-endpoints are the :class:`~repro.sta.sta.TimingGraph`'s, the same ones
-setup uses: a hard macro launches every data output and captures on
-every non-clock input.  Clock-tree skew is the usual hold hazard, and
-the CTS tree built by :mod:`repro.pnr.cts` feeds straight into this.
+Complements the setup analysis in :mod:`repro.sta.sta` on the same
+:class:`~repro.sta.sta.TimingGraph`: its launch arcs, endpoints and
+level batches.  Each net carries one earliest arrival, and each gate's
+fastest edge is taken at the primary-input slew, derated to a fast
+process corner (:func:`_propagate_min`).  The clock tree's batches run
+first and give each sequential cell its capture arrival; the hold check
+at each data pin (a flop's D, every non-clock input of a hard macro)
+compares the earliest data arrival against that capture plus the
+cell's hold time.  Clock-tree skew is the usual hold hazard, and the
+CTS tree built by :mod:`repro.pnr.cts` feeds straight into this.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cells import Library, TimingArc
+import numpy as np
+
+from ..cells import Library
 from ..extract import Extraction
 from ..netlist import Netlist
 from .sta import PRIMARY_INPUT_SLEW_PS, TimingGraph
@@ -42,11 +45,28 @@ class HoldReport:
         return self.worst_slack_ps >= 0.0
 
 
-def _min_delay(arc: TimingArc, load_ff: float) -> float:
-    """An arc's faster edge at the input slew, fast-corner derated."""
-    return min(arc.delay(PRIMARY_INPUT_SLEW_PS, load_ff, True),
-               arc.delay(PRIMARY_INPUT_SLEW_PS, load_ff, False)) \
-        * FAST_CORNER_DERATE
+def _propagate_min(graph: TimingGraph, batches, arrival: np.ndarray,
+                   timed: np.ndarray, wires: np.ndarray,
+                   loads: np.ndarray) -> None:
+    """Earliest arrival at every output of ``batches``, in place.
+
+    Each lane adds ``(arrival + wire) + delay * FAST_CORNER_DERATE``,
+    the delay taken at the primary-input slew, and the smallest timed
+    lane wins; an output no timed lane reaches reads 0.0.  Every output
+    counts as timed afterwards.
+    """
+    lane_wires = wires[graph.wire_sinks] if len(graph.wire_sinks) \
+        else np.zeros(1)
+    for lvl in batches:
+        slew = np.full(lvl.gid_d.shape, PRIMARY_INPUT_SLEW_PS)
+        delay = graph.stack.evaluate(lvl.gid_d, lvl.row_d, slew,
+                                     loads[lvl.out_ids][:, None])
+        cand = (arrival[lvl.in_ids] + lane_wires[lvl.wire_slot]) \
+            + delay * FAST_CORNER_DERATE
+        valid = lvl.present & timed[lvl.in_ids]
+        best = np.where(valid, cand, _INF).min(axis=1, initial=_INF)
+        arrival[lvl.out_ids] = np.where(best < _INF, best, 0.0)
+        timed[lvl.out_ids] = True
 
 
 def analyze_hold(netlist: Netlist, library: Library, extraction: Extraction,
@@ -58,77 +78,54 @@ def analyze_hold(netlist: Netlist, library: Library, extraction: Extraction,
     so their earliest arrival is the clock network latency (or the
     explicit ``input_delay_ps``) — the standard input-delay constraint.
     """
-    graph = TimingGraph(netlist, library)
-    min_arrival: dict[str, float] = {}
-    wires = (extraction.elmore_ps(graph.net_names, graph.sinks,
-                                  graph.sink_net)
-             * FAST_CORNER_DERATE).tolist()
-    loads = dict(zip(graph.net_names,
-                     extraction.loads_ff(graph.net_names)[0].tolist()))
+    graph = TimingGraph(netlist, library, clock)
+    wires = extraction.elmore_ps(graph.net_names, graph.sinks,
+                                 graph.sink_net) * FAST_CORNER_DERATE
+    loads = extraction.loads_ff(graph.net_names)[0]
+    arrival = np.zeros(graph.n_nets)
+    timed = np.zeros(graph.n_nets, dtype=bool)
 
-    def wire_delay(inst: str, pin: str) -> float:
-        return wires[graph.sink_at[inst, pin]]
-
-    # Clock arrivals (min corner) through the buffer tree.
-    clock_arrivals: dict[str, float] = {}
-    if clock in netlist.nets:
-        frontier = [(clock, 0.0)]
-        while frontier:
-            net_name, base = frontier.pop()
-            for inst_name, pin_name in netlist.nets[net_name].sinks:
-                inst = netlist.instances[inst_name]
-                master = library[inst.master]
-                at_pin = base + wire_delay(inst_name, pin_name)
-                if master.is_sequential:
-                    clock_arrivals[inst_name] = at_pin
-                    continue
-                out_net = inst.connections[master.output.name]
-                frontier.append((out_net, at_pin + _min_delay(
-                    master.arcs[0], loads[out_net])))
+    # Clock arrivals (min corner) through the clock tree's batches.
+    if graph.clock_id is not None:
+        timed[graph.clock_id] = True
+    _propagate_min(graph, graph.clock_levels, arrival, timed, wires, loads)
+    reached = arrival[graph.ck_net] + wires[graph.ck_sinks]
+    capture = np.zeros(len(graph.seq_names))
+    capture[graph.ck_seq] = reached
 
     pi_arrival = input_delay_ps if input_delay_ps is not None else (
-        max(clock_arrivals.values()) if clock_arrivals else 0.0
-    )
-    for net in netlist.nets.values():
-        if net.is_primary_input:
-            min_arrival[net.name] = 0.0 if net.is_clock else pi_arrival
+        float(reached.max()) if len(reached) else 0.0)
+    arrival[graph.input_ids] = [
+        0.0 if netlist.nets[name].is_clock else pi_arrival
+        for name in graph.inputs]
+    timed[graph.input_ids] = True
 
     # Launch: earliest output after the launching edge.
-    for inst_name, arc, out_net in graph.launches:
-        min_arrival[out_net] = clock_arrivals.get(inst_name, 0.0) + \
-            _min_delay(arc, loads[out_net])
+    if graph.launches:
+        out = graph.launch_out
+        slew = np.full(len(out), PRIMARY_INPUT_SLEW_PS)
+        rise, fall = (graph.stack.evaluate(gid, row, slew, loads[out])
+                      for (gid, row), _trans in graph.launch_tables)
+        arrival[out] = capture[graph.launch_seq] \
+            + np.minimum(rise, fall) * FAST_CORNER_DERATE
+        timed[out] = True
+    ties = [oid for _i, _n, oid in graph.ties if not timed[oid]]
+    arrival[ties], timed[ties] = 0.0, True
 
-    for inst in netlist.topological_order(library):
-        master = library[inst.master]
-        outs = master.output_pins
-        if not outs:
-            continue
-        out_net = inst.connections[outs[0].name]
-        if master.function in ("TIEHI", "TIELO"):
-            min_arrival.setdefault(out_net, 0.0)
-            continue
-        load = loads[out_net]
-        best = _INF
-        for arc in master.arcs:
-            in_net = inst.connections.get(arc.from_pin)
-            if in_net is None or in_net not in min_arrival:
-                continue
-            arrival = min_arrival[in_net] + \
-                wire_delay(inst.name, arc.from_pin)
-            best = min(best, arrival + _min_delay(arc, load))
-        min_arrival[out_net] = best if best < _INF else 0.0
+    _propagate_min(graph, graph.levels, arrival, timed, wires, loads)
 
     worst = _INF
     worst_endpoint = ""
     violators: list[tuple[float, str, str]] = []
     endpoints = 0
-    for inst_name, pin, d_net, seq in graph.endpoints:
-        if d_net not in min_arrival:
+    for (inst_name, pin, _net, seq), ok, at, ck in zip(
+            graph.endpoints, timed[graph.ep_net].tolist(),
+            (arrival[graph.ep_net] + wires[graph.ep_sinks]).tolist(),
+            capture[graph.ep_seq].tolist()):
+        if not ok:
             continue
         endpoints += 1
-        arrival = min_arrival[d_net] + wire_delay(inst_name, pin)
-        capture = clock_arrivals.get(inst_name, 0.0)
-        slack = arrival - (capture + seq.hold_ps)
+        slack = at - (ck + seq.hold_ps)
         if slack < 0:
             violators.append((slack, inst_name, pin))
         if slack < worst:

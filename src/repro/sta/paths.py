@@ -8,7 +8,7 @@ debugging why one architecture's achieved frequency differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..cells import Library
 from ..extract import Extraction

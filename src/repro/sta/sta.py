@@ -28,13 +28,14 @@ dominating the sizing stage — is a level-batched engine
 (:func:`_propagate_comb`) that groups instances by logic level and
 evaluates every timing-arc candidate of a level, in every row, through
 one stacked-table interpolation (:class:`repro.sta.nldm.TableStack`).
-Launch arcs go through the same stack; the clock tree stays a scalar
-walk per row.
+The graph lists the clock tree as level batches of its own, timed by
+the same engine ahead of the data batches; launch arcs go through the
+same stack.  Hold (:mod:`repro.sta.hold`) runs its min-delay pass over
+the same batches.
 
 It agrees bit-for-bit with the scalar topological-order oracle in
-``tests/reference/sta.py``, which folds one arc at a time through
-:func:`_propagate_arc` like the clock arcs here do: the batched engine
-performs the same adds in the same order, replaces the running
+``tests/reference/sta.py``, which folds one arc at a time: the batched
+engine performs the same adds in the same order, replaces the running
 strict-``>`` maximum with an argmax (first occurrence of the maximum —
 exactly what first-wins strict updates keep), and resolves
 ``from_pin`` as the later of the two edges' winning arcs, which is
@@ -66,44 +67,6 @@ _NEG = -1e18
 
 
 @dataclass
-class PinTiming:
-    """Rise/fall arrivals and slews at one net (at its driver pin)."""
-
-    arrival_rise_ps: float = _NEG
-    arrival_fall_ps: float = _NEG
-    slew_rise_ps: float = PRIMARY_INPUT_SLEW_PS
-    slew_fall_ps: float = PRIMARY_INPUT_SLEW_PS
-
-    @classmethod
-    def at_time(cls, t_ps: float, slew_ps: float = PRIMARY_INPUT_SLEW_PS):
-        return cls(t_ps, t_ps, slew_ps, slew_ps)
-
-    def arrival(self, rise: bool) -> float:
-        return self.arrival_rise_ps if rise else self.arrival_fall_ps
-
-    def slew(self, rise: bool) -> float:
-        return self.slew_rise_ps if rise else self.slew_fall_ps
-
-    def set_edge(self, rise: bool, arrival: float, slew: float) -> None:
-        if rise:
-            self.arrival_rise_ps = arrival
-            self.slew_rise_ps = slew
-        else:
-            self.arrival_fall_ps = arrival
-            self.slew_fall_ps = slew
-
-    def delayed(self, wire_ps: float) -> "PinTiming":
-        """This timing seen after a wire segment of the given Elmore delay."""
-        extra_slew = SLEW_DEGRADATION * wire_ps
-        return PinTiming(
-            self.arrival_rise_ps + wire_ps if self.arrival_rise_ps > _NEG / 2 else _NEG,
-            self.arrival_fall_ps + wire_ps if self.arrival_fall_ps > _NEG / 2 else _NEG,
-            self.slew_rise_ps + extra_slew,
-            self.slew_fall_ps + extra_slew,
-        )
-
-
-@dataclass
 class TimingReport:
     """Result of one setup-timing run."""
 
@@ -132,31 +95,6 @@ class TimingReport:
         return self.wns_ps >= 0.0
 
 
-def _propagate_arc(arc: TimingArc, pt_in: PinTiming, load_ff: float,
-                   out: PinTiming, stats: list | None = None) -> bool:
-    """Fold one arc's contribution into the output timing.
-
-    Returns True when this arc set a new worst output arrival.
-    ``stats``, when given, counts delay-table evaluations in slot 0.
-    """
-    improved = False
-    for rise_out in (True, False):
-        for rise_in in arc.input_edges_for(rise_out):
-            arrival_in = pt_in.arrival(rise_in)
-            if arrival_in < _NEG / 2:
-                continue
-            slew_in = pt_in.slew(rise_in)
-            if stats is not None:
-                stats[0] += 1
-            delay = arc.delay(slew_in, load_ff, rise=rise_out)
-            arrival = arrival_in + delay
-            if arrival > out.arrival(rise_out):
-                out.set_edge(rise_out, arrival,
-                             arc.transition(slew_in, load_ff, rise=rise_out))
-                improved = True
-    return improved
-
-
 def analyze_timing(netlist: Netlist, library: Library, extraction: Extraction,
                    period_ps: float, clock: str = "clk",
                    graph: TimingGraph | None = None) -> TimingReport:
@@ -164,8 +102,8 @@ def analyze_timing(netlist: Netlist, library: Library, extraction: Extraction,
 
     The one-row case of :func:`analyze_timing_rows`, traced on the
     current tracer.  ``graph``, the caller's :class:`TimingGraph` of
-    this netlist and library, is refreshed and reused; without one the
-    call builds its own.  The report is the same either way.
+    this netlist, library and clock, is refreshed and reused; without
+    one the call builds its own.  The report is the same either way.
     """
     return analyze_timing_rows(netlist, library, extraction, None,
                                period_ps, clock, graph=graph,
@@ -187,10 +125,13 @@ def analyze_timing_rows(netlist: Netlist, library: Library,
     one); ``graph`` is as for :func:`analyze_timing`.
     """
     if graph is None:
-        graph = TimingGraph(netlist, library)
+        graph = TimingGraph(netlist, library, clock)
     elif graph.netlist is not netlist or graph.library is not library:
         raise ValueError(
             "timing graph was built for another netlist or library")
+    elif graph.clock != clock:
+        raise ValueError(f"timing graph was built for clock "
+                         f"{graph.clock!r}, not {clock!r}")
     else:
         graph.refresh()
     tracer = tracer if tracer is not None else NULL_TRACER
@@ -200,7 +141,8 @@ def analyze_timing_rows(netlist: Netlist, library: Library,
 
     st.start(graph.input_ids, 0.0, PRIMARY_INPUT_SLEW_PS)
     net_from.update((name, None) for name in graph.inputs)
-    clock_arrivals, spans = _propagate_clock(graph, par, clock, st)
+    clock_arrivals, insertion, skew = _clock_arrivals(graph, par, st,
+                                                      tracer)
     _launch(graph, par, clock_arrivals, st)
     for inst_name, _arc, out_net in graph.launches:
         net_from[out_net] = (inst_name, "CK")
@@ -210,16 +152,9 @@ def analyze_timing_rows(netlist: Netlist, library: Library,
     for name, _oid in ties:
         net_from.setdefault(name, None)
 
-    # Nets timed before the propagation that it also drives
-    # (clock-buffer outputs) keep their first timing for the checks.
-    kept = np.flatnonzero(st.timed & graph.comb_out)
-    kept_r, kept_f = st.arr_r[:, kept], st.arr_f[:, kept]
     with tracer.span("kernel.sta.propagate"):
-        _propagate_comb(graph, par, st, tracer)
+        _propagate_comb(graph, graph.levels, par, st, tracer)
     ar, af = st.arr_r, st.arr_f
-    if len(kept):
-        ar, af = ar.copy(), af.copy()
-        ar[:, kept], af[:, kept] = kept_r, kept_f
     timed = st.timed | st.written
 
     # Endpoint checks, sequential data pins first, then primary outputs.
@@ -266,15 +201,14 @@ def analyze_timing_rows(netlist: Netlist, library: Library,
             worst_net = graph.net_names[nets[k]]
             worst_arrival = float(arrival[r, k])
         view = _ArrayFromMap(net_from, graph, st.from_inst, st.from_arc[r])
-        insertion, skew = spans[r]
         reports.append(TimingReport(
             period_ps=period_ps,
             wns_ps=wns,
             tns_ps=float(tns[r]),
             worst_endpoint=worst_endpoint,
             critical_path=_trace_path(netlist, view, worst_net),
-            clock_skew_ps=skew,
-            insertion_delay_ps=insertion,
+            clock_skew_ps=float(skew[r]),
+            insertion_delay_ps=float(insertion[r]),
             endpoint_count=int(endpoints[r]),
             worst_arrival_ps=worst_arrival,
         ))
@@ -323,9 +257,9 @@ class _Parasitics:
 class _Arrivals:
     """Rise/fall arrivals and slews of every net, R rows deep.
 
-    ``timed`` marks nets given a timing before the combinational
-    propagation (inputs, clock tree, launches, ties); ``written`` the
-    nets it drives.  ``from_inst``/``from_arc`` are the provenance the
+    ``timed`` marks the nets started by hand (inputs, the clock net,
+    launches, ties); ``written`` the nets the propagation drives, the
+    clock tree's included.  ``from_inst``/``from_arc`` are the provenance the
     critical path is traced from: the driving row of the graph and,
     per row, the index of the arc that set the worst arrival.
     """
@@ -355,7 +289,7 @@ def _launch(graph: TimingGraph, par: _Parasitics, clock_arrivals,
 
     A launch's input is a clean edge at the CK arrival, so each output
     edge's candidates are equal and the first one wins, as in
-    :func:`_propagate_arc`.
+    :func:`_propagate_comb`.
     """
     if not graph.launches:
         return
@@ -370,6 +304,31 @@ def _launch(graph: TimingGraph, par: _Parasitics, clock_arrivals,
         out += [np.where(ok, t + delay, _NEG),
                 np.where(ok, trans, PRIMARY_INPUT_SLEW_PS)]
     st.start(graph.launch_out, *out)
+
+
+def _clock_arrivals(graph: TimingGraph, par: _Parasitics, st: _Arrivals,
+                    tracer):
+    """Time the clock tree's batches from the clock net at 0 ps.
+
+    The clock net starts with the primary-input slew whether or not it
+    is a primary input.  Flops latch on the rising edge, so a cell's
+    capture arrival is the rise arrival on its clock pin's net plus
+    the pin's wire delay.  Returns the (R, sequential cells) capture
+    arrivals (0.0 where no clock arrives) and each row's insertion
+    delay and skew over the cells the clock reaches.
+    """
+    if graph.clock_id is not None:
+        st.start([graph.clock_id], 0.0, PRIMARY_INPUT_SLEW_PS)
+    with tracer.span("kernel.sta.propagate"):
+        _propagate_comb(graph, graph.clock_levels, par, st, tracer)
+    reached = st.arr_r[:, graph.ck_net] \
+        + par.scale(par.elmore(graph.ck_sinks), graph.ck_net)
+    arrivals = np.zeros((par.rows, len(graph.seq_names)))
+    arrivals[:, graph.ck_seq] = reached
+    if not reached.shape[1]:
+        return arrivals, np.zeros(par.rows), np.zeros(par.rows)
+    insertion = reached.max(axis=1)
+    return arrivals, insertion, insertion - reached.min(axis=1)
 
 
 # -- level-batched combinational propagation ---------------------------------
@@ -433,11 +392,19 @@ class TimingGraph:
       connected non-clock input of a sequential cell: a flop's D, a
       macro's address/data/enable pins;
     * ``outputs`` — the primary-output nets, setup endpoints too.
+
+    It lists the clock tree of ``clock`` once: ``clock_levels`` batch
+    the combinational cells the clock net reaches through
+    non-sequential sinks, ahead of the data cells' ``levels``, and
+    ``ck_seq``/``ck_sinks`` name the clock pin of every sequential cell
+    the tree reaches.
     """
 
-    def __init__(self, netlist: Netlist, library: Library) -> None:
+    def __init__(self, netlist: Netlist, library: Library,
+                 clock: str = "clk") -> None:
         self.netlist = netlist
         self.library = library
+        self.clock = clock
         self._build()
 
     def _build(self) -> None:
@@ -488,8 +455,7 @@ class TimingGraph:
                         if n.is_primary_output and not n.is_primary_input]
         self.output_ids = np.array([self.net_id[n] for n in self.outputs],
                                    dtype=np.intp)
-        self.comb_out = np.zeros(self.n_nets, dtype=bool)
-        self.comb_out[[self.net_id[o] for o in out_names]] = True
+        tree = self._list_clock_tree()
 
         # Logic levels over the same dependency edges the reference
         # topological order uses (non-clock input pins, combinational
@@ -524,21 +490,51 @@ class TimingGraph:
                     queue.append(j)
         if done != n:
             raise ValueError("combinational loop detected")
-        by_level: dict[int, list[int]] = {}
+        # The clock tree's batches sort ahead of the data batches.  No
+        # data cell reads a clock-tree net, so the data cells keep
+        # their levels.
+        by_level: dict[tuple[bool, int], list[int]] = {}
         for i in range(n):
-            by_level.setdefault(level[i], []).append(i)
+            key = (comb_names[i] not in tree, level[i])
+            by_level.setdefault(key, []).append(i)
 
-        #: The sink of every arc input, all levels.
+        #: The sink of every arc input, all batches.
         self.wire_sinks = []
-        self.levels = [self._build_level(rows, out_names)
-                       for _lvl, rows in sorted(by_level.items())]
+        batches = [self._build_level(rows, out_names)
+                   for _key, rows in sorted(by_level.items())]
+        n_clock = sum(1 for data, _lvl in by_level if not data)
+        self.clock_levels = batches[:n_clock]
+        self.levels = batches[n_clock:]
         self.wire_sinks = np.array(self.wire_sinks, dtype=np.intp)
         self.wire_net_ids = self.sink_net[self.wire_sinks]
-        #: row -> (level index, row-within-level) for master refreshes.
-        self.row_pos: list[tuple[int, int]] = [(0, 0)] * n
-        for li, lvl in enumerate(self.levels):
-            for r, i in enumerate(lvl.rows.tolist()):
-                self.row_pos[i] = (li, r)
+        #: row -> (batch, row-within-batch) for master refreshes.
+        self.row_pos = {i: (lvl, r) for lvl in batches
+                        for r, i in enumerate(lvl.rows.tolist())}
+
+    def _list_clock_tree(self) -> set[str]:
+        """The cells ``clock`` reaches through non-sequential sinks.
+
+        Also records the sink each sequential cell it reaches takes its
+        clock on: ``ck_seq`` (the cell), ``ck_sinks`` and ``ck_net``.
+        """
+        nets, instances = self.netlist.nets, self.netlist.instances
+        self.clock_id = self.net_id.get(self.clock)
+        tree: set[str] = set()
+        clock_pin: dict[int, int] = {}
+        frontier = [] if self.clock_id is None else [self.clock]
+        while frontier:
+            for sink in nets[frontier.pop()].sinks:
+                inst = instances[sink[0]]
+                t = self._template(inst.master)
+                if t.is_seq:
+                    clock_pin[self.seq_index[inst.name]] = self.sink_at[sink]
+                elif t.out_pin is not None and inst.name not in tree:
+                    tree.add(inst.name)
+                    frontier.append(inst.connections[t.out_pin])
+        self.ck_seq = np.array(list(clock_pin), dtype=np.intp)
+        self.ck_sinks = np.array(list(clock_pin.values()), dtype=np.intp)
+        self.ck_net = self.sink_net[self.ck_sinks]
+        return tree
 
     def _template(self, master_name: str) -> _MasterTemplate:
         t = self.templates.get(master_name)
@@ -672,8 +668,7 @@ class TimingGraph:
             old = self.row_template[i]
             if t.sig != old.sig:
                 return False
-            li, r = self.row_pos[i]
-            lvl = self.levels[li]
+            lvl, r = self.row_pos[i]
             arc_info: list[tuple[int, int] | None] = []
             for ai in range(len(t.arc_from_pins)):
                 # Connectivity is untouched by a drive swap; reuse the
@@ -716,13 +711,13 @@ class _ArrayFromMap:
         return self.base.get(name, default)
 
 
-def _propagate_comb(graph: TimingGraph, par: _Parasitics, st: _Arrivals,
-                    tracer) -> None:
-    """Time every combinational output: all arcs of a level, in every
+def _propagate_comb(graph: TimingGraph, batches: list[_LevelBatch],
+                    par: _Parasitics, st: _Arrivals, tracer) -> None:
+    """Time the outputs of ``batches``: all arcs of a batch, in every
     row, in one pass.
 
-    Reads the nets ``st`` timed on entry and writes each level's
-    outputs into it, with their provenance.
+    Reads the nets ``st`` timed or wrote on entry and writes each
+    batch's outputs into it, with their provenance.
     """
     arr_r, arr_f, slw_r, slw_f = st.arr_r, st.arr_f, st.slw_r, st.slw_f
     rows = par.rows
@@ -730,7 +725,7 @@ def _propagate_comb(graph: TimingGraph, par: _Parasitics, st: _Arrivals,
     counting = tracer.enabled
     evals = 0
     batch_max = 0
-    for lvl in graph.levels:
+    for lvl in batches:
         n = len(lvl.out_names)
         batch_max = max(batch_max, n)
         loads = par.loads[:, lvl.out_ids]
@@ -738,8 +733,8 @@ def _propagate_comb(graph: TimingGraph, par: _Parasitics, st: _Arrivals,
         arr_sel = np.where(lvl.rise_in, arr_r[:, in_ids], arr_f[:, in_ids])
         slw_sel = np.where(lvl.rise_in, slw_r[:, in_ids], slw_f[:, in_ids])
         w = par.wires[:, lvl.wire_slot]
-        # Same three adds, same order, as PinTiming.delayed + the arc
-        # fold: (arrival + wire) + delay, slew + (1.8 * wire).
+        # Same three adds, same order, as a scalar fold of one arc:
+        # (arrival + wire) + delay, slew + (1.8 * wire).
         arr_in = arr_sel + w
         slw_in = slw_sel + SLEW_DEGRADATION * w
         valid = lvl.present & (arr_sel > _NEG / 2)
@@ -773,75 +768,11 @@ def _propagate_comb(graph: TimingGraph, par: _Parasitics, st: _Arrivals,
         st.from_arc[:, lvl.out_ids] = np.maximum(edge_arc[0], edge_arc[1])
 
     if counting:
-        tracer.count("kernel.sta.insts", len(graph.comb_names) * rows)
+        tracer.count("kernel.sta.insts",
+                     sum(len(lvl.rows) for lvl in batches) * rows)
         tracer.count("kernel.sta.delay_evals", evals)
-        tracer.count("kernel.sta.batches", len(graph.levels))
+        tracer.count("kernel.sta.batches", len(batches))
         tracer.gauge("kernel.sta.batch_max", batch_max)
-
-
-def _propagate_clock(graph: TimingGraph, par: _Parasitics, clock: str,
-                     st: _Arrivals):
-    """Walk the clock tree, accumulating buffer and wire delays.
-
-    The walk's order is structural and taken once; each row then times
-    it scalar, buffer by buffer.  Flops latch on the rising edge, so
-    the capture arrival is the rise arrival at each CK pin.  Times the
-    tree's nets in ``st`` and returns the (R, sequential cells) CK
-    arrivals (0.0 where no clock arrives) and each row's (insertion
-    delay, skew) over the cells it reaches.
-    """
-    netlist, library = graph.netlist, graph.library
-    arrivals = np.zeros((par.rows, len(graph.seq_names)))
-    if clock not in netlist.nets:
-        return arrivals, [(0.0, 0.0)] * par.rows
-    # (instance, pin, net, arc, output net) per clock sink; a flop has
-    # no arc, a clock buffer times its first one.
-    steps: list[tuple[str, str, str, TimingArc | None, str | None]] = []
-    frontier = [clock]
-    while frontier:
-        net_name = frontier.pop()
-        for inst_name, pin_name in netlist.nets[net_name].sinks:
-            inst = netlist.instances[inst_name]
-            master = library[inst.master]
-            if master.is_sequential:
-                steps.append((inst_name, pin_name, net_name, None, None))
-                continue
-            out_net = inst.connections[master.output.name]
-            steps.append((inst_name, pin_name, net_name, master.arcs[0],
-                          out_net))
-            frontier.append(out_net)
-    net_id = graph.net_id
-    buffered = [net_id[o] for *_s, o in steps if o is not None]
-    wires = par.scale(par.elmore([graph.sink_at[s[:2]] for s in steps]),
-                      [net_id[s[2]] for s in steps]).tolist()
-    loads = par.loads[:, buffered].tolist()
-    spans = []
-    for r in range(par.rows):
-        net_timing = {clock: PinTiming.at_time(0.0)}
-        reached: dict[str, float] = {}
-        buffers = iter(loads[r])
-        for (inst_name, _pin, net_name, arc, out_net), wire in zip(
-                steps, wires[r]):
-            at_pin = net_timing[net_name].delayed(wire)
-            if arc is None:
-                reached[inst_name] = at_pin.arrival(rise=True)
-                continue
-            out = PinTiming()
-            _propagate_arc(arc, at_pin, next(buffers), out)
-            net_timing[out_net] = out
-        for name, pt in net_timing.items():
-            i = net_id[name]
-            st.arr_r[r, i], st.arr_f[r, i] = pt.arrival_rise_ps, \
-                pt.arrival_fall_ps
-            st.slw_r[r, i], st.slw_f[r, i] = pt.slew_rise_ps, \
-                pt.slew_fall_ps
-        for inst_name, t in reached.items():
-            arrivals[r, graph.seq_index[inst_name]] = t
-        skews = list(reached.values())
-        spans.append((max(skews), max(skews) - min(skews)) if skews
-                     else (0.0, 0.0))
-    st.timed[[net_id[clock]] + buffered] = True
-    return arrivals, spans
 
 
 def _trace_path(netlist: Netlist, net_from, end_net: str) -> list[str]:

@@ -111,7 +111,7 @@ def size_for_target(netlist: Netlist, library: Library,
         raise ValueError("target period must be positive")
     effective_period_ps = target_period_ps * SYNTHESIS_GUARDBAND
     buffers = buffer_high_fanout(netlist, library, max_fanout, clock)
-    graph = TimingGraph(netlist, library)
+    graph = TimingGraph(netlist, library, clock)
 
     upsized = 0
     iterations = 0

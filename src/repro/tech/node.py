@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .layers import Side
-from .rules import CPP_NM, TRACK_PITCH_NM, DesignRules
+from .rules import DesignRules
 from .stackup import Stackup, build_stackup
 
 

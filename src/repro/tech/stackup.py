@@ -77,9 +77,6 @@ class Stackup:
         metals = [layer for layer in self.on_side(side) if layer.index >= 0]
         return [Via(lo, hi) for lo, hi in zip(metals, metals[1:])]
 
-    def via_between(self, lower: Layer, upper: Layer) -> Via:
-        return Via(lower, upper)
-
 
 def build_stackup(tech: str) -> Stackup:
     """Construct the full Table II stackup for ``'cfet'`` or ``'ffet'``."""

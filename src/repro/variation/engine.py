@@ -155,8 +155,8 @@ def run_samples(bundle: NominalBundle, config: FlowConfig,
     drawn = [model.draw(seed, i) for i in range(samples)]
     outcomes: list[SampleResult | FailedSample] = []
     with tr.span("mc.samples"):
-        graph = TimingGraph(bundle.netlist, bundle.library) \
-            if drawn else None
+        graph = TimingGraph(bundle.netlist, bundle.library,
+                            config.clock) if drawn else None
         for start in range(0, samples, SAMPLE_BLOCK):
             block = drawn[start:start + SAMPLE_BLOCK]
             try:

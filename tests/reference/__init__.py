@@ -8,6 +8,9 @@ can either compare the two or swap the oracle in:
 * :func:`routing.dist_field` (Dijkstra) for
   ``repro.pnr.routing.router._dist_field``;
 * :func:`sta.propagate_comb` for ``repro.sta.sta._propagate_comb``;
+* :func:`sta.clock_arrivals` (a depth-first walk of the clock tree,
+  scalar per row) for ``repro.sta.sta._clock_arrivals``, which times
+  the graph's clock batches;
 * :func:`power.power_sums` for ``repro.power.power._power_sums``;
 * :func:`extract.extract_nets` (one :class:`extract.RCTree` per net)
   for ``repro.extract.extract._extract_nets``.
@@ -17,13 +20,16 @@ the oracle of the fanout wireload model's arrays, and
 :class:`sta.Parasitics` (a dict walk per net) of the index gathers in
 ``repro.sta.sta._Parasitics``.  :func:`synth.buffer_high_fanout`, with a
 full bind after every split, is the oracle of the one-bind buffering
-pass.
+pass.  :func:`sta.analyze_hold` (a min-delay clock walk, then one dict
+fold per instance in topological order) is the oracle of
+``repro.sta.analyze_hold``'s min pass over the graph's batches.
 
 The oracles perform every floating-point operation in the same order as
-the kernels, so they agree bit-for-bit (tests/test_kernel_equivalence.py
-and the reference-patched golden case in tests/test_golden_regression.py
-pin that).  Only ``LookupTable.__call__`` keeps its scalar form in
-``src/``, because production still calls it (clock-tree arcs).
+the kernels, so they agree bit-for-bit (tests/test_kernel_equivalence.py,
+tests/test_clock_batches.py and the reference-patched golden case in
+tests/test_golden_regression.py pin that).  ``LookupTable.__call__``
+keeps its scalar form in ``src/``, because path reports
+(``repro.sta.report_critical_path``) still call it.
 
 :mod:`variation` is the Monte-Carlo oracle: one sample at a time on a
 scaled copy of the extraction (:func:`sta.scale_extraction_sided`),
@@ -42,6 +48,7 @@ def install(monkeypatch) -> None:
     monkeypatch.setattr("repro.pnr.routing.router._dist_field",
                         routing.dist_field)
     monkeypatch.setattr("repro.sta.sta._propagate_comb", sta.propagate_comb)
+    monkeypatch.setattr("repro.sta.sta._clock_arrivals", sta.clock_arrivals)
     monkeypatch.setattr("repro.power.power._power_sums", power.power_sums)
     monkeypatch.setattr("repro.extract.extract._extract_nets",
                         extract.extract_nets)

@@ -1,32 +1,103 @@
-"""Scalar oracles for STA: propagation, parasitics gathers, RC scaling."""
+"""Scalar oracles for STA: propagation, the clock walk, hold,
+parasitics gathers, RC scaling."""
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.cells import TimingArc
 from repro.extract import Extraction
 from repro.extract.rc import NetParasitics
-from repro.sta.sta import PinTiming, _Parasitics, _propagate_arc
+from repro.sta import FAST_CORNER_DERATE, HoldReport, TimingGraph
+from repro.sta.sta import (PRIMARY_INPUT_SLEW_PS, SLEW_DEGRADATION, _NEG,
+                           _Parasitics)
 
 from .extract import from_nets
 
 
-def propagate_comb(graph, par, st, tracer):
+@dataclass
+class PinTiming:
+    """Rise/fall arrivals and slews at one net (at its driver pin)."""
+
+    arrival_rise_ps: float = _NEG
+    arrival_fall_ps: float = _NEG
+    slew_rise_ps: float = PRIMARY_INPUT_SLEW_PS
+    slew_fall_ps: float = PRIMARY_INPUT_SLEW_PS
+
+    @classmethod
+    def at_time(cls, t_ps: float, slew_ps: float = PRIMARY_INPUT_SLEW_PS):
+        return cls(t_ps, t_ps, slew_ps, slew_ps)
+
+    def arrival(self, rise: bool) -> float:
+        return self.arrival_rise_ps if rise else self.arrival_fall_ps
+
+    def slew(self, rise: bool) -> float:
+        return self.slew_rise_ps if rise else self.slew_fall_ps
+
+    def set_edge(self, rise: bool, arrival: float, slew: float) -> None:
+        if rise:
+            self.arrival_rise_ps = arrival
+            self.slew_rise_ps = slew
+        else:
+            self.arrival_fall_ps = arrival
+            self.slew_fall_ps = slew
+
+    def delayed(self, wire_ps: float) -> "PinTiming":
+        """This timing seen after a wire segment of the given Elmore delay."""
+        extra_slew = SLEW_DEGRADATION * wire_ps
+        return PinTiming(
+            self.arrival_rise_ps + wire_ps if self.arrival_rise_ps > _NEG / 2 else _NEG,
+            self.arrival_fall_ps + wire_ps if self.arrival_fall_ps > _NEG / 2 else _NEG,
+            self.slew_rise_ps + extra_slew,
+            self.slew_fall_ps + extra_slew,
+        )
+
+
+def _propagate_arc(arc: TimingArc, pt_in: PinTiming, load_ff: float,
+                   out: PinTiming, stats: list | None = None) -> bool:
+    """Fold one arc's contribution into the output timing.
+
+    Returns True when this arc set a new worst output arrival.
+    ``stats``, when given, counts delay-table evaluations in slot 0.
+    """
+    improved = False
+    for rise_out in (True, False):
+        for rise_in in arc.input_edges_for(rise_out):
+            arrival_in = pt_in.arrival(rise_in)
+            if arrival_in < _NEG / 2:
+                continue
+            slew_in = pt_in.slew(rise_in)
+            if stats is not None:
+                stats[0] += 1
+            delay = arc.delay(slew_in, load_ff, rise=rise_out)
+            arrival = arrival_in + delay
+            if arrival > out.arrival(rise_out):
+                out.set_edge(rise_out, arrival,
+                             arc.transition(slew_in, load_ff, rise=rise_out))
+                improved = True
+    return improved
+
+
+def propagate_comb(graph, batches, par, st, tracer):
     """Topological-order propagation, one scalar NLDM lookup at a time.
 
     Same signature and result as ``repro.sta.sta._propagate_comb``: for
-    each row it reads the nets ``st`` timed on entry, times every
-    combinational output from the graph's netlist and library and the
-    row's scaled parasitics, and writes the outputs and their
+    each row it reads the nets ``st`` timed or wrote on entry, times
+    every instance of ``batches`` from the graph's netlist and library
+    and the row's scaled parasitics, and writes the outputs and their
     provenance back into ``st``.
     """
     netlist, library = graph.netlist, graph.library
     extraction = par.extraction
     net_id = graph.net_id
     comb_row = {name: i for i, name in enumerate(graph.comb_names)}
-    order = netlist.topological_order(library)
+    timing_now = {graph.comb_names[i] for lvl in batches
+                  for i in lvl.rows.tolist()}
+    order = [inst for inst in netlist.topological_order(library)
+             if inst.name in timing_now]
+    on_entry = st.timed | st.written
     stats = [0, 0] if tracer.enabled else None
 
     for r in range(par.rows):
@@ -52,16 +123,10 @@ def propagate_comb(graph, par, st, tracer):
         net_timing = {
             name: PinTiming(float(st.arr_r[r, i]), float(st.arr_f[r, i]),
                             float(st.slw_r[r, i]), float(st.slw_f[r, i]))
-            for name, i in net_id.items() if st.timed[i]}
+            for name, i in net_id.items() if on_entry[i]}
         for inst in order:
             master = library[inst.master]
-            out_pins = master.output_pins
-            if not out_pins:
-                continue
-            out_net = inst.connections[out_pins[0].name]
-            if master.function in ("TIEHI", "TIELO"):
-                net_timing.setdefault(out_net, PinTiming.at_time(0.0))
-                continue
+            out_net = inst.connections[master.output_pins[0].name]
             if stats is not None:
                 stats[1] += 1
             load = net_load(out_net)
@@ -86,6 +151,174 @@ def propagate_comb(graph, par, st, tracer):
     if stats is not None:
         tracer.count("kernel.sta.insts", stats[1])
         tracer.count("kernel.sta.delay_evals", stats[0])
+
+
+def clock_arrivals(graph, par, st, tracer):
+    """Walk the clock tree, accumulating buffer and wire delays.
+
+    Same signature and result as ``repro.sta.sta._clock_arrivals``,
+    on a depth-first walk from the clock net that each row times
+    scalar, buffer by buffer: a clock buffer folds its first arc only.
+    Times the tree's nets in ``st``.
+    """
+    netlist, library, clock = graph.netlist, graph.library, graph.clock
+    arrivals = np.zeros((par.rows, len(graph.seq_names)))
+    if clock not in netlist.nets:
+        return arrivals, np.zeros(par.rows), np.zeros(par.rows)
+    # (instance, pin, net, arc, output net) per clock sink; a flop has
+    # no arc, a clock buffer times its first one.
+    steps: list[tuple[str, str, str, TimingArc | None, str | None]] = []
+    frontier = [clock]
+    while frontier:
+        net_name = frontier.pop()
+        for inst_name, pin_name in netlist.nets[net_name].sinks:
+            inst = netlist.instances[inst_name]
+            master = library[inst.master]
+            if master.is_sequential:
+                steps.append((inst_name, pin_name, net_name, None, None))
+                continue
+            out_net = inst.connections[master.output.name]
+            steps.append((inst_name, pin_name, net_name, master.arcs[0],
+                          out_net))
+            frontier.append(out_net)
+    net_id = graph.net_id
+    buffered = [net_id[o] for *_s, o in steps if o is not None]
+    wires = par.scale(par.elmore([graph.sink_at[s[:2]] for s in steps]),
+                      [net_id[s[2]] for s in steps]).tolist()
+    loads = par.loads[:, buffered].tolist()
+    insertion, skew = np.zeros(par.rows), np.zeros(par.rows)
+    for r in range(par.rows):
+        net_timing = {clock: PinTiming.at_time(0.0)}
+        reached: dict[str, float] = {}
+        buffers = iter(loads[r])
+        for (inst_name, _pin, net_name, arc, out_net), wire in zip(
+                steps, wires[r]):
+            at_pin = net_timing[net_name].delayed(wire)
+            if arc is None:
+                reached[inst_name] = at_pin.arrival(rise=True)
+                continue
+            out = PinTiming()
+            _propagate_arc(arc, at_pin, next(buffers), out)
+            net_timing[out_net] = out
+        for name, pt in net_timing.items():
+            i = net_id[name]
+            st.arr_r[r, i], st.arr_f[r, i] = pt.arrival_rise_ps, \
+                pt.arrival_fall_ps
+            st.slw_r[r, i], st.slw_f[r, i] = pt.slew_rise_ps, \
+                pt.slew_fall_ps
+        for inst_name, t in reached.items():
+            arrivals[r, graph.seq_index[inst_name]] = t
+        skews = list(reached.values())
+        if skews:
+            insertion[r], skew[r] = max(skews), max(skews) - min(skews)
+    st.timed[[net_id[clock]] + buffered] = True
+    return arrivals, insertion, skew
+
+
+_INF = 1e18
+
+
+def _min_delay(arc: TimingArc, load_ff: float) -> float:
+    """An arc's faster edge at the input slew, fast-corner derated."""
+    return min(arc.delay(PRIMARY_INPUT_SLEW_PS, load_ff, True),
+               arc.delay(PRIMARY_INPUT_SLEW_PS, load_ff, False)) \
+        * FAST_CORNER_DERATE
+
+
+def analyze_hold(netlist, library, extraction, clock: str = "clk",
+                 input_delay_ps: float | None = None) -> HoldReport:
+    """Hold check on dicts: a min-delay clock walk, then one min fold
+    per instance in topological order.
+
+    Same signature and report as ``repro.sta.analyze_hold``.
+    """
+    graph = TimingGraph(netlist, library, clock)
+    min_arrival: dict[str, float] = {}
+    wires = (extraction.elmore_ps(graph.net_names, graph.sinks,
+                                  graph.sink_net)
+             * FAST_CORNER_DERATE).tolist()
+    loads = dict(zip(graph.net_names,
+                     extraction.loads_ff(graph.net_names)[0].tolist()))
+
+    def wire_delay(inst: str, pin: str) -> float:
+        return wires[graph.sink_at[inst, pin]]
+
+    # Clock arrivals (min corner) through the buffer tree.
+    clock_arrivals: dict[str, float] = {}
+    if clock in netlist.nets:
+        frontier = [(clock, 0.0)]
+        while frontier:
+            net_name, base = frontier.pop()
+            for inst_name, pin_name in netlist.nets[net_name].sinks:
+                inst = netlist.instances[inst_name]
+                master = library[inst.master]
+                at_pin = base + wire_delay(inst_name, pin_name)
+                if master.is_sequential:
+                    clock_arrivals[inst_name] = at_pin
+                    continue
+                out_net = inst.connections[master.output.name]
+                frontier.append((out_net, at_pin + _min_delay(
+                    master.arcs[0], loads[out_net])))
+
+    pi_arrival = input_delay_ps if input_delay_ps is not None else (
+        max(clock_arrivals.values()) if clock_arrivals else 0.0
+    )
+    for net in netlist.nets.values():
+        if net.is_primary_input:
+            min_arrival[net.name] = 0.0 if net.is_clock else pi_arrival
+
+    # Launch: earliest output after the launching edge.
+    for inst_name, arc, out_net in graph.launches:
+        min_arrival[out_net] = clock_arrivals.get(inst_name, 0.0) + \
+            _min_delay(arc, loads[out_net])
+
+    for inst in netlist.topological_order(library):
+        master = library[inst.master]
+        outs = master.output_pins
+        if not outs:
+            continue
+        out_net = inst.connections[outs[0].name]
+        if master.function in ("TIEHI", "TIELO"):
+            min_arrival.setdefault(out_net, 0.0)
+            continue
+        load = loads[out_net]
+        best = _INF
+        for arc in master.arcs:
+            in_net = inst.connections.get(arc.from_pin)
+            if in_net is None or in_net not in min_arrival:
+                continue
+            arrival = min_arrival[in_net] + \
+                wire_delay(inst.name, arc.from_pin)
+            best = min(best, arrival + _min_delay(arc, load))
+        min_arrival[out_net] = best if best < _INF else 0.0
+
+    worst = _INF
+    worst_endpoint = ""
+    violators: list[tuple[float, str, str]] = []
+    endpoints = 0
+    for inst_name, pin, d_net, seq in graph.endpoints:
+        if d_net not in min_arrival:
+            continue
+        endpoints += 1
+        arrival = min_arrival[d_net] + wire_delay(inst_name, pin)
+        capture = clock_arrivals.get(inst_name, 0.0)
+        slack = arrival - (capture + seq.hold_ps)
+        if slack < 0:
+            violators.append((slack, inst_name, pin))
+        if slack < worst:
+            worst = slack
+            worst_endpoint = inst_name
+
+    if endpoints == 0:
+        raise ValueError("design has no hold endpoints")
+    violators.sort()
+    return HoldReport(
+        worst_slack_ps=worst,
+        worst_endpoint=worst_endpoint,
+        violations=len(violators),
+        endpoint_count=endpoints,
+        violating_endpoints=tuple((name, pin) for _s, name, pin in violators),
+    )
 
 
 class Parasitics(_Parasitics):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _retry_from, build_parser, main
 from repro.core.faults import FAULTS_ENV
 from repro.core.guard import GUARD_ENV
 
@@ -112,3 +112,40 @@ class TestCacheEnvironment:
         assert main(["run", *SMALL]) == 0
         written = [p for p in (tmp_path / "cache").rglob("*") if p.is_file()]
         assert written == []
+
+
+class TestRetryFlagValues:
+    """--retries below 1 and --timeout at or below 0 are usage errors
+    on every command that takes them, before anything runs."""
+
+    COMMANDS = {"run": ["run"], "sweep": ["sweep", "utilization"],
+                "doe": ["doe", "pin-density"], "compare": ["compare"],
+                "serve": ["serve"]}
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_retries_below_one_is_a_usage_error(self, command, value,
+                                                 capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*self.COMMANDS[command],
+                                       "--retries", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--retries" in err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+    def test_timeout_not_positive_is_a_usage_error(self, command, value,
+                                                    capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*self.COMMANDS[command],
+                                       "--timeout", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--timeout" in err
+
+    def test_valid_values_set_the_policy(self):
+        args = build_parser().parse_args(["run", "--retries", "1",
+                                          "--timeout", "0.5"])
+        policy = _retry_from(args)
+        assert (policy.max_attempts, policy.timeout_s) == (1, 0.5)

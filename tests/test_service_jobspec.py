@@ -68,6 +68,27 @@ class TestRunSpecs:
             parse_jobspec(spec(kind="sweep", axis="frequency",
                                targets=[1.0, 0]))
 
+    def test_docs_cfet_example_matches_repro_run_arch_cfet(self):
+        """docs/service.md submits this spec; it runs what
+        ``repro run --arch cfet`` runs."""
+        job = parse_jobspec({"kind": "run", "config": {"arch": "cfet"}})
+        cli = _config_from(build_parser().parse_args(["run", "--arch",
+                                                      "cfet"]))
+        assert job.items[0].config == cli
+        assert (cli.back_layers, cli.backside_pin_fraction) == (0, 0.0)
+
+    def test_no_back_layers_matches_repro_run(self):
+        job = parse_jobspec({"kind": "run", "config": {"back_layers": 0}})
+        cli = _config_from(build_parser().parse_args(["run",
+                                                      "--back-layers", "0"]))
+        assert job.items[0].config == cli
+        assert cli.backside_pin_fraction == 0.0
+
+    def test_explicit_side_fields_are_still_checked(self):
+        with pytest.raises(JobSpecError, match="frontside-only"):
+            parse_jobspec(spec(config={"arch": "cfet", "back_layers": 0,
+                                       "backside_pin_fraction": 0.5}))
+
     def test_non_object_spec_is_rejected(self):
         with pytest.raises(JobSpecError):
             parse_jobspec(["kind", "run"])

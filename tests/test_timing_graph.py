@@ -162,6 +162,13 @@ class TestGraphMisuse:
             analyze_timing(netlist, lib, extraction, 500.0,
                            graph=TimingGraph(netlist, ffet_lib))
 
+    def test_graph_of_another_clock_is_rejected(self, lib):
+        netlist = bound("rv8", lib)
+        extraction = estimate_parasitics(netlist, lib)
+        with pytest.raises(ValueError, match="clock 'clk2', not 'clk'"):
+            analyze_timing(netlist, lib, extraction, 500.0,
+                           graph=TimingGraph(netlist, lib, clock="clk2"))
+
 
 class TestHoldOnMacros:
     def test_macro_inputs_are_hold_endpoints(self):
