@@ -13,10 +13,11 @@ declares the config fields it reads and the stages it consumes, and
 content-addressed key is already stored are *replayed* from their
 artifact instead of re-executed — so a layer-split sweep places once
 and routes N times, because ``front_layers``/``back_layers`` first
-enter the key chain at the ``routing`` stage.  Replayed stages keep
-every contract of executed ones: the same top-level span (with a
-zero-cost ``cache_hit`` marker inside), guard checks re-validated on
-the loaded artifact, and result gauges re-emitted.  See
+enter the key chain at the ``routing`` stage.  Every stage's artifact,
+executed or replayed, is installed by the stage's ``restore``, which
+runs its guard checks and emits its result gauges; so a replayed stage
+keeps every contract of an executed one, inside the same top-level
+span (with a zero-cost ``cache_hit`` marker).  See
 docs/architecture.md for the graph, slices and invalidation rules.
 """
 
@@ -221,25 +222,27 @@ class _FlowState:
 
 
 # -- stage bodies -----------------------------------------------------------
-# Each stage has an ``execute`` (the real work; returns the picklable
-# artifact to store) and a ``restore`` (rebuild the walk state from a
-# stored artifact, re-running guard checks and re-emitting gauges).
+# Each stage has an ``execute`` (the real work: it reads the walk state
+# and returns the picklable artifact) and a ``restore`` (the one writer
+# of the walk state: it installs an artifact, freshly executed or
+# loaded from the store, runs the stage's guard checks and emits its
+# result gauges).
 
-def _exec_library(s: _FlowState) -> dict | None:
-    if s.preset_library is not None:
-        s.library = s.preset_library
-        s.tech = s.library.tech
-        return None
-    library = prepare_library(s.config)
-    s.library = library
-    s.tech = library.tech
+def _exec_library(s: _FlowState) -> dict:
+    library = (s.preset_library if s.preset_library is not None
+               else prepare_library(s.config))
     return {"masters": library.masters}
 
 
 def _restore_library(s: _FlowState, art: dict) -> None:
-    tech = s.config.make_tech()
-    s.library = Library(tech=tech, masters=dict(art["masters"]))
-    s.tech = tech
+    # A caller-supplied library (which bypasses the store) is installed
+    # as the very object passed in.
+    if s.preset_library is not None:
+        s.library = s.preset_library
+    else:
+        s.library = Library(tech=s.config.make_tech(),
+                            masters=dict(art["masters"]))
+    s.tech = s.library.tech
 
 
 def _exec_netlist(s: _FlowState) -> dict:
@@ -249,9 +252,6 @@ def _exec_netlist(s: _FlowState) -> dict:
     # before binding (pin directions come from the macro masters).
     attach_macros(netlist, s.library)
     netlist.bind(s.library)
-    s.netlist = netlist
-    s.tr.gauge("netlist.instances", len(netlist.instances))
-    s.tr.gauge("netlist.nets", len(netlist.nets))
     return {"netlist": netlist}
 
 
@@ -280,18 +280,15 @@ def _restore_sizing(s: _FlowState, art: dict) -> None:
 
 
 def _exec_floorplan(s: _FlowState) -> dict:
-    s.die = plan_floor(s.netlist, s.library,
-                       FloorplanSpec(s.config.utilization,
-                                     s.config.aspect_ratio,
-                                     s.config.macro_halo_cpp))
-    if s.die.macros:
-        s.tr.gauge("floorplan.macros", len(s.die.macros))
-    return {"die": s.die}
+    return {"die": plan_floor(s.netlist, s.library,
+                              FloorplanSpec(s.config.utilization,
+                                            s.config.aspect_ratio,
+                                            s.config.macro_halo_cpp))}
 
 
 def _restore_floorplan(s: _FlowState, art: dict) -> None:
     s.die = art["die"]
-    if getattr(s.die, "macros", ()):
+    if s.die.macros:
         s.tr.gauge("floorplan.macros", len(s.die.macros))
 
 
@@ -299,47 +296,45 @@ def _exec_powerplan(s: _FlowState) -> dict:
     # The stripe/tap layout is layer-split-invariant and is what gets
     # stored; the layer binding is recomputed on every walk so the
     # artifact can be shared across routing-layer configurations.
-    layout = plan_power_layout(s.tech, s.die,
-                               s.config.power_stripe_pitch_cpp)
-    s.powerplan = bind_power_layers(layout, s.tech)
-    util = achieved_utilization(s.netlist, s.library, s.die)
-    if util > s.powerplan.max_legal_utilization:
-        raise PlacementError(
-            f"utilization {util:.2f} exceeds the Power-Tap-Cell limit "
-            f"{s.powerplan.max_legal_utilization:.2f}"
-        )
-    s.util = util
-    return {"layout": layout, "util": util}
+    return {"layout": plan_power_layout(s.tech, s.die,
+                                        s.config.power_stripe_pitch_cpp),
+            "util": achieved_utilization(s.netlist, s.library, s.die)}
 
 
 def _restore_powerplan(s: _FlowState, art: dict) -> None:
     s.powerplan = bind_power_layers(art["layout"], s.tech)
     s.util = art["util"]
+    if s.util > s.powerplan.max_legal_utilization:
+        raise PlacementError(
+            f"utilization {s.util:.2f} exceeds the Power-Tap-Cell limit "
+            f"{s.powerplan.max_legal_utilization:.2f}"
+        )
 
 
 def _exec_placement(s: _FlowState) -> dict:
-    s.placement = place(s.netlist, s.library, s.die, s.powerplan,
-                        seed=s.config.seed)
-    if _corrupting(s.plan, "placement", s.config) and s.placement.locations:
-        del s.placement.locations[next(iter(s.placement.locations))]
-    s.guard.check_placement(s.netlist, s.die, s.placement)
-    return {"placement": s.placement}
+    placement = place(s.netlist, s.library, s.die, s.powerplan,
+                      seed=s.config.seed)
+    if _corrupting(s.plan, "placement", s.config) and placement.locations:
+        del placement.locations[next(iter(placement.locations))]
+    return {"placement": placement}
 
 
 def _restore_placement(s: _FlowState, art: dict) -> None:
     s.placement = art["placement"]
+    s.tr.gauge("placement.cells", len(s.placement.locations))
+    s.tr.gauge("placement.io_pads", len(s.placement.io_pins))
     s.guard.check_placement(s.netlist, s.die, s.placement)
 
 
 def _exec_cts(s: _FlowState) -> dict:
-    s.cts_report = synthesize_clock_tree(
+    report = synthesize_clock_tree(
         s.netlist, s.library, s.placement, clock_net=s.config.clock,
         mode=s.config.cts_mode, back_fraction=s.config.cts_back_fraction)
     # CTS rewires the clock net and moves buffers: snapshot both the
     # netlist and the placement it mutated, in one blob so shared
     # references stay consistent on restore.
     return {"netlist": s.netlist, "placement": s.placement,
-            "cts_report": s.cts_report}
+            "cts_report": report}
 
 
 def _restore_cts(s: _FlowState, art: dict) -> None:
@@ -350,14 +345,13 @@ def _restore_cts(s: _FlowState, art: dict) -> None:
 
 
 def _exec_legalization(s: _FlowState) -> dict:
-    s.placement = legalize(s.placement, s.netlist, s.library, s.powerplan)
+    placement = legalize(s.placement, s.netlist, s.library, s.powerplan)
     if s.config.refine_placement:
         with s.tr.span("refine"):
-            refine_placement(s.netlist, s.library, s.placement, s.powerplan,
+            refine_placement(s.netlist, s.library, placement, s.powerplan,
                              iterations=s.config.refine_iterations,
                              seed=s.config.seed)
-    s.guard.check_placement(s.netlist, s.die, s.placement, legal=True)
-    return {"placement": s.placement}
+    return {"placement": placement}
 
 
 def _restore_legalization(s: _FlowState, art: dict) -> None:
@@ -407,7 +401,6 @@ def _exec_routing(s: _FlowState) -> dict:
             side_overrides=side_overrides)
         if _corrupting(s.plan, "routing", config):
             _corrupt_decomposition(decomposition)
-        s.guard.check_decomposition(netlist, decomposition)
     routing_results = {}
     for side in sides:
         with tr.span(f"route.{side.value}"):
@@ -415,34 +408,47 @@ def _exec_routing(s: _FlowState) -> dict:
                                   rrr_iterations=config.rrr_iterations)
             routing_results[side] = router.route_all(
                 decomposition.specs[side])
-    s.routing_results = routing_results
-    s.decomposition = decomposition
-    # Bridging (Algorithm 1 fallback) inserts buffers into the netlist
-    # and the placement, so both post-routing snapshots ride along.
-    return {"routing_results": routing_results,
-            "decomposition": decomposition,
-            "netlist": netlist, "placement": placement}
+    art = {"routing_results": routing_results,
+           "decomposition": decomposition}
+    if decomposition.bridges:
+        # Bridging (Algorithm 1 fallback) inserted buffers into the
+        # netlist and the placement, so both snapshots ride along;
+        # otherwise they are the upstream stages' own.
+        art.update(netlist=netlist, placement=placement)
+    return art
 
 
 def _restore_routing(s: _FlowState, art: dict) -> None:
     s.routing_results = art["routing_results"]
     s.decomposition = art["decomposition"]
-    s.netlist = art["netlist"]
-    s.placement = art["placement"]
+    if "netlist" in art:
+        s.netlist = art["netlist"]
+        s.placement = art["placement"]
+    for side, specs in s.decomposition.specs.items():
+        s.tr.gauge(f"decompose.nets.{side.value}", len(specs))
+    s.tr.gauge("decompose.bridges", len(s.decomposition.bridges))
+    for side, result in s.routing_results.items():
+        s.tr.gauge(f"route.{side.value}.nets", len(result.routes))
+        s.tr.gauge(f"route.{side.value}.wirelength_um",
+                   result.total_wirelength_nm / 1000.0)
+        s.tr.gauge(f"route.{side.value}.drv", result.drv_count)
+        s.tr.gauge(f"route.{side.value}.overflow_edges",
+                   result.overflow_edges)
+        s.tr.gauge(f"route.{side.value}.rrr_iterations", result.iterations)
+    s.tr.gauge("route.drv_total",
+               sum(r.drv_count for r in s.routing_results.values()))
     s.guard.check_decomposition(s.netlist, s.decomposition)
 
 
 def _exec_def_merge(s: _FlowState) -> dict:
-    config, tr, netlist = s.config, s.tr, s.netlist
-    sides = list(s.routing_results)
+    netlist = s.netlist
     # Two DEFs, merged for dual-sided extraction (Section III.C).
     defs = {}
-    for side in sides:
-        with tr.span(f"def_export.{side.value}"):
-            assignment = assign_layers(s.routing_results[side])
+    for side, routed in s.routing_results.items():
+        with s.tr.span(f"def_export.{side.value}"):
             defs[side] = def_from_routing(
-                netlist, s.placement, s.die, s.routing_results[side],
-                assignment, powerplan=s.powerplan,
+                netlist, s.placement, s.die, routed, assign_layers(routed),
+                powerplan=s.powerplan,
                 design_name=f"{netlist.name}_{side.value}",
             )
     if Side.BACK in defs:
@@ -450,44 +456,44 @@ def _exec_def_merge(s: _FlowState) -> dict:
                             name=netlist.name)
     else:
         merged = defs[Side.FRONT]
-    if _corrupting(s.plan, "def_merge", config):
+    if _corrupting(s.plan, "def_merge", s.config):
         _corrupt_merged_def(merged)
-    s.guard.check_merged_def(netlist, merged)
-    s.defs = defs
-    s.merged = merged
     return {"defs": defs, "merged": merged}
 
 
 def _restore_def_merge(s: _FlowState, art: dict) -> None:
     s.defs = art["defs"]
     s.merged = art["merged"]
+    if Side.BACK in s.defs:
+        s.tr.gauge("merge.components", len(s.merged.components))
+        s.tr.gauge("merge.nets", len(s.merged.nets))
     s.guard.check_merged_def(s.netlist, s.merged)
 
 
 def _exec_extraction(s: _FlowState) -> dict:
     derates = congestion_derates(s.routing_results)
-    s.extraction = extract_design(s.merged, s.netlist, s.library,
-                                  s.placement, rc_derates=derates)
-    return {"extraction": s.extraction}
+    return {"extraction": extract_design(s.merged, s.netlist, s.library,
+                                         s.placement, rc_derates=derates),
+            "derated_nets": len(derates)}
 
 
 def _restore_extraction(s: _FlowState, art: dict) -> None:
     s.extraction = art["extraction"]
+    s.tr.gauge("extract.nets", len(s.extraction))
+    s.tr.gauge("extract.derated_nets", art["derated_nets"])
+    s.tr.gauge("extract.total_wire_cap_ff", s.extraction.total_wire_cap_ff)
 
 
 def _exec_sta(s: _FlowState) -> dict:
-    timing = analyze_timing(s.netlist, s.library, s.extraction,
-                            s.config.target_period_ps, clock=s.config.clock)
-    s.timing = timing
-    s.achieved_ghz = timing.achieved_frequency_ghz
-    s.tr.gauge("sta.achieved_frequency_ghz", s.achieved_ghz)
-    s.tr.gauge("sta.wns_ps", timing.wns_ps)
-    return {"timing": timing}
+    return {"timing": analyze_timing(s.netlist, s.library, s.extraction,
+                                     s.config.target_period_ps,
+                                     clock=s.config.clock)}
 
 
 def _restore_sta(s: _FlowState, art: dict) -> None:
     s.timing = art["timing"]
     s.achieved_ghz = s.timing.achieved_frequency_ghz
+    s.tr.gauge("sta.endpoints", s.timing.endpoint_count)
     s.tr.gauge("sta.achieved_frequency_ghz", s.achieved_ghz)
     s.tr.gauge("sta.wns_ps", s.timing.wns_ps)
 
@@ -495,16 +501,17 @@ def _restore_sta(s: _FlowState, art: dict) -> None:
 def _exec_power(s: _FlowState) -> dict:
     power = analyze_power(s.netlist, s.library, s.extraction, s.achieved_ghz,
                           activity=s.config.activity, clock=s.config.clock)
-    s.tr.gauge("power.total_mw", power.total_mw)
     if _corrupting(s.plan, "power", s.config):
         power = dataclasses.replace(
             power, switching_mw=-abs(power.switching_mw) - 1.0)
-    s.power = power
     return {"power": power}
 
 
 def _restore_power(s: _FlowState, art: dict) -> None:
     s.power = art["power"]
+    s.tr.gauge("power.switching_mw", s.power.switching_mw)
+    s.tr.gauge("power.internal_mw", s.power.internal_mw)
+    s.tr.gauge("power.leakage_mw", s.power.leakage_mw)
     s.tr.gauge("power.total_mw", s.power.total_mw)
 
 
@@ -698,51 +705,57 @@ def _run_flow_traced(netlist_factory, config, library, return_artifacts, tr,
             # that timed out — degrades to independent computation.
             artifact, lease = store.fetch_or_lease(
                 stage.name, keys[stage.name])
-        if artifact is not None:
-            # Replay: same top-level span as an executed stage (so the
-            # canonical stage list holds for every trace), a zero-cost
-            # cache_hit marker inside it, guard checks re-validated on
-            # the loaded artifact by the stage's restore hook.
+        ran = artifact is None
+        try:
+            # Executed or replayed, a stage is one top-level span (so the
+            # canonical stage list holds for every trace) ending in its
+            # restore, which installs the artifact, re-runs the guard
+            # checks and emits the result gauges.  A replay marks the
+            # span with a zero-cost cache_hit; an executed artifact is
+            # stored only once its restore has accepted it.
             with _stage(tr, stage.name, config, plan):
-                tr.zero_span("cache_hit")
+                if ran:
+                    artifact = stage.execute(state)
+                else:
+                    tr.zero_span("cache_hit")
                 stage.restore(state, artifact)
-            status[stage.name] = "cached"
-        else:
-            try:
-                with _stage(tr, stage.name, config, plan):
-                    out = stage.execute(state)
-                if store is not None and out is not None:
-                    store.put(stage.name, keys[stage.name], out)
-            finally:
-                # Publish-before-release: waiters poll the lock, so by
-                # the time it disappears the artifact must be readable
-                # (or the stage failed and a waiter takes over).
-                if lease is not None:
-                    lease.release()
-            status[stage.name] = "ran"
+            if ran and store is not None:
+                store.put(stage.name, keys[stage.name], artifact)
+        finally:
+            # Publish-before-release: waiters poll the lock, so by
+            # the time it disappears the artifact must be readable
+            # (or the stage failed and a waiter takes over).
+            if lease is not None:
+                lease.release()
+        status[stage.name] = "ran" if ran else "cached"
         if stage.name == stop_after:
             break
 
-    if stop_after is not None and stop_after != FLOW_STAGES[-1]:
-        return FlowArtifacts(
-            library=state.library, netlist=state.netlist, die=state.die,
-            powerplan=state.powerplan, placement=state.placement,
-            cts_report=state.cts_report,
-            routing_results=state.routing_results, defs=state.defs,
-            merged_def=state.merged, extraction=state.extraction,
-            result=None,
-            trace=tr.finish() if tr.enabled else telemetry.Trace(),
-            stage_status=status,
-        )
+    result = None
+    if stop_after in (None, FLOW_STAGES[-1]):
+        result = _ppa_result(state)
+        guard.check_result(result)
+        if stop_after is None and not return_artifacts:
+            return result
+    return FlowArtifacts(
+        library=state.library, netlist=state.netlist, die=state.die,
+        powerplan=state.powerplan, placement=state.placement,
+        cts_report=state.cts_report,
+        routing_results=state.routing_results, defs=state.defs,
+        merged_def=state.merged, extraction=state.extraction,
+        result=result,
+        trace=tr.finish() if tr.enabled else telemetry.Trace(),
+        stage_status=status,
+    )
 
-    routing_results = state.routing_results
-    drv = sum(r.drv_count for r in routing_results.values())
-    tr.gauge("route.drv_total", drv)
+
+def _ppa_result(state: _FlowState) -> PPAResult:
+    """The walk's :class:`PPAResult`, read off the completed state."""
+    config, routing_results = state.config, state.routing_results
     front_wl = routing_results[Side.FRONT].total_wirelength_nm / 1000.0
     back_wl = (routing_results[Side.BACK].total_wirelength_nm / 1000.0
                if Side.BACK in routing_results else 0.0)
-
-    result = PPAResult(
+    return PPAResult(
         label=config.label,
         arch=config.arch,
         routing_label=state.tech.routing_label,
@@ -759,7 +772,7 @@ def _run_flow_traced(netlist_factory, config, library, return_artifacts, tr,
         achieved_frequency_ghz=state.achieved_ghz,
         timing=state.timing,
         power=state.power,
-        drv_count=drv,
+        drv_count=sum(r.drv_count for r in routing_results.values()),
         total_wirelength_um=front_wl + back_wl,
         front_wirelength_um=front_wl,
         back_wirelength_um=back_wl,
@@ -767,16 +780,3 @@ def _run_flow_traced(netlist_factory, config, library, return_artifacts, tr,
         cts_buffers=state.cts_report.buffers,
         placement_feasible=True,
     )
-    guard.check_result(result)
-    if return_artifacts or stop_after is not None:
-        return FlowArtifacts(
-            library=state.library, netlist=state.netlist, die=state.die,
-            powerplan=state.powerplan, placement=state.placement,
-            cts_report=state.cts_report,
-            routing_results=routing_results, defs=state.defs,
-            merged_def=state.merged, extraction=state.extraction,
-            result=result,
-            trace=tr.finish() if tr.enabled else telemetry.Trace(),
-            stage_status=status,
-        )
-    return result

@@ -9,9 +9,9 @@ stage declares
   ``front_layers``/``back_layers``;
 * its **upstream stages** (``upstream``) — the artifacts it consumes;
 * an ``execute`` function that runs the real stage body and returns a
-  picklable artifact, and a ``restore`` function that rebuilds the
-  walk's state from a stored artifact (re-running guard checks and
-  re-emitting result gauges).
+  picklable artifact, and a ``restore`` function that installs an
+  artifact — freshly executed or stored — into the walk's state,
+  running the stage's guard checks and emitting its result gauges.
 
 Every stage gets a content-addressed **stage key**
 (:func:`stage_key`): a SHA-256 over the stage name, its config-field
@@ -55,7 +55,9 @@ from .ppa import FailedRun, PPAResult
 #: 2: the key covered the process-wide python/numpy kernel switch.
 #: 3: the switch is gone (one implementation per kernel), and so is its
 #: key field.
-STAGE_KEY_FORMAT = 3
+#: 4: ``routing`` keeps the netlist and placement only when bridging
+#: changed them, and ``extraction`` carries its derated-net count.
+STAGE_KEY_FORMAT = 4
 
 #: The cross-process coordination events a store can record, in the
 #: order ``stage_cache.singleflight.<event>`` counters are documented
@@ -75,12 +77,13 @@ ARTIFACTS = ("result", "nominal")
 class Stage:
     """One flow stage: its dependency declaration and its two bodies.
 
-    ``execute(state)`` runs the real stage against the mutable walk
-    state and returns the artifact dict to store (or ``None`` for
-    nothing worth storing).  ``restore(state, artifact)`` rebuilds the
-    state from a stored artifact — it must re-run the stage's guard
-    checks and re-emit its result gauges, and must leave the state
-    exactly as ``execute`` would for the same inputs.
+    ``execute(state)`` runs the real stage: it reads the walk state,
+    never assigns to it, and returns the picklable artifact dict.
+    ``restore(state, artifact)`` is the one writer of the walk state.
+    The walk calls it after every ``execute`` and for every artifact
+    loaded from the store, so it is the one home of the stage's guard
+    checks and result gauges, computed from the artifact alone.  An
+    executed artifact is stored only once ``restore`` has returned.
     """
 
     name: str

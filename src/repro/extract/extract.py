@@ -369,9 +369,6 @@ def extract_design(merged: DefDesign, netlist: Netlist, library: Library,
     if tracer.enabled:
         tracer.count("kernel.extract.nets", len(nets))
         tracer.count("kernel.extract.nodes", n_nodes)
-        tracer.gauge("extract.nets", len(extraction))
-        tracer.gauge("extract.derated_nets", len(rc_derates))
-        tracer.gauge("extract.total_wire_cap_ff", extraction.total_wire_cap_ff)
     return extraction
 
 

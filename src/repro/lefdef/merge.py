@@ -60,9 +60,4 @@ def merge_defs(front: DefDesign, back: DefDesign,
         for blockage in source.blockages:
             if blockage not in merged.blockages:
                 merged.blockages.append(blockage)
-
-    from ..core.telemetry import current_tracer
-    tracer = current_tracer()
-    tracer.gauge("merge.components", len(merged.components))
-    tracer.gauge("merge.nets", len(merged.nets))
     return merged

@@ -107,8 +107,9 @@ class ClockTreeReport:
 def emit_cts_gauges(tracer, report: ClockTreeReport) -> None:
     """Publish the ``cts.*`` gauges (docs/observability.md) for one tree.
 
-    Called both when the CTS stage executes and when it is replayed
-    from the stage store, so traces always carry the tree telemetry.
+    Called by the flow's ``cts`` stage restore, which runs whether the
+    stage executed or was replayed from the stage store, so traces
+    always carry the tree telemetry.
     """
     tracer.gauge("cts.sinks", report.sinks)
     tracer.gauge("cts.buffers", report.buffers)
@@ -153,6 +154,22 @@ def _edge_length_nm(src: Point | None, dst: Point) -> float:
     if src is None:
         return 0.0
     return abs(src.x_nm - dst.x_nm) + abs(src.y_nm - dst.y_nm)
+
+
+def _star_length_nm(netlist: Netlist, placement: Placement,
+                    buf_name: str) -> float:
+    """Star wirelength from a buffer to its output net's sinks, nm.
+
+    Added left to right: builtins.sum over floats is a compensated sum
+    on Python >= 3.12, which would make the tree depend on the
+    interpreter.
+    """
+    src = placement.locations[buf_name]
+    out_net = netlist.instances[buf_name].connections["Z"]
+    length = 0.0
+    for inst, _pin in netlist.nets[out_net].sinks:
+        length += _edge_length_nm(src, placement.locations[inst])
+    return length
 
 
 def estimate_insertion_delays(netlist: Netlist, library: Library,
@@ -201,13 +218,8 @@ def _tree_nets(netlist: Netlist, placement: Placement, clock_net: str,
     """
     rows: list[tuple[str, int, float]] = []
     for buf_name, depth in buffers.items():
-        out_net = netlist.instances[buf_name].connections["Z"]
-        src = placement.locations[buf_name]
-        length = sum(
-            _edge_length_nm(src, placement.locations[inst])
-            for inst, _pin in netlist.nets[out_net].sinks
-        )
-        rows.append((out_net, depth, length))
+        rows.append((netlist.instances[buf_name].connections["Z"], depth,
+                     _star_length_nm(netlist, placement, buf_name)))
     return rows
 
 
@@ -224,7 +236,9 @@ def _partition_sides(netlist: Netlist, library: Library,
     smallest ``k``.
     """
     rows = _tree_nets(netlist, placement, clock_net, buffers)
-    total_len = sum(length for _net, _depth, length in rows)
+    total_len = 0.0
+    for _net, _depth, length in rows:
+        total_len += length
 
     def candidate(k: int) -> dict[str, str]:
         return {net: ("back" if depth <= k else "front")
@@ -301,9 +315,11 @@ def synthesize_clock_tree(netlist: Netlist, library: Library,
         return f"ctsnet_{counter['net']}"
 
     def centroid(points: list[Point]) -> Point:
-        n = len(points)
-        return Point(sum(p.x_nm for p in points) / n,
-                     sum(p.y_nm for p in points) / n)
+        x = y = 0.0
+        for p in points:
+            x += p.x_nm
+            y += p.y_nm
+        return Point(x / len(points), y / len(points))
 
     def build(cluster: list[tuple[str, str]]) -> tuple[str, Point, int]:
         """Insert buffers driving ``cluster``; returns (buffer, loc, depth)."""
@@ -365,11 +381,7 @@ def synthesize_clock_tree(netlist: Netlist, library: Library,
     front_bufs = back_bufs = 0
     for buf_name in buffer_depths:
         out_net = netlist.instances[buf_name].connections["Z"]
-        src = placement.locations[buf_name]
-        length = sum(
-            _edge_length_nm(src, placement.locations[inst])
-            for inst, _pin in netlist.nets[out_net].sinks
-        )
+        length = _star_length_nm(netlist, placement, buf_name)
         if net_sides.get(out_net) == "back":
             back_wl += length
             back_bufs += 1
@@ -382,7 +394,7 @@ def synthesize_clock_tree(netlist: Netlist, library: Library,
     max_ins = max(delays.values()) if delays else 0.0
     min_ins = min(delays.values()) if delays else 0.0
 
-    report = ClockTreeReport(
+    return ClockTreeReport(
         sinks=len(sinks),
         buffers=counter["buf"],
         levels=counter["levels"],
@@ -398,6 +410,3 @@ def synthesize_clock_tree(netlist: Netlist, library: Library,
         sink_insertion_ps=delays,
         net_sides=net_sides,
     )
-    from ..core.telemetry import current_tracer
-    emit_cts_gauges(current_tracer(), report)
-    return report

@@ -74,8 +74,6 @@ def decompose_nets(netlist: Netlist, library: Library, placement: Placement,
     Bridging mutates the netlist, so decomposition restarts until it
     converges (bridged nets then route natively).
     """
-    from ..core.telemetry import current_tracer
-
     all_bridges: list[str] = []
     while True:
         decomp = _decompose_once(netlist, library, placement, grids,
@@ -83,10 +81,6 @@ def decompose_nets(netlist: Netlist, library: Library, placement: Placement,
                                  side_overrides or {})
         if not decomp.bridges:
             decomp.bridges = all_bridges
-            tracer = current_tracer()
-            for side, specs in decomp.specs.items():
-                tracer.gauge(f"decompose.nets.{side.value}", len(specs))
-            tracer.gauge("decompose.bridges", len(all_bridges))
             return decomp
         all_bridges.extend(decomp.bridges)
 

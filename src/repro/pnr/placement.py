@@ -636,12 +636,6 @@ def _pack_row(cells: list[str], row_segments: list[list[int]],
 def place(netlist: Netlist, library: Library, die: Die,
           powerplan: PowerPlan, seed: int = 0) -> Placement:
     """Global placement + legalization in one call."""
-    from ..core.telemetry import current_tracer
-
     rough = global_place(netlist, library, die, seed=seed)
-    placement = legalize(rough, netlist, library, powerplan)
-    tracer = current_tracer()
-    tracer.gauge("placement.cells", len(placement.locations))
-    tracer.gauge("placement.io_pads", len(placement.io_pins))
-    return placement
+    return legalize(rough, netlist, library, powerplan)
 

@@ -80,7 +80,12 @@ def assign_layers(result: RoutingResult) -> LayerAssignment:
         return tracks
 
     shares = [tier_tracks(t) for t in tiers]
-    total_share = sum(shares)
+    # Added left to right: builtins.sum over floats is a compensated sum
+    # on Python >= 3.12, which would make the assignment depend on the
+    # interpreter.
+    total_share = 0.0
+    for share in shares:
+        total_share += share
 
     routes = sorted(result.routes.values(),
                     key=lambda r: (r.wirelength_gcells, r.name))

@@ -205,8 +205,13 @@ class GlobalRouter:
         option2 = path_edges((a[0], b[1]))
         if a[0] == b[0] or a[1] == b[1]:
             return option1
-        cost1 = sum(self._edge_cost(e) for e in option1)
-        cost2 = sum(self._edge_cost(e) for e in option2)
+        # Added left to right, never with the compensated builtins.sum
+        # of Python >= 3.12: a last-bit difference could flip the tie.
+        cost1 = cost2 = 0.0
+        for e in option1:
+            cost1 += self._edge_cost(e)
+        for e in option2:
+            cost2 += self._edge_cost(e)
         return option1 if cost1 <= cost2 else option2
 
     def _initial_route(self, spec: NetSpec) -> NetRoute:
@@ -331,9 +336,8 @@ class GlobalRouter:
             routes[spec.name] = route
         spec_by_name = {s.name: s for s in specs}
 
-        tracer = current_tracer()
         iterations = 0
-        with tracer.span("kernel.route.search"):
+        with current_tracer().span("kernel.route.search"):
             for iteration in range(self.rrr_iterations):
                 overflow_edges = self._overflowed_edges()
                 if not overflow_edges:
@@ -360,7 +364,7 @@ class GlobalRouter:
 
         over_h = np.maximum(self.usage_h - self.grid.cap_h, 0)
         over_v = np.maximum(self.usage_v - self.grid.cap_v, 0)
-        result = RoutingResult(
+        return RoutingResult(
             side=self.grid.side,
             grid=self.grid,
             routes=routes,
@@ -370,15 +374,6 @@ class GlobalRouter:
             usage_h=self.usage_h,
             usage_v=self.usage_v,
         )
-        if tracer.enabled:
-            side = self.grid.side.value
-            tracer.gauge(f"route.{side}.nets", len(routes))
-            tracer.gauge(f"route.{side}.wirelength_um",
-                         result.total_wirelength_nm / 1000.0)
-            tracer.gauge(f"route.{side}.drv", result.drv_count)
-            tracer.gauge(f"route.{side}.overflow_edges", result.overflow_edges)
-            tracer.gauge(f"route.{side}.rrr_iterations", iterations)
-        return result
 
     def _overflowed_edges(self) -> set[Edge]:
         edges: set[Edge] = set()

@@ -53,13 +53,16 @@ def propagate_activities(netlist: Netlist, library: Library,
     # Sequential outputs: steady-state Q probability equals D's, and Q
     # toggles when D differs from Q: D(y) = 2 p (1 - p) under
     # independence.  D's probability is not known before propagation,
-    # so seed with the input probability and refine once below.
-    flops = netlist.sequential_instances(library)
-    for inst in flops:
-        master = library[inst.master]
-        q_net = inst.connections[master.output.name]
-        probability[q_net] = input_probability
-        density[q_net] = 2 * input_probability * (1 - input_probability)
+    # so seed every output of every sequential cell (a hard macro has
+    # many) with the input probability, and refine the flops below.
+    sequential = netlist.sequential_instances(library)
+    for inst in sequential:
+        for pin in library[inst.master].output_pins:
+            out_net = inst.connections.get(pin.name)
+            if out_net is not None:
+                probability[out_net] = input_probability
+                density[out_net] = \
+                    2 * input_probability * (1 - input_probability)
 
     def propagate_once() -> None:
         for inst in netlist.topological_order(library):
@@ -98,16 +101,21 @@ def propagate_activities(netlist: Netlist, library: Library,
                     if bool(fn(flipped)) != out:
                         sensitization[i] += weight
             probability[out_net] = p_out
-            density[out_net] = min(
-                2.0, sum(s * d for s, d in zip(sensitization, d_in))
-            )
+            # Added left to right: builtins.sum over floats is a
+            # compensated sum on Python >= 3.12.
+            toggles = 0.0
+            for s, d in zip(sensitization, d_in):
+                toggles += s * d
+            density[out_net] = min(2.0, toggles)
 
     propagate_once()
     # Refine the flop outputs now that D probabilities are known, then
-    # re-propagate so downstream logic sees the refined values.
-    for inst in flops:
-        master = library[inst.master]
-        q_net = inst.connections[master.output.name]
+    # re-propagate so downstream logic sees the refined values.  Cells
+    # without a D pin (hard macros) keep their seeded outputs.
+    for inst in sequential:
+        if "D" not in inst.connections:
+            continue
+        q_net = inst.connections[library[inst.master].output.name]
         d_prob = probability.get(inst.connections["D"], input_probability)
         probability[q_net] = d_prob
         density[q_net] = 2 * d_prob * (1 - d_prob)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cells import VDD_V, Library
-from ..core.telemetry import current_tracer
 from ..extract import Extraction
 from ..netlist import Netlist
 from ..sta.nldm import TableStack
@@ -61,20 +60,15 @@ def analyze_power(netlist: Netlist, library: Library, extraction: Extraction,
                   activities: dict[str, float] | None = None) -> PowerReport:
     """Compute block power at ``frequency_ghz``.
 
-    The one-row case of :func:`analyze_power_rows`, gauged on the
-    current tracer.  ``activities`` optionally carries per-net toggle
+    The one-row case of :func:`analyze_power_rows`.  Inside a flow the
+    ``power.*`` gauges come from the ``power`` stage, not from here.
+    ``activities`` optionally carries per-net toggle
     rates (e.g. from :func:`repro.power.propagate_activities`); nets
     without an entry fall back to the flat ``activity`` factor.
     """
-    report = analyze_power_rows(netlist, library, extraction, None,
-                                [frequency_ghz], activity, clock,
-                                activities)[0]
-    tracer = current_tracer()
-    if tracer.enabled:
-        tracer.gauge("power.switching_mw", report.switching_mw)
-        tracer.gauge("power.internal_mw", report.internal_mw)
-        tracer.gauge("power.leakage_mw", report.leakage_mw)
-    return report
+    return analyze_power_rows(netlist, library, extraction, None,
+                              [frequency_ghz], activity, clock,
+                              activities)[0]
 
 
 def analyze_power_rows(netlist: Netlist, library: Library,

@@ -212,9 +212,7 @@ def analyze_timing_rows(netlist: Netlist, library: Library,
             endpoint_count=int(endpoints[r]),
             worst_arrival_ps=worst_arrival,
         ))
-    if rows:
-        tracer.gauge("sta.endpoints", int(endpoints[0]))
-    tracer.gauge("sta.nets_timed", int(timed.sum()))
+    tracer.gauge("kernel.sta.nets_timed", int(timed.sum()))
     return reports
 
 

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.cells import build_library
 from repro.extract import estimate_parasitics
+from repro.macros import MacroMaster, attach_macros
 from repro.netlist import Netlist
 from repro.power import analyze_power, propagate_activities
+from repro.synth import generate_rv16_sram
+from repro.tech import make_ffet_node
 
 
 def gate_netlist(master, pins):
@@ -95,3 +99,23 @@ class TestPowerWithActivities:
         # Only the clock cone (and flop CK pins) still burns power.
         full = analyze_power(counter8, ffet_lib, extraction, 1.0)
         assert report.switching_mw < full.switching_mw
+
+
+class TestMacroActivities:
+    def test_every_macro_output_gets_a_density(self):
+        """A hard macro is a sequential cell with many outputs and no
+        ``D`` pin: each output net is seeded like a flop's Q."""
+        library = build_library(make_ffet_node())
+        netlist = generate_rv16_sram(xlen=8, nregs=8, words=16,
+                                     name="rv8_sram")
+        attach_macros(netlist, library)
+        netlist.bind(library)
+        acts = propagate_activities(netlist, library)
+        macros = [inst for inst in netlist.instances.values()
+                  if isinstance(library[inst.master], MacroMaster)]
+        assert macros
+        for inst in macros:
+            outputs = library[inst.master].output_pins
+            assert len(outputs) > 1
+            for pin in outputs:
+                assert 0.0 <= acts[inst.connections[pin.name]] <= 2.0

@@ -16,7 +16,8 @@ import pytest
 
 from repro.core import FlowConfig, Tracer
 from repro.core.cache import result_to_payload
-from repro.core.flow import run_flow
+from repro.core.flow import prepare_library, run_flow
+from repro.power import propagate_activities
 from repro.synth import RiscvConfig, generate_riscv_core, generate_rv16_tile
 
 
@@ -87,3 +88,24 @@ def test_rv8_grids_and_parasitics_are_independent_of_sum():
     # The extraction's trace gauge is a float total too.
     gauges = [t.gauges["extract.total_wire_cap_ff"] for t in traces]
     assert gauges[0].hex() == gauges[1].hex()
+
+
+def test_rv8_activities_are_independent_of_sum():
+    library = prepare_library(FlowConfig())
+    densities = []
+    for summer in (left_to_right_sum, compensated_sum):
+        netlist = rv8()
+        netlist.bind(library)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(builtins, "sum", summer)
+            densities.append(propagate_activities(netlist, library))
+    assert densities[0] == densities[1]
+
+
+def test_dual_cts_payload_is_independent_of_sum():
+    config = FlowConfig(cts_mode="dual")
+    plain = run_under(left_to_right_sum, rv8, config)
+    compensated = run_under(compensated_sum, rv8, config)
+    assert result_to_payload(plain.result) == \
+        result_to_payload(compensated.result)
+    assert plain.cts_report == compensated.cts_report

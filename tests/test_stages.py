@@ -9,16 +9,23 @@ library..legalization prefix.
 
 from __future__ import annotations
 
+import ast
 import pickle
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import FlowCache, FlowConfig, SweepRunner, Tracer
 from repro.core.cache import netlist_fingerprint, result_to_payload
 from repro.core.errors import FlowError
 from repro.core.faults import FaultClause, FaultPlan
-from repro.core.flow import FLOW_GRAPH, FLOW_STAGES, run_flow, stage_keys
+from repro.core.flow import (FLOW_GRAPH, FLOW_STAGES, _FlowState,
+                             prepare_library, run_flow, stage_keys)
+from repro.core.guard import NULL_GUARD
 from repro.core.stages import Stage, StageGraph, StageStore, stage_key
+from repro.core.telemetry import NULL_TRACER
+from repro.synth import RiscvConfig, generate_riscv_core, generate_rv16_sram
 
 from .golden_cases import MultiplierFactory
 
@@ -238,12 +245,29 @@ class TestIncrementalFlow:
         assert store.hits == 0 and store.misses == 0
 
     def test_preset_library_bypasses_the_store(self, tmp_path):
-        from repro.core.flow import prepare_library
         store = StageStore(FlowCache(tmp_path))
         library = prepare_library(BASE)
         result = run_flow(FACTORY, BASE, library=library, store=store)
         assert result.valid
         assert store.hits == 0 and store.misses == 0
+
+    def test_preset_library_is_the_walks_library(self):
+        library = prepare_library(BASE)
+        art = run_flow(FACTORY, BASE, library=library, return_artifacts=True)
+        assert art.library is library
+
+    def test_failing_restore_stores_nothing(self, tmp_path):
+        """The Power-Tap-Cell limit is checked by powerplan's restore:
+        an executed layout that fails it is never stored."""
+        store = StageStore(FlowCache(tmp_path))
+        config = BASE.with_(utilization=0.99)
+        with pytest.raises(FlowError) as err:
+            run_flow(FACTORY, config, store=store)
+        assert err.value.stage == "powerplan"
+        keys = stage_keys(config, netlist_fingerprint(FACTORY()),
+                          version=store.version)
+        assert store.get("floorplan", keys["floorplan"]) is not None
+        assert store.get("powerplan", keys["powerplan"]) is None
 
 
 class TestLayerSplitSweepReplay:
@@ -323,3 +347,132 @@ class TestLayerSplitSweepReplay:
         assert second.stats.cache_hits == 0
         assert second.stats.stage_hits == \
             len(self.SPLITS) * len(FLOW_STAGES)
+
+
+def _rv8():
+    return generate_riscv_core(RiscvConfig(xlen=8, nregs=8, name="rv8"))
+
+
+def _rv8_sram():
+    return generate_rv16_sram(xlen=8, nregs=8, words=16, name="rv8_sram")
+
+
+def _result_gauges(trace) -> dict[str, str]:
+    """A trace's gauges outside ``kernel.*``, as ``float.hex`` strings."""
+    return {name: float(value).hex() for name, value in trace.gauges.items()
+            if not name.startswith("kernel.")}
+
+
+def _traced_walk(factory, config, store=None):
+    tracer = Tracer()
+    run_flow(factory, config, store=store, tracer=tracer)
+    return tracer.finish()
+
+
+class TestReplayedGauges:
+    """Every stage's result gauges come from its restore, which runs on
+    executed and replayed stages alike: a replayed walk's trace explains
+    the run as fully as the cold walk's."""
+
+    @pytest.mark.parametrize("factory, config", [
+        (_rv8, BASE),
+        (_rv8_sram, BASE),
+        (_rv8, BASE.with_(cts_mode="dual")),
+    ], ids=["rv8", "rv8_sram", "rv8_dual_cts"])
+    def test_replayed_walk_emits_the_cold_walks_gauges(self, tmp_path,
+                                                        factory, config):
+        store = StageStore(FlowCache(tmp_path))
+        cold = _traced_walk(factory, config, store)
+        warm = _traced_walk(factory, config, store)
+        assert store.hits == len(FLOW_STAGES)
+        assert any(name.startswith("route.") for name in _result_gauges(cold))
+        assert _result_gauges(warm) == _result_gauges(cold)
+
+    def test_routing_after_a_replayed_prefix_emits_the_cold_gauges(
+            self, tmp_path):
+        split = BASE.with_(front_layers=9, back_layers=3)
+        store = StageStore(FlowCache(tmp_path))
+        run_flow(_rv8, BASE, store=store)
+        warm = _traced_walk(_rv8, split, store)
+        assert store.hits == FLOW_STAGES.index("routing")
+        cold = _traced_walk(_rv8, split)
+        assert _result_gauges(warm) == _result_gauges(cold)
+
+
+class TestRoutingArtifact:
+    def test_unbridged_routing_stores_no_netlist_or_placement(self,
+                                                              tmp_path):
+        store = StageStore(FlowCache(tmp_path))
+        art = run_flow(_rv8, BASE, store=store, return_artifacts=True)
+        keys = stage_keys(BASE, netlist_fingerprint(_rv8()),
+                          version=store.version)
+        routing = store.get("routing", keys["routing"])
+        assert not routing["decomposition"].bridges
+        assert "netlist" not in routing and "placement" not in routing
+        # Restore keeps the upstream netlist and placement.
+        state = _FlowState(BASE, NULL_TRACER, NULL_GUARD, FaultPlan(),
+                           _rv8, None)
+        state.netlist, state.placement = art.netlist, art.placement
+        FLOW_GRAPH["routing"].restore(state, routing)
+        assert state.netlist is art.netlist
+        assert state.placement is art.placement
+        # A bridged artifact carries both, and restore installs them.
+        bridged = dict(routing, netlist=pickle.loads(pickle.dumps(
+            art.netlist)), placement=pickle.loads(pickle.dumps(
+                art.placement)))
+        FLOW_GRAPH["routing"].restore(state, bridged)
+        assert state.netlist is bridged["netlist"]
+        assert state.placement is bridged["placement"]
+
+
+def _functions(tree: ast.AST) -> list[ast.FunctionDef]:
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)]
+
+
+class TestStageContract:
+    SRC = Path(repro.__file__).parent
+
+    def test_execute_never_assigns_the_walk_state(self):
+        flow = ast.parse((self.SRC / "core" / "flow.py").read_text())
+        for fn in _functions(flow):
+            if not fn.name.startswith("_exec_"):
+                continue
+            state = fn.args.args[0].arg
+            for node in ast.walk(fn):
+                targets = []
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                for target in targets:
+                    for sub in ast.walk(target):
+                        assert not (isinstance(sub, ast.Attribute)
+                                    and isinstance(sub.value, ast.Name)
+                                    and sub.value.id == state), \
+                            f"{fn.name} assigns {state}.{sub.attr}"
+
+    def test_result_gauges_come_from_the_flow(self):
+        """Outside the flow's stages (and the CTS gauge helper they
+        call), code emits only ``kernel.*`` gauges."""
+        allowed = {self.SRC / "core" / "flow.py",
+                   self.SRC / "core" / "telemetry.py"}
+        for path in sorted(self.SRC.rglob("*.py")):
+            if path in allowed:
+                continue
+            tree = ast.parse(path.read_text())
+            exempt = {id(node) for fn in _functions(tree)
+                      if fn.name == "emit_cts_gauges"
+                      for node in ast.walk(fn)}
+            for node in ast.walk(tree):
+                if id(node) in exempt or not (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "gauge"):
+                    continue
+                name = node.args[0]
+                if isinstance(name, ast.JoinedStr):
+                    name = name.values[0]
+                assert isinstance(name, ast.Constant) \
+                    and name.value.startswith("kernel."), \
+                    f"{path.name}:{node.lineno}"
