@@ -21,7 +21,7 @@ from repro.analysis import layout_summary
 from repro.core import FlowConfig, run_flow, save_artifacts
 from repro.netlist import check_equivalence, parse_verilog, write_verilog
 from repro.pnr import analyze_ir_drop
-from repro.sta import analyze_hold, fix_hold
+from repro.sta import TimingGraph, analyze_hold, fix_hold
 from repro.synth import generate_fir_filter, insert_scan_chain
 
 
@@ -53,15 +53,17 @@ def main() -> None:
     print()
     print(layout_summary(artifacts))
 
-    # Hold signoff: analyze, fix with delay buffers, re-check.
+    # Hold signoff: analyze, fix with delay buffers, re-check, all on
+    # one timing graph of the routed netlist.
+    graph = TimingGraph(artifacts.netlist, artifacts.library)
     hold = analyze_hold(artifacts.netlist, artifacts.library,
-                        artifacts.extraction)
+                        artifacts.extraction, graph=graph)
     print(f"\nhold: {hold.violations}/{hold.endpoint_count} violations, "
           f"worst {hold.worst_slack_ps:+.2f} ps")
     if not hold.met:
         fixed = fix_hold(artifacts.netlist, artifacts.library,
                          artifacts.extraction,
-                         placement=artifacts.placement)
+                         placement=artifacts.placement, graph=graph)
         buffers = sum(1 for n in artifacts.netlist.instances
                       if n.startswith("holdbuf_"))
         print(f"hold: inserted {buffers} delay buffers, "

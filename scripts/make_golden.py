@@ -4,7 +4,8 @@ Runs every case in tests/golden_cases.py through the plain serial path
 (``try_run``, no pool, no cache) and stores the full round-trippable
 result payloads.  tests/test_golden_regression.py then asserts that the
 serial, parallel and cached paths all reproduce these numbers
-bit-for-bit.
+bit-for-bit.  It also stores the samples of one Monte-Carlo study
+(``MC_CASE``), which the engine must reproduce bit for bit.
 
 Re-run (and commit the diff) only when an intentional flow change moves
 the numbers::
@@ -22,7 +23,8 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.core.cache import result_to_payload      # noqa: E402
 from repro.core.sweeps import try_run               # noqa: E402
-from tests.golden_cases import CASES, GOLDEN_PATH   # noqa: E402
+from tests.golden_cases import (CASES, GOLDEN_PATH,  # noqa: E402
+                                MC_GOLDEN_PATH, mc_study_payload)
 
 
 def main() -> None:
@@ -37,6 +39,10 @@ def main() -> None:
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")
+    study = mc_study_payload()
+    MC_GOLDEN_PATH.write_text(json.dumps(study, indent=1, sort_keys=True)
+                              + "\n")
+    print(f"wrote {MC_GOLDEN_PATH} ({len(study['samples'])} samples)")
 
 
 if __name__ == "__main__":

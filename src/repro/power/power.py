@@ -114,62 +114,71 @@ def _power_sums(netlist: Netlist, library: Library, extraction: Extraction,
     Switching charges every extracted net's capacitance at its toggle
     rate; internal power spends each cell's per-transition energy, read
     through a :class:`~repro.sta.nldm.TableStack` at the row's load.
-    Terms are summed in netlist order, as
-    ``tests/reference/power.py`` does one at a time.
+    Each master's leakage, output pin, sequential flag and energy tables
+    are read once, however many instances it has.  Terms are summed in
+    netlist order, as ``tests/reference/power.py`` does one at a time.
     """
     clock_nets = _clock_cone(netlist, library, clock)
-
-    def toggle_rate(net_name: str) -> float:
-        if net_name in clock_nets:
-            return CLOCK_ACTIVITY
-        return activities.get(net_name, activity)
-
     names = list(netlist.nets)
+    # Each net's toggle rate, and a last slot for an output on no net:
+    # the clock cone toggles twice per cycle, a flop's Q (``data``) and
+    # every other net at its activity.
+    data = np.array([activities.get(name, activity) for name in names]
+                    + [activity], dtype=float)
+    toggles = np.where([name in clock_nets for name in names] + [False],
+                       CLOCK_ACTIVITY, data)
     loads = extraction.loads_ff(names, wire_factors)
     fhz = freq_hz[:, None]
 
-    extracted = [i for i, name in enumerate(names) if name in extraction]
-    toggles = np.array([toggle_rate(names[i]) for i in extracted])
+    extracted = np.flatnonzero([name in extraction for name in names])
     cap_f = loads[:, extracted] * 1e-15
     # E = C * V^2 / 2 per transition.
-    switching = _running_sums(0.5 * cap_f * VDD_V * VDD_V * toggles * fhz)
+    switching = _running_sums(
+        0.5 * cap_f * VDD_V * VDD_V * toggles[extracted] * fhz)
 
-    net_id = {name: i for i, name in enumerate(names)}
+    # Each master once, in order of first use: its leakage W, the
+    # output pin its energy loads (None without power data or an
+    # output), whether it is sequential, and its energy tables' refs.
+    kind: dict[str, int] = {}
+    insts = list(netlist.instances.values())
+    code = [kind.setdefault(inst.master, len(kind)) for inst in insts]
     stack = TableStack()
-    leakage_w = 0.0
-    out_ids, rates, sequential, tables = [], [], [], []
-    for inst in netlist.instances.values():
-        master = library[inst.master]
-        if master.power is None:
-            continue
-        leakage_w += master.power.leakage_nw * 1e-9
-        out_pins = master.output_pins
-        if not out_pins:
-            continue
-        out_net = inst.connections.get(out_pins[0].name)
-        out_ids.append(net_id.get(out_net, -1))
-        if master.is_sequential:
-            # Q toggles at the data rate.
-            rates.append(activities.get(out_net, activity))
-        else:
-            rates.append(toggle_rate(out_net) if out_net else activity)
-        sequential.append(master.is_sequential)
-        tables.append(stack.add(master.power.rise_energy)
-                      + stack.add(master.power.fall_energy))
-    ids = np.array(out_ids, dtype=np.intp)
-    refs = np.array(tables, dtype=np.intp).reshape(-1, 4).T
+    leak, out_pin, seq, tables = [], [], [], []
+    for name in kind:
+        master = library[name]
+        power = master.power
+        outs = master.output_pins if power is not None else []
+        leak.append(power.leakage_nw * 1e-9 if power is not None else 0.0)
+        out_pin.append(outs[0].name if outs else None)
+        seq.append(master.is_sequential)
+        tables.append(stack.add(power.rise_energy)
+                      + stack.add(power.fall_energy) if outs
+                      else (0, 0, 0, 0))
+    # Leakage adds per instance, in netlist order.  A cell without power
+    # data adds +0.0, which leaves a sum that starts at +0.0 unchanged.
+    of_inst = np.array(code, dtype=np.intp)
+    leakage_w = float(_running_sums(np.array(leak)[None, of_inst])[0])
+
+    driving = [k for k, c in enumerate(code) if out_pin[c] is not None]
+    net_id = {name: i for i, name in enumerate(names)}
+    ids = np.array([net_id.get(insts[k].connections.get(out_pin[code[k]]),
+                               -1) for k in driving], dtype=np.intp)
+    of_inst = of_inst[driving]
+    sequential = np.array(seq)[of_inst]
+    refs = np.array(tables, dtype=np.intp).reshape(-1, 4)[of_inst].T
     load = np.where(ids >= 0, loads[:, ids], 0.0)
     slew = np.full(load.shape, 20.0)
     # Transition energy covers one rise + one fall: halve per toggle.
     energy_fj = (stack.evaluate(refs[0], refs[1], slew, load)
                  + stack.evaluate(refs[2], refs[3], slew, load)) / 2.0
-    data = energy_fj * 1e-15 * np.array(rates) * fhz
+    rates = np.where(sequential, data[ids], toggles[ids])
+    data_w = energy_fj * 1e-15 * rates * fhz
     # Clock pin switches every cycle regardless of data.
     clock_pin = np.where(sequential,
                          0.15 * energy_fj * 1e-15 * CLOCK_ACTIVITY * fhz,
                          0.0)
     internal = _running_sums(
-        np.stack([data, clock_pin], axis=2).reshape(len(fhz), -1))
+        np.stack([data_w, clock_pin], axis=2).reshape(len(fhz), -1))
     return switching, internal, leakage_w
 
 

@@ -10,6 +10,10 @@ at each data pin (a flop's D, every non-clock input of a hard macro)
 compares the earliest data arrival against that capture plus the
 cell's hold time.  Clock-tree skew is the usual hold hazard, and the
 CTS tree built by :mod:`repro.pnr.cts` feeds straight into this.
+
+The graph belongs to the caller, as for setup: a caller that checks one
+netlist more than once passes its graph to each check, and
+:func:`fix_hold` keeps one across its rounds of buffer insertion.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from ..cells import Library
 from ..extract import Extraction
 from ..netlist import Netlist
-from .sta import PRIMARY_INPUT_SLEW_PS, TimingGraph
+from .sta import PRIMARY_INPUT_SLEW_PS, TimingGraph, _graph_for
 
 #: Fast-corner delay derate applied to min-path delays.
 FAST_CORNER_DERATE = 0.85
@@ -71,14 +75,19 @@ def _propagate_min(graph: TimingGraph, batches, arrival: np.ndarray,
 
 def analyze_hold(netlist: Netlist, library: Library, extraction: Extraction,
                  clock: str = "clk",
-                 input_delay_ps: float | None = None) -> HoldReport:
+                 input_delay_ps: float | None = None,
+                 graph: TimingGraph | None = None) -> HoldReport:
     """Min-delay hold check at every sequential data pin.
 
     Primary inputs are assumed to come from registers on the same clock,
     so their earliest arrival is the clock network latency (or the
     explicit ``input_delay_ps``) — the standard input-delay constraint.
+    ``graph``, the caller's :class:`~repro.sta.TimingGraph` of this
+    netlist, library and clock, is refreshed and reused, as by
+    :func:`~repro.sta.analyze_timing`; without one the call builds its
+    own.  The report is the same either way.
     """
-    graph = TimingGraph(netlist, library, clock)
+    graph = _graph_for(netlist, library, clock, graph)
     wires = extraction.elmore_ps(graph.net_names, graph.sinks,
                                  graph.sink_net) * FAST_CORNER_DERATE
     loads = extraction.loads_ff(graph.net_names)[0]
@@ -146,16 +155,22 @@ def analyze_hold(netlist: Netlist, library: Library, extraction: Extraction,
 
 def fix_hold(netlist: Netlist, library: Library, extraction: Extraction,
              clock: str = "clk", max_iterations: int = 10,
-             placement=None) -> HoldReport:
+             placement=None, graph: TimingGraph | None = None) -> HoldReport:
     """Insert delay buffers until hold closes (or iterations run out).
 
     The standard post-route hold fix: a minimum-drive buffer is inserted
     in front of each violating data pin, adding one gate's min delay per
     iteration.  Mutates the netlist (and, when a placement is given,
     places each buffer at its sequential cell); returns the final report.
+    Every check runs on one :class:`~repro.sta.TimingGraph`: ``graph``
+    (as for :func:`analyze_hold`) or one built here.  Its refresh reuses
+    it while the netlist is unchanged and rebuilds it after each round
+    of buffers.
     """
     counter = 0
-    report = analyze_hold(netlist, library, extraction, clock)
+    if graph is None:
+        graph = TimingGraph(netlist, library, clock)
+    report = analyze_hold(netlist, library, extraction, clock, graph=graph)
     for _iteration in range(max_iterations):
         if report.met:
             break
@@ -172,5 +187,6 @@ def fix_hold(netlist: Netlist, library: Library, extraction: Extraction,
                 placement.locations[f"holdbuf_{counter}"] = \
                     placement.locations[inst_name]
         netlist.bind(library)
-        report = analyze_hold(netlist, library, extraction, clock)
+        report = analyze_hold(netlist, library, extraction, clock,
+                              graph=graph)
     return report

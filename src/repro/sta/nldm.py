@@ -6,16 +6,17 @@ of thousands of them.  :class:`TableStack` registers every distinct
 table once, groups tables that share the same (slew, load) axes, and
 stacks each group's value grids into one ``(n_tables, k, m)`` array so
 a whole level of timing-arc candidates evaluates in a handful of numpy
-operations.
+operations, reading each stack as one flat array.
 
 Bit-compatibility contract: :meth:`TableStack.evaluate` performs the
 *same* IEEE-754 operations in the *same* order as
-``LookupTable.__call__`` — clamp to the axis ends, ``bisect_right``-
-style cell search (``np.searchsorted(..., side="right")``), then the
-identical two-step bilinear formula — so a stacked evaluation returns
-exactly the scalar path's bits for every lane.  The equivalence is
-pinned by hypothesis property tests in
-``tests/test_kernel_equivalence.py``.
+``LookupTable.__call__`` — clamp to the axis ends (a value at or past
+an end becomes the end; NaN passes), the same capped
+``bisect_right`` cell (``searchsorted(..., side="right")`` over the
+interior axis points), then the identical two-step bilinear formula —
+so a stacked evaluation returns exactly the scalar path's bits for
+every lane, signed zeros and NaN included.  The equivalence is pinned
+by hypothesis property tests in ``tests/test_kernel_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -26,26 +27,46 @@ from ..cells.timing import LookupTable
 
 
 class _TableGroup:
-    """Tables sharing one (slews, loads) axis pair, stacked on demand."""
+    """Tables sharing one (slews, loads) axis pair, stacked on demand.
 
-    __slots__ = ("slews", "loads", "values", "_stacked")
+    ``flat`` holds every table's values row-major, one table after
+    another, so the value at (table, slew cell, load cell) sits at one
+    computed offset.  ``slew_steps``/``load_steps`` are the cell widths
+    the scalar path computes as ``s1 - s0`` and ``c1 - c0``;
+    ``slew_cuts``/``load_cuts`` the interior axis points, whose count at
+    or below a value is its capped cell.
+    """
+
+    __slots__ = ("slews", "loads", "slew_steps", "load_steps", "slew_cuts",
+                 "load_cuts", "values", "_flat")
 
     def __init__(self, slews: np.ndarray, loads: np.ndarray) -> None:
         self.slews = slews
         self.loads = loads
+        self.slew_steps = slews[1:] - slews[:-1]
+        self.load_steps = loads[1:] - loads[:-1]
+        self.slew_cuts = slews[1:-1]
+        self.load_cuts = loads[1:-1]
         self.values: list[np.ndarray] = []
-        self._stacked: np.ndarray | None = None
+        self._flat: np.ndarray | None = None
 
     def add(self, values: np.ndarray) -> int:
         self.values.append(values)
-        self._stacked = None
+        self._flat = None
         return len(self.values) - 1
 
     @property
-    def stacked(self) -> np.ndarray:
-        if self._stacked is None:
-            self._stacked = np.stack(self.values)
-        return self._stacked
+    def flat(self) -> np.ndarray:
+        if self._flat is None:
+            self._flat = np.stack(self.values).ravel()
+        return self._flat
+
+
+def _clamp(x: np.ndarray, lo, hi) -> np.ndarray:
+    """``x`` clamped to [lo, hi] as the scalar path clamps: a value at
+    or past an end becomes that end (so -0.0 at a 0.0 end reads 0.0),
+    and NaN passes through."""
+    return np.where(x <= lo, lo, np.where(x >= hi, hi, x))
 
 
 class TableStack:
@@ -90,21 +111,25 @@ class TableStack:
     def _eval_group(self, group: _TableGroup, rows: np.ndarray,
                     slews: np.ndarray, loads: np.ndarray) -> np.ndarray:
         sl, ld = group.slews, group.loads
-        # Clamped cell search — mirrors the scalar path exactly:
-        # clamp, bisect_right - 1, cap at the last interior cell.
-        s = np.clip(slews, sl[0], sl[-1])
-        c = np.clip(loads, ld[0], ld[-1])
-        i = np.searchsorted(sl, s, side="right") - 1
-        np.clip(i, 0, len(sl) - 2, out=i)
-        j = np.searchsorted(ld, c, side="right") - 1
-        np.clip(j, 0, len(ld) - 2, out=j)
-        s0, s1 = sl[i], sl[i + 1]
-        c0, c1 = ld[j], ld[j + 1]
-        ts = (s - s0) / (s1 - s0)
-        tc = (c - c0) / (c1 - c0)
-        v = group.stacked
-        top = v[rows, i, j] * (1 - tc) + v[rows, i, j + 1] * tc
-        bottom = v[rows, i + 1, j] * (1 - tc) + v[rows, i + 1, j + 1] * tc
+        k, m = len(sl), len(ld)
+        # Clamp, bisect_right - 1, cap at the last interior cell: the
+        # scalar path's cell search.  A clamped value is at or past the
+        # first axis point, so that cell is the number of interior
+        # points at or below it (all of them for the last point, and
+        # for NaN, which sorts last).
+        s = _clamp(slews, sl[0], sl[-1])
+        c = _clamp(loads, ld[0], ld[-1])
+        i = group.slew_cuts.searchsorted(s, side="right")
+        j = group.load_cuts.searchsorted(c, side="right")
+        ts = (s - sl.take(i)) / group.slew_steps.take(i)
+        tc = (c - ld.take(j)) / group.load_steps.take(j)
+        # The cell's four corners, read from the flat stack at one
+        # offset: (i, j), then one load column, one slew row, both on.
+        at = rows * (k * m) + i * m + j
+        v = group.flat
+        uc = 1 - tc
+        top = v.take(at) * uc + v[1:].take(at) * tc
+        bottom = v[m:].take(at) * uc + v[m + 1:].take(at) * tc
         return top * (1 - ts) + bottom * ts
 
     def evaluate(self, gids, rows, slews, loads) -> np.ndarray:

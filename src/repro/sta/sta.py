@@ -17,11 +17,14 @@ one-row case every other caller uses.
 A netlist's timing structure is a :class:`TimingGraph` owned by its
 caller.  Callers that re-time one netlist build one and pass it to each
 call: sizing per ``size_for_target`` call, the Monte-Carlo engine per
-study.  ``analyze_corners``, signoff and path reports time once and
+study, a hold check and ``fix_hold`` (:mod:`repro.sta.hold`) per
+signoff.  ``analyze_corners``, signoff and path reports time once and
 pass nothing, so each call builds a one-off graph.
 :meth:`TimingGraph.refresh` patches drive-strength swaps in; any other
 edit needs a new graph.  There is no module-level memo: a graph lives
-exactly as long as its owner.
+exactly as long as its owner.  A graph registers each master's
+candidate lanes once, in a lane table, and builds each level batch with
+one gather from it.
 
 The combinational propagation — the hottest loop in the whole flow,
 dominating the sizing stage — is a level-batched engine
@@ -47,8 +50,8 @@ the first minimum in endpoint order.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -124,16 +127,7 @@ def analyze_timing_rows(netlist: Netlist, library: Library,
     report per row.  Telemetry goes to ``tracer`` only (none without
     one); ``graph`` is as for :func:`analyze_timing`.
     """
-    if graph is None:
-        graph = TimingGraph(netlist, library, clock)
-    elif graph.netlist is not netlist or graph.library is not library:
-        raise ValueError(
-            "timing graph was built for another netlist or library")
-    elif graph.clock != clock:
-        raise ValueError(f"timing graph was built for clock "
-                         f"{graph.clock!r}, not {clock!r}")
-    else:
-        graph.refresh()
+    graph = _graph_for(netlist, library, clock, graph)
     tracer = tracer if tracer is not None else NULL_TRACER
     par = _Parasitics(graph, extraction, wire_factors)
     st = _Arrivals(graph.n_nets, par.rows)
@@ -216,6 +210,24 @@ def analyze_timing_rows(netlist: Netlist, library: Library,
     return reports
 
 
+def _graph_for(netlist: Netlist, library: Library, clock: str,
+               graph: TimingGraph | None) -> TimingGraph:
+    """The caller's ``graph``, refreshed, or a new one without it.
+
+    A graph built for another netlist, library or clock is rejected.
+    """
+    if graph is None:
+        return TimingGraph(netlist, library, clock)
+    if graph.netlist is not netlist or graph.library is not library:
+        raise ValueError(
+            "timing graph was built for another netlist or library")
+    if graph.clock != clock:
+        raise ValueError(f"timing graph was built for clock "
+                         f"{graph.clock!r}, not {clock!r}")
+    graph.refresh()
+    return graph
+
+
 class _Parasitics:
     """One extraction seen through R rows of per-net wire-RC factors.
 
@@ -255,18 +267,21 @@ class _Parasitics:
 class _Arrivals:
     """Rise/fall arrivals and slews of every net, R rows deep.
 
-    ``timed`` marks the nets started by hand (inputs, the clock net,
-    launches, ties); ``written`` the nets the propagation drives, the
-    clock tree's included.  ``from_inst``/``from_arc`` are the provenance the
-    critical path is traced from: the driving row of the graph and,
-    per row, the index of the arc that set the worst arrival.
+    ``arr``/``slw`` are (R, 2, nets): ``arr_r``/``slw_r`` view the rise
+    edge and ``arr_f``/``slw_f`` the fall edge, so one gather reads any
+    mix of the two.  ``timed`` marks the nets started by hand (inputs,
+    the clock net, launches, ties); ``written`` the nets the propagation
+    drives, the clock tree's included.  ``from_inst``/``from_arc`` are
+    the provenance the critical path is traced from: the driving row of
+    the graph and, per row, the index of the arc that set the worst
+    arrival.
     """
 
     def __init__(self, n_nets: int, rows: int) -> None:
-        self.arr_r = np.full((rows, n_nets), _NEG)
-        self.arr_f = np.full((rows, n_nets), _NEG)
-        self.slw_r = np.full((rows, n_nets), PRIMARY_INPUT_SLEW_PS)
-        self.slw_f = np.full((rows, n_nets), PRIMARY_INPUT_SLEW_PS)
+        self.arr = np.full((rows, 2, n_nets), _NEG)
+        self.slw = np.full((rows, 2, n_nets), PRIMARY_INPUT_SLEW_PS)
+        self.arr_r, self.arr_f = self.arr[:, 0], self.arr[:, 1]
+        self.slw_r, self.slw_f = self.slw[:, 0], self.slw[:, 1]
         self.timed = np.zeros(n_nets, dtype=bool)
         self.written = np.zeros(n_nets, dtype=bool)
         self.from_inst = np.full(n_nets, -1, dtype=np.int64)
@@ -332,34 +347,78 @@ def _clock_arrivals(graph: TimingGraph, par: _Parasitics, st: _Arrivals,
 # -- level-batched combinational propagation ---------------------------------
 
 
+#: One candidate lane: its arc's index, input edge, column within its
+#: output edge's block, whether that block is the fall edge's, and the
+#: (group, row) refs of its delay and transition tables.
+_LANE = np.dtype([("arc", np.int32), ("rise_in", np.bool_),
+                  ("col", np.intp), ("fall", np.bool_),
+                  ("gid_d", np.intp), ("row_d", np.intp),
+                  ("gid_t", np.intp), ("row_t", np.intp)])
+
+
+class _LaneTable:
+    """Every combinational master's candidate lanes, one row per lane.
+
+    A master registers once per graph (:meth:`add`): its rise-edge
+    lanes, then its fall-edge lanes, each in exactly the order the
+    scalar loop evaluates them: arcs in declaration order, and for a
+    non-unate arc the rising input first.  Its tables go into ``stack``
+    as it registers.
+    """
+
+    def __init__(self, stack: TableStack) -> None:
+        self.stack = stack
+        self._lanes: list[tuple] = []
+        #: Per registered master: first lane, rise lanes, fall lanes, arcs.
+        self._spans: list[tuple[int, int, int, int]] = []
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
+
+    def add(self, arcs: list[TimingArc]) -> int:
+        """Register one master's lanes; returns its span index."""
+        first = len(self._lanes)
+        counts = []
+        for fall in (False, True):
+            col = 0
+            for ai, arc in enumerate(arcs):
+                refs = self.stack.add(
+                    arc.fall_delay if fall else arc.rise_delay) \
+                    + self.stack.add(arc.fall_transition if fall
+                                     else arc.rise_transition)
+                for rise_in in arc.input_edges_for(not fall):
+                    self._lanes.append((ai, rise_in, col, fall) + refs)
+                    col += 1
+            counts.append(col)
+        self._spans.append((first, counts[0], counts[1], len(arcs)))
+        self._arrays = None
+        return len(self._spans) - 1
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lanes as a ``_LANE`` record array, spans as an (n, 4) array)."""
+        if self._arrays is None:
+            self._arrays = (np.array(self._lanes, dtype=_LANE),
+                            np.array(self._spans, dtype=np.intp
+                                     ).reshape(-1, 4))
+        return self._arrays
+
+
 class _MasterTemplate:
     """Per-master propagation recipe shared by all its instances.
 
-    ``rise_cands`` / ``fall_cands`` list the (arc index, input edge,
-    delay table, transition table) candidates for the rise/fall output
-    edge, in exactly the order the scalar loop evaluates them: arcs in
-    declaration order, and for non-unate arcs the rising input first.
+    A combinational master's candidate lanes are span ``span`` of its
+    graph's :class:`_LaneTable`.
     """
 
     __slots__ = ("is_seq", "is_tie", "out_pin", "in_pin_names",
-                 "arc_from_pins", "rise_cands", "fall_cands", "sig")
+                 "arc_from_pins", "sig", "span")
 
-    def __init__(self, master) -> None:
+    def __init__(self, master, lanes: _LaneTable) -> None:
         self.is_seq = master.is_sequential
         self.is_tie = master.function in ("TIEHI", "TIELO")
         outs = master.output_pins
         self.out_pin = outs[0].name if outs else None
         self.in_pin_names = [p.name for p in master.input_pins]
         self.arc_from_pins = [arc.from_pin for arc in master.arcs]
-        self.rise_cands = []
-        self.fall_cands = []
-        for ai, arc in enumerate(master.arcs):
-            for rise_in in arc.input_edges_for(True):
-                self.rise_cands.append(
-                    (ai, rise_in, arc.rise_delay, arc.rise_transition))
-            for rise_in in arc.input_edges_for(False):
-                self.fall_cands.append(
-                    (ai, rise_in, arc.fall_delay, arc.fall_transition))
+        self.span = -1 if self.is_seq else lanes.add(master.arcs)
         # Structure signature: a drive-strength swap that preserves it
         # can be patched in place; anything else forces a graph rebuild.
         self.sig = (self.is_seq, self.is_tie, self.out_pin,
@@ -370,9 +429,43 @@ class _MasterTemplate:
 class _LevelBatch:
     """All candidate lanes of one logic level, padded to (n, R + F)."""
 
-    __slots__ = ("rows", "out_ids", "out_names", "R", "F", "in_ids",
-                 "rise_in", "present", "gid_d", "row_d", "gid_t", "row_t",
-                 "arc_idx", "wire_slot")
+    __slots__ = ("rows", "out_ids", "R", "F", "in_ids", "rise_in",
+                 "present", "gid_d", "row_d", "gid_t", "row_t", "arc_idx",
+                 "wire_slot")
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``starts[k], ..., starts[k] + counts[k] - 1`` for every k, joined."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - (ends - counts), counts) \
+        + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _levels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Each of ``n`` nodes' longest-path depth over the edges
+    ``src -> dst``: Kahn's algorithm, one wave of ready nodes at a time.
+    """
+    order = np.argsort(src, kind="stable")
+    succ = dst[order]
+    first = np.searchsorted(src[order], np.arange(n + 1))
+    indeg = np.bincount(dst, minlength=n)
+    level = np.zeros(n, dtype=np.intp)
+    wave = np.flatnonzero(indeg == 0)
+    depth = done = 0
+    while len(wave):
+        level[wave] = depth
+        done += len(wave)
+        nxt = succ[_ranges(first[wave], first[wave + 1] - first[wave])]
+        indeg -= np.bincount(nxt, minlength=n)
+        wave = np.unique(nxt[indeg[nxt] == 0])
+        depth += 1
+    if done != n:
+        raise ValueError("combinational loop detected")
+    return level
+
+
+#: An instance's master name.
+_MASTER = attrgetter("master")
 
 
 class TimingGraph:
@@ -396,6 +489,10 @@ class TimingGraph:
     non-sequential sinks, ahead of the data cells' ``levels``, and
     ``ck_seq``/``ck_sinks`` name the clock pin of every sequential cell
     the tree reaches.
+
+    Each master's candidate lanes are registered once, in a
+    :class:`_LaneTable`; a batch is one gather from it plus each
+    instance's arc-input nets and wire slots.
     """
 
     def __init__(self, netlist: Netlist, library: Library,
@@ -407,107 +504,179 @@ class TimingGraph:
 
     def _build(self) -> None:
         netlist = self.netlist
+        instances, nets = netlist.instances, netlist.nets
         self.stack = TableStack()
+        self.lanes = _LaneTable(self.stack)
         self.templates: dict[str, _MasterTemplate] = {}
-        self.net_names = list(netlist.nets)
-        self.net_id = {name: i for i, name in enumerate(self.net_names)}
-        self.n_nets = len(self.net_id)
-        self.size = (len(netlist.instances), self.n_nets)
-
-        instances = netlist.instances
-        nets = netlist.nets
-        comb_names: list[str] = []
-        comb_tmpls: list[_MasterTemplate] = []
-        out_names: list[str] = []
-        self.ties: list[tuple[str, str, int]] = []
-        self.seq_names: list[str] = []
-        for inst in instances.values():
-            t = self._template(inst.master)
-            if t.is_seq:
-                self.seq_names.append(inst.name)
-                continue
-            if t.out_pin is None:
-                continue
-            out_net = inst.connections[t.out_pin]
-            if t.is_tie:
-                self.ties.append((inst.name, out_net, self.net_id[out_net]))
-                continue
-            comb_names.append(inst.name)
-            comb_tmpls.append(t)
-            out_names.append(out_net)
-        self.comb_names = comb_names
-        self.comb_masters = [instances[n].master for n in comb_names]
-        self.row_template = comb_tmpls
-        self.seq_index = {name: i for i, name in enumerate(self.seq_names)}
+        self.net_names = list(nets)
+        self.net_id = net_id = {name: i for i, name in
+                                enumerate(self.net_names)}
+        self.n_nets = len(self.net_names)
+        self.size = (len(instances), self.n_nets)
         #: Every ``(instance, pin)`` sink, nets in netlist order; sink s
         #: is on net ``sink_net[s]``, and ``sink_at`` maps a sink to s.
         self.sinks = [pin for net in nets.values() for pin in net.sinks]
         self.sink_net = np.repeat(np.arange(self.n_nets), np.array(
             [len(net.sinks) for net in nets.values()], dtype=np.intp))
-        self.sink_at = dict(zip(self.sinks, range(len(self.sinks))))
+        self.sink_at = sink_at = dict(zip(self.sinks,
+                                          range(len(self.sinks))))
+
+        # One pass over the instances.  A combinational row keeps its
+        # output net, its arcs' inputs in declaration order (the net, -1
+        # where the pin is unconnected, and its sink) and the nets of
+        # its input pins, whose drivers order the levels.
+        template = self._template
+        comb: list = []
+        tmpls: list[_MasterTemplate] = []
+        out_ids: list[int] = []
+        arc_net: list[int] = []
+        arc_sink: list[int] = []
+        pin_net: list[int] = []
+        self.ties: list[tuple[str, str, int]] = []
+        self.seq_insts: list = []
+        for inst in instances.values():
+            t = template(inst.master)
+            if t.is_seq:
+                self.seq_insts.append(inst)
+                continue
+            if t.out_pin is None:
+                continue
+            conn = inst.connections
+            out_net = conn[t.out_pin]
+            if t.is_tie:
+                self.ties.append((inst.name, out_net, net_id[out_net]))
+                continue
+            comb.append(inst)
+            tmpls.append(t)
+            out_ids.append(net_id[out_net])
+            for pin in t.arc_from_pins:
+                in_net = conn.get(pin)
+                if in_net is None:
+                    arc_net.append(-1)
+                    arc_sink.append(-1)
+                else:
+                    arc_net.append(net_id[in_net])
+                    arc_sink.append(sink_at[inst.name, pin])
+            pin_net += [net_id[conn[pin]] for pin in t.in_pin_names]
+        self.comb_insts = comb
+        self.comb_names = [inst.name for inst in comb]
+        self.comb_masters = [inst.master for inst in comb]
+        self.row_template = tmpls
+        self.out_ids = np.array(out_ids, dtype=np.intp)
+        self.arc_net = np.array(arc_net, dtype=np.intp)
+        self.arc_sink = np.array(arc_sink, dtype=np.intp)
+        self.row_span = np.array([t.span for t in tmpls], dtype=np.intp)
+        self.seq_names = [inst.name for inst in self.seq_insts]
+        self.seq_index = {name: i for i, name in enumerate(self.seq_names)}
         self._list_sequential()
         self.inputs = [n.name for n in nets.values() if n.is_primary_input]
-        self.input_ids = np.array([self.net_id[n] for n in self.inputs],
+        self.input_ids = np.array([net_id[n] for n in self.inputs],
                                   dtype=np.intp)
         self.outputs = [n.name for n in nets.values()
                         if n.is_primary_output and not n.is_primary_input]
-        self.output_ids = np.array([self.net_id[n] for n in self.outputs],
+        self.output_ids = np.array([net_id[n] for n in self.outputs],
                                    dtype=np.intp)
         tree = self._list_clock_tree()
 
         # Logic levels over the same dependency edges the reference
         # topological order uses (non-clock input pins, combinational
         # drivers) — every arc fanin therefore sits at a lower level.
-        n = len(comb_names)
-        index_of = {name: i for i, name in enumerate(comb_names)}
-        indeg = [0] * n
-        deps: list[list[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            conn = instances[comb_names[i]].connections
-            for pin in comb_tmpls[i].in_pin_names:
-                driver = nets[conn[pin]].driver
-                if driver is None:
-                    continue
-                j = index_of.get(driver[0])
-                if j is None:
-                    continue  # sequential or tie driver: ready at level 0
-                deps[j].append(i)
-                indeg[i] += 1
-        level = [0] * n
-        queue = deque(i for i in range(n) if indeg[i] == 0)
-        done = 0
-        while queue:
-            i = queue.popleft()
-            done += 1
-            nxt = level[i] + 1
-            for j in deps[i]:
-                if nxt > level[j]:
-                    level[j] = nxt
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    queue.append(j)
-        if done != n:
-            raise ValueError("combinational loop detected")
+        n = len(comb)
+        row_of = {name: i for i, name in enumerate(self.comb_names)}
+        driver = np.array([-1 if net.driver is None
+                           else row_of.get(net.driver[0], -1)
+                           for net in nets.values()], dtype=np.intp)
+        n_pins = np.array([len(t.in_pin_names) for t in tmpls],
+                          dtype=np.intp)
+        src = driver[np.array(pin_net, dtype=np.intp)]
+        dst = np.repeat(np.arange(n), n_pins)[src >= 0]
+        level = _levels(n, src[src >= 0], dst)
         # The clock tree's batches sort ahead of the data batches.  No
         # data cell reads a clock-tree net, so the data cells keep
         # their levels.
-        by_level: dict[tuple[bool, int], list[int]] = {}
-        for i in range(n):
-            key = (comb_names[i] not in tree, level[i])
-            by_level.setdefault(key, []).append(i)
-
-        #: The sink of every arc input, all batches.
-        self.wire_sinks = []
-        batches = [self._build_level(rows, out_names)
-                   for _key, rows in sorted(by_level.items())]
-        n_clock = sum(1 for data, _lvl in by_level if not data)
-        self.clock_levels = batches[:n_clock]
-        self.levels = batches[n_clock:]
-        self.wire_sinks = np.array(self.wire_sinks, dtype=np.intp)
+        in_tree = np.zeros(n, dtype=bool)
+        in_tree[[row_of[name] for name in tree if name in row_of]] = True
+        key = level + np.where(in_tree, 0, n)
+        order = np.argsort(key, kind="stable")
+        cuts = np.flatnonzero(np.diff(key[order])) + 1
+        batches = np.split(order, cuts) if n else []
+        n_clock = len(np.unique(key[in_tree]))
+        levels = self._build_levels(batches)
+        self.clock_levels = levels[:n_clock]
+        self.levels = levels[n_clock:]
         self.wire_net_ids = self.sink_net[self.wire_sinks]
-        #: row -> (batch, row-within-batch) for master refreshes.
-        self.row_pos = {i: (lvl, r) for lvl in batches
-                        for r, i in enumerate(lvl.rows.tolist())}
+
+    def _build_levels(self, batches: list[np.ndarray]) -> list[_LevelBatch]:
+        """The level batches of ``batches``' combinational rows, in order.
+
+        One gather from the lane table fills every batch: each lane of
+        each row lands at its row and column of its batch's (n, R + F)
+        grid where its arc input is connected, and a field's grids share
+        one buffer.  Numbers the wire slots (every connected arc input,
+        batch by batch, row by row, arcs in declaration order) and sets
+        ``wire_sinks`` (each slot's sink) and ``row_pos`` (each row's
+        batch and position in it).
+        """
+        if not batches:
+            self.wire_sinks = np.zeros(0, dtype=np.intp)
+            self.row_pos = np.zeros((0, 2), dtype=np.intp)
+            return []
+        lanes, spans = self.lanes.arrays()
+        order = np.concatenate(batches)
+        n_arcs = spans[self.row_span, 3]
+        arc0 = (np.cumsum(n_arcs) - n_arcs)[order]
+        span = spans[self.row_span[order]]
+        sizes = np.array([len(rows) for rows in batches])
+        start = np.cumsum(sizes) - sizes
+        batch = np.repeat(np.arange(len(batches)), sizes)
+        self.row_pos = np.empty((len(order), 2), dtype=np.intp)
+        self.row_pos[order, 0] = batch
+        self.row_pos[order, 1] = np.arange(len(order)) - start[batch]
+
+        wired = _ranges(arc0, span[:, 3])
+        wired = wired[self.arc_net[wired] >= 0]
+        slot = np.zeros(len(self.arc_net), dtype=np.intp)
+        slot[wired] = np.arange(len(wired))
+        self.wire_sinks = self.arc_sink[wired]
+
+        R = np.maximum.reduceat(span[:, 1], start)
+        F = np.maximum.reduceat(span[:, 2], start)
+        width = R + F
+        base = np.cumsum(sizes * width) - sizes * width
+        count = span[:, 1] + span[:, 2]
+        lane = lanes[_ranges(span[:, 0], count)]
+        row = np.repeat(np.arange(len(order)), count)
+        arc = arc0[row] + lane["arc"]
+        net = self.arc_net[arc]
+        on = net >= 0
+        lane, arc, net, row = lane[on], arc[on], net[on], row[on]
+        b = batch[row]
+        at = base[b] + (row - start[b]) * width[b] + lane["col"] \
+            + R[b] * lane["fall"]
+        total = int(base[-1] + sizes[-1] * width[-1])
+
+        def field(values, fill, dtype=np.intp) -> np.ndarray:
+            flat = np.full(total, fill, dtype=dtype)
+            flat[at] = values
+            return flat
+
+        fields = {"in_ids": field(net, 0),
+                  "rise_in": field(lane["rise_in"], False, bool),
+                  "present": field(True, False, bool),
+                  "arc_idx": field(lane["arc"], -1, np.int32),
+                  "wire_slot": field(slot[arc], 0)}
+        for name in ("gid_d", "row_d", "gid_t", "row_t"):
+            fields[name] = field(lane[name], 0)
+        levels = []
+        for rows, lo, n, r, f in zip(batches, base.tolist(), sizes.tolist(),
+                                     R.tolist(), F.tolist()):
+            lvl = _LevelBatch()
+            lvl.rows, lvl.out_ids = rows, self.out_ids[rows]
+            lvl.R, lvl.F = r, f
+            for name, flat in fields.items():
+                setattr(lvl, name, flat[lo:lo + n * (r + f)].reshape(n, r + f))
+            levels.append(lvl)
+        return levels
 
     def _list_clock_tree(self) -> set[str]:
         """The cells ``clock`` reaches through non-sequential sinks.
@@ -537,7 +706,7 @@ class TimingGraph:
     def _template(self, master_name: str) -> _MasterTemplate:
         t = self.templates.get(master_name)
         if t is None:
-            t = _MasterTemplate(self.library[master_name])
+            t = _MasterTemplate(self.library[master_name], self.lanes)
             self.templates[master_name] = t
         return t
 
@@ -546,36 +715,43 @@ class TimingGraph:
 
         Also their array forms: each launch's cell, output net and
         (rise, fall) x (delay, transition) table rows, and each
-        endpoint's cell, net, sink and setup.
+        endpoint's cell, net, sink and setup.  Each master's arcs, pins
+        and table refs are read once.
         """
-        instances = self.netlist.instances
-        self.seq_masters = [instances[n].master for n in self.seq_names]
+        self.seq_masters = [inst.master for inst in self.seq_insts]
         self.launches: list[tuple[str, TimingArc, str]] = []
         self.endpoints: list[tuple[str, str, str, SequentialTiming]] = []
-        for name, master_name in zip(self.seq_names, self.seq_masters):
-            m, conn = self.library[master_name], instances[name].connections
-            self.launches += [(name, arc, conn[arc.to_pin])
-                              for arc in m.arcs if arc.to_pin in conn]
-            self.endpoints += [(name, p.name, conn[p.name], m.sequential)
-                               for p in m.input_pins if p.name in conn]
+        cells: dict[str, tuple] = {}
+        refs: list[tuple[int, ...]] = []
+        add = self.stack.add
+        for inst in self.seq_insts:
+            cell = cells.get(inst.master)
+            if cell is None:
+                m = self.library[inst.master]
+                cell = cells[inst.master] = (
+                    [(arc, add(arc.rise_delay) + add(arc.rise_transition)
+                      + add(arc.fall_delay) + add(arc.fall_transition))
+                     for arc in m.arcs],
+                    [p.name for p in m.input_pins], m.sequential)
+            arcs, pins, timing = cell
+            conn = inst.connections
+            for arc, arc_refs in arcs:
+                if arc.to_pin in conn:
+                    self.launches.append((inst.name, arc, conn[arc.to_pin]))
+                    refs.append(arc_refs)
+            self.endpoints += [(inst.name, p, conn[p], timing)
+                               for p in pins if p in conn]
 
         def ids(values) -> np.ndarray:
             return np.array(values, dtype=np.intp)
 
-        def refs(tables) -> tuple[np.ndarray, np.ndarray]:
-            pairs = [self.stack.add(t) for t in tables]
-            return ids([g for g, _ in pairs]), ids([r for _, r in pairs])
-
-        arcs = [arc for _n, arc, _o in self.launches]
+        t = ids(refs).reshape(-1, 8).T
+        self.launch_tables = [((t[0], t[1]), (t[2], t[3])),
+                              ((t[4], t[5]), (t[6], t[7]))]
         self.launch_seq = ids([self.seq_index[n] for n, _a, _o in
                                self.launches])
         self.launch_out = ids([self.net_id[o] for _n, _a, o in
                                self.launches])
-        self.launch_tables = [
-            (refs(a.rise_delay for a in arcs),
-             refs(a.rise_transition for a in arcs)),
-            (refs(a.fall_delay for a in arcs),
-             refs(a.fall_transition for a in arcs))]
         self.ep_sinks = ids([self.sink_at[n, p] for n, p, _d, _s in
                              self.endpoints])
         self.ep_seq = ids([self.seq_index[n] for n, _p, _d, _s in
@@ -585,71 +761,14 @@ class TimingGraph:
         self.ep_setup = np.array([s.setup_ps for *_x, s in self.endpoints],
                                  dtype=float)
 
-    def _build_level(self, rows: list[int],
-                     out_names: list[str]) -> _LevelBatch:
-        instances = self.netlist.instances
-        lvl = _LevelBatch()
-        n = len(rows)
-        lvl.rows = np.asarray(rows, dtype=np.intp)
-        lvl.out_names = [out_names[i] for i in rows]
-        lvl.out_ids = np.array([self.net_id[o] for o in lvl.out_names],
-                               dtype=np.intp)
-        tmpls = [self.row_template[i] for i in rows]
-        R = max((len(t.rise_cands) for t in tmpls), default=0)
-        F = max((len(t.fall_cands) for t in tmpls), default=0)
-        lvl.R, lvl.F = R, F
-        P = R + F
-        lvl.in_ids = np.zeros((n, P), dtype=np.intp)
-        lvl.rise_in = np.zeros((n, P), dtype=bool)
-        lvl.present = np.zeros((n, P), dtype=bool)
-        lvl.gid_d = np.zeros((n, P), dtype=np.intp)
-        lvl.row_d = np.zeros((n, P), dtype=np.intp)
-        lvl.gid_t = np.zeros((n, P), dtype=np.intp)
-        lvl.row_t = np.zeros((n, P), dtype=np.intp)
-        lvl.arc_idx = np.full((n, P), -1, dtype=np.int32)
-        lvl.wire_slot = np.zeros((n, P), dtype=np.intp)
-        for r, i in enumerate(rows):
-            t = tmpls[r]
-            conn = instances[self.comb_names[i]].connections
-            arc_info: list[tuple[int, int] | None] = []
-            for fp in t.arc_from_pins:
-                in_net = conn.get(fp)
-                if in_net is None:
-                    arc_info.append(None)
-                    continue
-                arc_info.append((self.net_id[in_net], len(self.wire_sinks)))
-                self.wire_sinks.append(self.sink_at[self.comb_names[i], fp])
-            self._fill_row(lvl, r, t, arc_info)
-        return lvl
-
-    def _fill_row(self, lvl: _LevelBatch, r: int, t: _MasterTemplate,
-                  arc_info: list) -> None:
-        """Write one instance's candidate lanes (tables and topology)."""
-        for base, cands in ((0, t.rise_cands), (lvl.R, t.fall_cands)):
-            for off, (ai, rise_in, dtab, ttab) in enumerate(cands):
-                info = arc_info[ai]
-                if info is None:
-                    continue
-                nid, slot = info
-                col = base + off
-                lvl.in_ids[r, col] = nid
-                lvl.rise_in[r, col] = rise_in
-                lvl.present[r, col] = True
-                lvl.arc_idx[r, col] = ai
-                lvl.wire_slot[r, col] = slot
-                gd, rd = self.stack.add(dtab)
-                gt, rt = self.stack.add(ttab)
-                lvl.gid_d[r, col] = gd
-                lvl.row_d[r, col] = rd
-                lvl.gid_t[r, col] = gt
-                lvl.row_t[r, col] = rt
-
     def refresh(self) -> None:
         """Patch drive-strength swaps in place; rebuild on anything else.
 
         A swap keeping the master's structure signature rewrites only
-        its instance's rows (or relists a sequential cell's launches and
-        endpoints); a changed signature or cell or net count rebuilds.
+        its instance's table refs (or relists a sequential cell's
+        launches and endpoints); a changed signature or cell or net
+        count rebuilds.  An unchanged netlist costs one pass over the
+        instances' master names.
         """
         netlist = self.netlist
         if (len(netlist.instances), len(netlist.nets)) != self.size \
@@ -657,31 +776,32 @@ class TimingGraph:
             self._build()
 
     def _patch(self) -> bool:
-        instances = self.netlist.instances
-        for i, name in enumerate(self.comb_names):
-            master = instances[name].master
-            if master == self.comb_masters[i]:
-                continue
-            t = self._template(master)
-            old = self.row_template[i]
-            if t.sig != old.sig:
-                return False
-            lvl, r = self.row_pos[i]
-            arc_info: list[tuple[int, int] | None] = []
-            for ai in range(len(t.arc_from_pins)):
-                # Connectivity is untouched by a drive swap; reuse the
-                # stored lanes of any candidate column of this arc.
-                cols = np.flatnonzero(lvl.arc_idx[r] == ai)
-                if len(cols):
-                    c = cols[0]
-                    arc_info.append((int(lvl.in_ids[r, c]),
-                                     int(lvl.wire_slot[r, c])))
-                else:
-                    arc_info.append(None)
-            self._fill_row(lvl, r, t, arc_info)
-            self.comb_masters[i] = master
-            self.row_template[i] = t
-        if [instances[n].master for n in self.seq_names] != self.seq_masters:
+        masters = list(map(_MASTER, self.comb_insts))
+        if masters != self.comb_masters:
+            batches = self.clock_levels + self.levels
+            for i, (new, old) in enumerate(zip(masters, self.comb_masters)):
+                if new == old:
+                    continue
+                t = self._template(new)
+                if t.sig != self.row_template[i].sig:
+                    return False
+                # Connectivity is untouched by a drive swap, and an
+                # equal signature lays the lanes out alike: rewrite the
+                # table refs of the row's present lanes.
+                lanes, spans = self.lanes.arrays()
+                first, n_rise, n_fall, _arcs = spans[t.span]
+                b, r = self.row_pos[i]
+                lvl = batches[b]
+                lane = lanes[first:first + n_rise + n_fall]
+                col = lane["col"] + lvl.R * lane["fall"]
+                on = lvl.present[r, col]
+                lane, col = lane[on], col[on]
+                for name in ("gid_d", "row_d", "gid_t", "row_t"):
+                    getattr(lvl, name)[r, col] = lane[name]
+                self.row_template[i] = t
+                self.row_span[i] = t.span
+            self.comb_masters = masters
+        if list(map(_MASTER, self.seq_insts)) != self.seq_masters:
             self._list_sequential()
         return True
 
@@ -717,19 +837,22 @@ def _propagate_comb(graph: TimingGraph, batches: list[_LevelBatch],
     Reads the nets ``st`` timed or wrote on entry and writes each
     batch's outputs into it, with their provenance.
     """
-    arr_r, arr_f, slw_r, slw_f = st.arr_r, st.arr_f, st.slw_r, st.slw_f
-    rows = par.rows
-    rsel = np.arange(rows)[:, None]
+    rows, n_nets = par.rows, graph.n_nets
+    arr = st.arr.reshape(rows, 2 * n_nets)
+    slw = st.slw.reshape(rows, 2 * n_nets)
+    first = np.arange(rows)[:, None]
     counting = tracer.enabled
     evals = 0
     batch_max = 0
     for lvl in batches:
-        n = len(lvl.out_names)
+        n, width = lvl.in_ids.shape
         batch_max = max(batch_max, n)
         loads = par.loads[:, lvl.out_ids]
-        in_ids = lvl.in_ids
-        arr_sel = np.where(lvl.rise_in, arr_r[:, in_ids], arr_f[:, in_ids])
-        slw_sel = np.where(lvl.rise_in, slw_r[:, in_ids], slw_f[:, in_ids])
+        # Each lane's input edge: the rise half at its net id, the fall
+        # half ``n_nets`` further on.
+        edge = np.where(lvl.rise_in, lvl.in_ids, lvl.in_ids + n_nets)
+        arr_sel = arr[:, edge]
+        slw_sel = slw[:, edge]
         w = par.wires[:, lvl.wire_slot]
         # Same three adds, same order, as a scalar fold of one arc:
         # (arrival + wire) + delay, slew + (1.8 * wire).
@@ -742,28 +865,38 @@ def _propagate_comb(graph: TimingGraph, batches: list[_LevelBatch],
                                      loads[:, :, None])
         cand = np.where(valid, arr_in + delay, -np.inf)
 
-        lane = np.arange(n)
-        edge_arc = []
-        for lo, hi, arr_o, slw_o in ((0, lvl.R, arr_r, slw_r),
-                                     (lvl.R, lvl.R + lvl.F, arr_f, slw_f)):
-            if hi == lo:
-                edge_arc.append(np.full((rows, n), -1, dtype=np.int64))
-                continue
-            block = cand[:, :, lo:hi]
-            idx = np.argmax(block, axis=2)
-            best = block[rsel, lane, idx]
-            has = valid[:, :, lo:hi].any(axis=2)
-            wcol = idx + lo
-            trans = graph.stack.evaluate(lvl.gid_t[lane, wcol],
-                                         lvl.row_t[lane, wcol],
-                                         slw_in[rsel, lane, wcol], loads)
-            arr_o[:, lvl.out_ids] = np.where(has, best, _NEG)
-            slw_o[:, lvl.out_ids] = np.where(has, trans,
-                                             PRIMARY_INPUT_SLEW_PS)
-            edge_arc.append(np.where(has, lvl.arc_idx[lane, wcol], -1))
+        # Each output edge takes its block's first maximum (rise lanes,
+        # then fall lanes), as the scalar fold's strict ``>`` keeps it.
+        # Both edges are one (R, 2n) pass: the rise edge's n outputs,
+        # then the fall edge's.  Every arc has a lane on each edge, so a
+        # batch has lanes on both edges or on none.
+        out = np.concatenate([lvl.out_ids, lvl.out_ids + n_nets])
+        if width:
+            wcol = np.concatenate(
+                [cand[:, :, :lvl.R].argmax(axis=2),
+                 cand[:, :, lvl.R:].argmax(axis=2) + lvl.R], axis=1)
+            has = np.concatenate(
+                [np.logical_or.reduce(valid[:, :, :lvl.R], axis=2),
+                 np.logical_or.reduce(valid[:, :, lvl.R:], axis=2)], axis=1)
+            # The winner's place in the flat (n, width) batch arrays and
+            # in the flat (R, n, width) lane arrays.
+            cell = np.arange(n) * width
+            here = np.concatenate([cell, cell]) + wcol
+            win = first * (n * width) + here
+            trans = graph.stack.evaluate(
+                lvl.gid_t.take(here), lvl.row_t.take(here),
+                slw_in.take(win), np.concatenate([loads, loads], axis=1))
+            arr[:, out] = np.where(has, cand.take(win), _NEG)
+            slw[:, out] = np.where(has, trans, PRIMARY_INPUT_SLEW_PS)
+            arcs = np.where(has, lvl.arc_idx.take(here), -1)
+            from_arc = np.maximum(arcs[:, :n], arcs[:, n:])
+        else:
+            arr[:, out] = _NEG
+            slw[:, out] = PRIMARY_INPUT_SLEW_PS
+            from_arc = -1
         st.written[lvl.out_ids] = True
         st.from_inst[lvl.out_ids] = lvl.rows
-        st.from_arc[:, lvl.out_ids] = np.maximum(edge_arc[0], edge_arc[1])
+        st.from_arc[:, lvl.out_ids] = from_arc
 
     if counting:
         tracer.count("kernel.sta.insts",

@@ -8,6 +8,7 @@ through the process pool unchanged.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 from repro.core import FlowConfig
@@ -17,8 +18,10 @@ from repro.synth import (
     generate_riscv_core,
     generate_rv16_sram,
 )
+from repro.variation import run_monte_carlo
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "headline_ppa.json"
+MC_GOLDEN_PATH = GOLDEN_PATH.with_name("mc_rv8.json")
 
 
 class MultiplierFactory:
@@ -68,3 +71,21 @@ CASES: dict[str, tuple[object, FlowConfig]] = {
     # macro LEF/DEF emission on every regression run.
     "ffet_dual_rv16_sram": (SramCoreFactory(), FlowConfig()),
 }
+
+
+#: The pinned Monte-Carlo study: (factory, config, samples, seed) of 16
+#: overlay samples of the rv8 core at the default config.
+MC_CASE = (RiscvTinyFactory(), FlowConfig(), 16, 0)
+
+
+def mc_study_payload() -> dict:
+    """The pinned study's samples, every float by ``float.hex``."""
+    factory, config, samples, seed = MC_CASE
+    study = run_monte_carlo(factory, config, samples=samples, seed=seed)
+
+    def hexed(result) -> dict:
+        return {k: v.hex() if isinstance(v, float) else v
+                for k, v in dataclasses.asdict(result).items()}
+
+    return {"samples": [hexed(s) for s in study.samples],
+            "failed": [hexed(f) for f in study.failed]}

@@ -1,5 +1,5 @@
-"""Scalar oracles for STA: propagation, the clock walk, hold,
-parasitics gathers, RC scaling."""
+"""Scalar oracles for STA: the graph's batch builder, propagation, the
+clock walk, hold, parasitics gathers, RC scaling."""
 
 from __future__ import annotations
 
@@ -10,9 +10,9 @@ import numpy as np
 from repro.cells import TimingArc
 from repro.extract import Extraction
 from repro.extract.rc import NetParasitics
-from repro.sta import FAST_CORNER_DERATE, HoldReport, TimingGraph
+from repro.sta import FAST_CORNER_DERATE, HoldReport
 from repro.sta.sta import (PRIMARY_INPUT_SLEW_PS, SLEW_DEGRADATION, _NEG,
-                           _Parasitics)
+                           _graph_for, _LevelBatch, _Parasitics)
 
 from .extract import from_nets
 
@@ -53,6 +53,92 @@ class PinTiming:
             self.slew_rise_ps + extra_slew,
             self.slew_fall_ps + extra_slew,
         )
+
+
+def _candidates(master) -> tuple[list, list]:
+    """The (arc index, input edge, delay table, transition table)
+    candidates of the rise and of the fall output edge, in the order the
+    scalar loop evaluates them: arcs in declaration order, and for a
+    non-unate arc the rising input first."""
+    rise, fall = [], []
+    for ai, arc in enumerate(master.arcs):
+        rise += [(ai, rise_in, arc.rise_delay, arc.rise_transition)
+                 for rise_in in arc.input_edges_for(True)]
+        fall += [(ai, rise_in, arc.fall_delay, arc.fall_transition)
+                 for rise_in in arc.input_edges_for(False)]
+    return rise, fall
+
+
+def build_levels(graph, batches):
+    """The per-lane batch builder: one candidate lane at a time.
+
+    Same signature and result as ``TimingGraph._build_levels`` in
+    ``repro.sta.sta``: each row reads its instance's connections and its
+    master's arcs, numbers a wire slot per connected arc input as it
+    goes, and registers two tables in ``graph.stack`` per lane.
+    """
+    graph.wire_sinks = []
+    levels = [_build_level(graph, rows) for rows in batches]
+    graph.wire_sinks = np.array(graph.wire_sinks, dtype=np.intp)
+    pos = {i: (b, r) for b, lvl in enumerate(levels)
+           for r, i in enumerate(lvl.rows.tolist())}
+    graph.row_pos = np.array([pos[i] for i in range(len(pos))],
+                             dtype=np.intp).reshape(-1, 2)
+    return levels
+
+
+def _build_level(graph, rows) -> _LevelBatch:
+    instances, library = graph.netlist.instances, graph.library
+    lvl = _LevelBatch()
+    n = len(rows)
+    lvl.rows = np.asarray(rows, dtype=np.intp)
+    masters = [library[instances[graph.comb_names[i]].master]
+               for i in lvl.rows.tolist()]
+    cands = [_candidates(m) for m in masters]
+    lvl.out_ids = np.array(
+        [graph.net_id[instances[graph.comb_names[i]].connections[
+            m.output_pins[0].name]] for i, m in zip(lvl.rows.tolist(),
+                                                    masters)],
+        dtype=np.intp)
+    R = max((len(rise) for rise, _fall in cands), default=0)
+    F = max((len(fall) for _rise, fall in cands), default=0)
+    lvl.R, lvl.F = R, F
+    P = R + F
+    lvl.in_ids = np.zeros((n, P), dtype=np.intp)
+    lvl.rise_in = np.zeros((n, P), dtype=bool)
+    lvl.present = np.zeros((n, P), dtype=bool)
+    lvl.gid_d = np.zeros((n, P), dtype=np.intp)
+    lvl.row_d = np.zeros((n, P), dtype=np.intp)
+    lvl.gid_t = np.zeros((n, P), dtype=np.intp)
+    lvl.row_t = np.zeros((n, P), dtype=np.intp)
+    lvl.arc_idx = np.full((n, P), -1, dtype=np.int32)
+    lvl.wire_slot = np.zeros((n, P), dtype=np.intp)
+    for r, i in enumerate(lvl.rows.tolist()):
+        name = graph.comb_names[i]
+        conn = instances[name].connections
+        arc_info: list[tuple[int, int] | None] = []
+        for arc in masters[r].arcs:
+            in_net = conn.get(arc.from_pin)
+            if in_net is None:
+                arc_info.append(None)
+                continue
+            arc_info.append((graph.net_id[in_net], len(graph.wire_sinks)))
+            graph.wire_sinks.append(graph.sink_at[name, arc.from_pin])
+        for base, lanes in zip((0, R), cands[r]):
+            for off, (ai, rise_in, dtab, ttab) in enumerate(lanes):
+                info = arc_info[ai]
+                if info is None:
+                    continue
+                nid, slot = info
+                col = base + off
+                lvl.in_ids[r, col] = nid
+                lvl.rise_in[r, col] = rise_in
+                lvl.present[r, col] = True
+                lvl.arc_idx[r, col] = ai
+                lvl.wire_slot[r, col] = slot
+                lvl.gid_d[r, col], lvl.row_d[r, col] = graph.stack.add(dtab)
+                lvl.gid_t[r, col], lvl.row_t[r, col] = graph.stack.add(ttab)
+    return lvl
 
 
 def _propagate_arc(arc: TimingArc, pt_in: PinTiming, load_ff: float,
@@ -226,13 +312,15 @@ def _min_delay(arc: TimingArc, load_ff: float) -> float:
 
 
 def analyze_hold(netlist, library, extraction, clock: str = "clk",
-                 input_delay_ps: float | None = None) -> HoldReport:
+                 input_delay_ps: float | None = None,
+                 graph=None) -> HoldReport:
     """Hold check on dicts: a min-delay clock walk, then one min fold
     per instance in topological order.
 
-    Same signature and report as ``repro.sta.analyze_hold``.
+    Same signature and report as ``repro.sta.analyze_hold``; the graph
+    supplies only the sink table, launches and endpoints.
     """
-    graph = TimingGraph(netlist, library, clock)
+    graph = _graph_for(netlist, library, clock, graph)
     min_arrival: dict[str, float] = {}
     wires = (extraction.elmore_ps(graph.net_names, graph.sinks,
                                   graph.sink_net)

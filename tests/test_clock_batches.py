@@ -8,13 +8,16 @@ Both agree bit for bit with the scalar oracles in
 (:func:`reference.sta.clock_arrivals`, swapped in for
 ``repro.sta.sta._clock_arrivals``) and the dict-based
 :func:`reference.sta.analyze_hold`.  Every float of a report is
-compared through ``float.hex``.
+compared through ``float.hex``.  The batches themselves, gathered from
+the graph's lane table and patched through ``refresh``, equal those the
+per-lane builder (:func:`reference.sta.build_levels`) fills.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import random
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from repro.sta import (
     analyze_timing_rows,
     fix_hold,
 )
+from repro.sta.sta import _LevelBatch
 from repro.synth import (
     RiscvConfig,
     generate_riscv_core,
@@ -184,3 +188,73 @@ def test_clock_and_data_batches_partition_the_cells(routed):
              == "DFF"]
     pins = {graph.sinks[s] for s in graph.ck_sinks.tolist()}
     assert {(n, "CK") for n in flops} <= pins
+
+
+def _oracle_graph(netlist, library, monkeypatch) -> TimingGraph:
+    """A fresh graph whose batches the per-lane builder filled."""
+    with monkeypatch.context() as patched:
+        patched.setattr("repro.sta.sta.TimingGraph._build_levels",
+                        reference.sta.build_levels)
+        return TimingGraph(netlist, library)
+
+
+def _tables(graph, gids, rows) -> list[int]:
+    """The value grid each (group, row) ref names, by identity."""
+    groups = graph.stack._groups
+    return [id(groups[g].values[r])
+            for g, r in zip(gids.tolist(), rows.tolist())]
+
+
+def assert_same_batches(graph, oracle) -> None:
+    """Every batch array, ``wire_sinks`` and ``row_pos`` equal; table
+    refs name the same table on present lanes and read (0, 0) on
+    padded ones."""
+    assert np.array_equal(graph.wire_sinks, oracle.wire_sinks)
+    assert np.array_equal(graph.row_pos, oracle.row_pos)
+    assert graph.row_pos.dtype == oracle.row_pos.dtype
+    ours = graph.clock_levels + graph.levels
+    theirs = oracle.clock_levels + oracle.levels
+    assert len(graph.clock_levels) == len(oracle.clock_levels)
+    assert len(ours) == len(theirs)
+    refs = (("gid_d", "row_d"), ("gid_t", "row_t"))
+    for a, b in zip(ours, theirs):
+        for name in _LevelBatch.__slots__:
+            if any(name in pair for pair in refs):
+                continue
+            x, y = getattr(a, name), getattr(b, name)
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and np.array_equal(x, y), name
+            else:
+                assert x == y, name
+        on = a.present
+        for gid, row in refs:
+            assert _tables(graph, getattr(a, gid)[on], getattr(a, row)[on]) \
+                == _tables(oracle, getattr(b, gid)[on], getattr(b, row)[on])
+            for lvl in (a, b):
+                assert not getattr(lvl, gid)[~on].any()
+                assert not getattr(lvl, row)[~on].any()
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNS))
+def test_lane_table_batches_match_per_lane_builder(routed, name,
+                                                   monkeypatch):
+    """Fresh, and after two rounds of random drive swaps patched in
+    through ``refresh``: the same batches as the per-lane builder's."""
+    art = routed(name)
+    netlist, library = copy.deepcopy(art.netlist), art.library
+    graph = TimingGraph(netlist, library)
+    assert_same_batches(graph, _oracle_graph(netlist, library, monkeypatch))
+    rng = random.Random(name)
+    rebuilt = []
+    real = TimingGraph._build
+    monkeypatch.setattr(TimingGraph, "_build", lambda self: (
+        rebuilt.append(self is graph), real(self)))
+    for _round in range(2):
+        swappable = [i for i in netlist.instances.values()
+                     if library.next_drive_up(library[i.master])]
+        for inst in rng.sample(swappable, min(40, len(swappable))):
+            inst.master = library.next_drive_up(library[inst.master]).name
+        graph.refresh()
+        assert not any(rebuilt), "a drive swap rebuilt the graph"
+        assert_same_batches(graph,
+                            _oracle_graph(netlist, library, monkeypatch))

@@ -5,6 +5,9 @@ by ``scripts/make_golden.py`` from the plain serial path.  These tests
 lock today's numbers down and require the parallel and cached execution
 paths to reproduce them *bit-for-bit* — which is what makes the
 SweepRunner/FlowCache subsystem safe to put under every sweep.
+tests/golden/mc_rv8.json pins the samples of one Monte-Carlo study the
+same way, so the STA and power rows a study times are pinned across
+changes too, not only against an oracle run beside them.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from repro.core.sweeps import try_run
 from repro.service.journal import JobJournal
 
 from . import reference
-from .golden_cases import CASES, GOLDEN_PATH, MultiplierFactory
+from .golden_cases import (CASES, GOLDEN_PATH, MC_GOLDEN_PATH,
+                           MultiplierFactory, mc_study_payload)
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +44,16 @@ def test_serial_path_matches_golden(golden, name):
     factory, config = CASES[name]
     result = try_run(factory, config)
     assert result_to_payload(result) == golden[name]
+
+
+def test_monte_carlo_study_matches_golden():
+    """Every field of every sample of the pinned study, by
+    ``float.hex``."""
+    assert MC_GOLDEN_PATH.is_file(), \
+        "golden fixtures missing; run scripts/make_golden.py"
+    golden = json.loads(MC_GOLDEN_PATH.read_text())
+    assert len(golden["samples"]) == 16 and not golden["failed"]
+    assert mc_study_payload() == golden
 
 
 #: ``numpy`` runs the production kernels on every case; ``python``

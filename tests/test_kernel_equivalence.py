@@ -75,6 +75,43 @@ def lookup_tables(draw):
     return LookupTable(np.array(slews), np.array(loads), np.array(values))
 
 
+def _axis(draw, n: int) -> list[float]:
+    """``n`` strictly increasing points from a start at, below or
+    above zero (-0.0 included)."""
+    start = draw(st.sampled_from([0.0, -0.0, -3.0, 0.5, 2.0]))
+    points = [start]
+    for step in draw(st.lists(st.floats(0.25, 40.0), min_size=n - 1,
+                              max_size=n - 1)):
+        points.append(points[-1] + step)
+    return points
+
+
+def _queries(axis: list[float]):
+    """Values on and past both ends of ``axis``, zeros of both signs,
+    infinities and NaN, or anywhere around it."""
+    lo, hi = axis[0], axis[-1]
+    return st.sampled_from([lo, hi, lo - 1.0, hi + 1.0, 0.0, -0.0,
+                            np.inf, -np.inf, np.nan]) \
+        | st.floats(lo - 5.0, hi + 5.0)
+
+
+@st.composite
+def shared_axis_stacks(draw):
+    """2-6 tables on one non-square (slews, loads) axis pair, values
+    zeros of both signs included, and 1-12 queries."""
+    k = draw(st.integers(2, 6))
+    m = draw(st.integers(2, 6).filter(lambda v: v != k))
+    slews, loads = _axis(draw, k), _axis(draw, m)
+    value = st.floats(-50.0, 500.0) | st.sampled_from([0.0, -0.0])
+    tables = [LookupTable(np.array(slews), np.array(loads), np.array(
+        draw(st.lists(st.lists(value, min_size=m, max_size=m),
+                      min_size=k, max_size=k))))
+              for _ in range(draw(st.integers(2, 6)))]
+    queries = draw(st.lists(st.tuples(_queries(slews), _queries(loads)),
+                            min_size=1, max_size=12))
+    return tables, queries
+
+
 class TestNldmStackEquivalence:
     @slow
     @given(st.lists(lookup_tables(), min_size=1, max_size=4),
@@ -108,6 +145,25 @@ class TestNldmStackEquivalence:
         for r, (slew, load) in enumerate(queries):
             for k, t in enumerate(tables):
                 assert batch[r, k] == t(slew, load)
+
+    @slow
+    @given(shared_axis_stacks())
+    def test_shared_axes_stack_matches_scalar_bitwise(self, case):
+        """Tables on one non-square axis pair share one group, so lanes
+        read rows past 0 of a (k, m) stack with k != m: a wrong row or
+        column stride reads another cell or table.  Every bit agrees,
+        signed zeros and NaN included, on and past both axis ends."""
+        tables, queries = case
+        stack = TableStack()
+        refs = np.array([stack.add(t) for t in tables])
+        assert stack.single_group
+        assert refs[:, 1].tolist() == list(range(len(tables)))
+        slews = np.array([[q[0]] * len(tables) for q in queries])
+        loads = np.array([[q[1]] * len(tables) for q in queries])
+        got = stack.evaluate(refs[:, 0], refs[:, 1], slews, loads)
+        want = np.array([[t(slew, load) for t in tables]
+                         for slew, load in queries])
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
     def test_add_is_idempotent_and_groups_shared_axes(self):
         axes = (np.array([1.0, 2.0]), np.array([0.5, 1.5]))

@@ -17,11 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sta.hold as hold
 import repro.synth.sizing as sizing
 from repro import build_library, make_ffet_node
 from repro.core import FlowConfig, run_flow
 from repro.extract import estimate_parasitics
 from repro.macros import attach_macros
+from repro.netlist import Netlist
 from repro.sta import (
     TimingGraph,
     analyze_corners,
@@ -139,6 +141,30 @@ class TestOneGraphPerOwner:
         assert len(good) == SAMPLE_BLOCK + 1 and not bad
         assert builds[0] == 1
 
+    def test_hold_check_and_fix_hold_share_the_callers_graph(
+            self, builds, monkeypatch):
+        """The caller's hold check and ``fix_hold``'s first check, on
+        the unchanged netlist, build one graph between them; each later
+        check follows a round of buffers and rebuilds it once."""
+        art = run_flow(DESIGNS["rv8_tile"], FlowConfig(seed=0),
+                       return_artifacts=True)
+        args = (art.netlist, art.library, art.extraction)
+        builds[0] = 0
+        graph = TimingGraph(art.netlist, art.library)
+        before = analyze_hold(*args, graph=graph)
+        seen = []
+        real = hold.analyze_hold
+
+        def counted(*a, **k):
+            report = real(*a, **k)
+            seen.append(builds[0])
+            return report
+
+        monkeypatch.setattr(hold, "analyze_hold", counted)
+        fixed = fix_hold(*args, placement=art.placement, graph=graph)
+        assert not before.met and fixed.met and len(seen) >= 2
+        assert seen == list(range(1, len(seen) + 1))
+
     def test_corner_sweep_builds_one_graph(self, lib, builds):
         netlist = bound("rv8", lib)
         extraction = estimate_parasitics(netlist, lib)
@@ -168,6 +194,27 @@ class TestGraphMisuse:
         with pytest.raises(ValueError, match="clock 'clk2', not 'clk'"):
             analyze_timing(netlist, lib, extraction, 500.0,
                            graph=TimingGraph(netlist, lib, clock="clk2"))
+
+    def test_combinational_loop_is_rejected(self, lib):
+        netlist = Netlist("ring")
+        netlist.add_net("a", primary_input=True)
+        netlist.add_instance("u0", "AND2D1", {"A": "a", "B": "y", "Z": "x"})
+        netlist.add_instance("u1", "INVD1", {"A": "x", "ZN": "y"})
+        netlist.bind(lib)
+        with pytest.raises(ValueError, match="combinational loop"):
+            TimingGraph(netlist, lib)
+
+    @pytest.mark.parametrize("check", [analyze_hold, fix_hold])
+    def test_hold_rejects_a_graph_setup_rejects(self, lib, ffet_lib, check):
+        netlist, other = bound("rv8", lib), bound("rv8", lib)
+        extraction = estimate_parasitics(netlist, lib)
+        for graph, match in (
+                (TimingGraph(other, lib), "another netlist"),
+                (TimingGraph(netlist, ffet_lib), "another netlist or library"),
+                (TimingGraph(netlist, lib, clock="clk2"),
+                 "clock 'clk2', not 'clk'")):
+            with pytest.raises(ValueError, match=match):
+                check(netlist, lib, extraction, graph=graph)
 
 
 class TestHoldOnMacros:
