@@ -50,14 +50,20 @@ class BeolCost:
         return self.front_passes + self.back_passes + self.backside_enablement
 
 
+def _passes(layers) -> float:
+    """The layers' pass costs added left to right from 0.0 (builtins.sum
+    over floats is a compensated sum on Python >= 3.12)."""
+    total = 0.0
+    for layer in layers:
+        total += _pass_cost(layer.pitch_nm)
+    return total
+
+
 def beol_cost(tech: TechNode) -> BeolCost:
     """Cost of the configured routing stack (signal layers only)."""
-    front = sum(
-        _pass_cost(layer.pitch_nm)
-        for layer in tech.routing_layers(Side.FRONT)
-    )
+    front = _passes(tech.routing_layers(Side.FRONT))
     back_layers = tech.routing_layers(Side.BACK)
-    back = sum(_pass_cost(layer.pitch_nm) for layer in back_layers)
+    back = _passes(back_layers)
     enablement = BACKSIDE_ENABLEMENT_COST if back_layers else 0.0
     return BeolCost(front_passes=front, back_passes=back,
                     backside_enablement=enablement)

@@ -2,8 +2,13 @@
 
 Fig. 11 of the paper summarizes each DoE's power-frequency cloud with a
 50 %-confidence ellipse; :func:`confidence_ellipse` computes the same
-construct from sample points (chi-square scaling of the sample
-covariance).
+construct from sample points, scaling the sample covariance by the
+chi-square quantile with two degrees of freedom.  That distribution is
+the exponential with mean 2, so :func:`chi2_quantile_2dof` is the
+closed form ``-2 ln(1 - p)`` and the module needs NumPy only.
+
+Means and variances add left to right from 0.0, never with
+``builtins.sum``, which Python 3.12 made a compensated sum.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,15 @@ class Ellipse:
         if self.semi_major == 0 or self.semi_minor == 0:
             return u == 0 and v == 0
         return (u / self.semi_major) ** 2 + (v / self.semi_minor) ** 2 <= 1.0
+
+
+def chi2_quantile_2dof(p: float) -> float:
+    """Quantile of the chi-square distribution with two degrees of freedom.
+
+    Its CDF is ``1 - exp(-k / 2)``, so the quantile is ``-2 ln(1 - p)``;
+    ``log1p`` keeps it accurate for small ``p``.
+    """
+    return -2.0 * math.log1p(-p)
 
 
 def confidence_ellipse(xs, ys, confidence: float = 0.50) -> Ellipse:
@@ -66,7 +79,7 @@ def confidence_ellipse(xs, ys, confidence: float = 0.50) -> Ellipse:
     eigvals, eigvecs = np.linalg.eigh(cov)
     eigvals = np.maximum(eigvals, 0.0)
     # eigh returns ascending order; the major axis is the last column.
-    k = stats.chi2.ppf(confidence, df=2)
+    k = chi2_quantile_2dof(confidence)
     major = math.sqrt(k * eigvals[1])
     minor = math.sqrt(k * eigvals[0])
     angle = math.atan2(eigvecs[1, 1], eigvecs[0, 1])
@@ -150,8 +163,14 @@ def sample_stats(values, quantiles=DEFAULT_QUANTILES) -> SampleStats:
         # overflows the mantissa) and report a ~1e-15 sigma.
         mean, var = ordered[0], 0.0
     else:
-        mean = sum(values) / n
-        var = sum((v - mean) ** 2 for v in values) / (n - 1) if n > 1 else 0.0
+        total = 0.0
+        for v in values:
+            total += v
+        mean = total / n
+        squares = 0.0
+        for v in values:
+            squares += (v - mean) ** 2
+        var = squares / (n - 1)
     return SampleStats(
         n=n,
         mean=mean,

@@ -74,7 +74,12 @@ class Library:
         bases = [m for m in self.masters.values() if m.base_name is None]
         if not bases:
             return 0.0
-        return sum(m.pin_density(side) for m in bases) / len(bases)
+        # Added left to right: builtins.sum over floats is a compensated
+        # sum on Python >= 3.12.
+        total = 0.0
+        for m in bases:
+            total += m.pin_density(side)
+        return total / len(bases)
 
     def backside_input_fraction(self) -> float:
         """Fraction of input pins located on the backside.

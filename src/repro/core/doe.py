@@ -35,14 +35,22 @@ class DoeCloud:
     results: tuple[PPAResult, ...]
     ellipse: Ellipse | None
 
+    # The means add left to right from 0.0: builtins.sum over floats is
+    # a compensated sum on Python >= 3.12, so `merit`'s ranking would
+    # depend on the interpreter.
     @property
     def mean_frequency_ghz(self) -> float:
-        return sum(r.achieved_frequency_ghz for r in self.results) / \
-            len(self.results)
+        total = 0.0
+        for r in self.results:
+            total += r.achieved_frequency_ghz
+        return total / len(self.results)
 
     @property
     def mean_power_mw(self) -> float:
-        return sum(r.total_power_mw for r in self.results) / len(self.results)
+        total = 0.0
+        for r in self.results:
+            total += r.total_power_mw
+        return total / len(self.results)
 
     @property
     def merit(self) -> float:

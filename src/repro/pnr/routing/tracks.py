@@ -106,6 +106,11 @@ def assign_tracks(result: RoutingResult,
 
     for layer_name, fills in per_layer_fill.items():
         layer = layer_by_name[layer_name]
+        # Added left to right: builtins.sum over floats is a compensated
+        # sum on Python >= 3.12.
+        total_fill = 0.0
+        for fill in fills:
+            total_fill += fill
         conflicted = sum(
             1 for _n, l, _e in out.conflicts if l == layer_name
         )
@@ -115,6 +120,6 @@ def assign_tracks(result: RoutingResult,
             assigned_segments=sum(per_layer_counts[layer_name]),
             conflicted_segments=conflicted,
             peak_occupancy=max(fills),
-            mean_occupancy=sum(fills) / len(fills),
+            mean_occupancy=total_fill / len(fills),
         )
     return out

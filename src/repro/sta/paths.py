@@ -42,13 +42,21 @@ class TimingPath:
     arrival_ps: float
     stages: tuple[PathStage, ...] = ()
 
+    # Added left to right from 0.0, never with builtins.sum (compensated
+    # over floats on Python >= 3.12).
     @property
     def cell_delay_ps(self) -> float:
-        return sum(s.cell_delay_ps for s in self.stages)
+        total = 0.0
+        for s in self.stages:
+            total += s.cell_delay_ps
+        return total
 
     @property
     def wire_delay_ps(self) -> float:
-        return sum(s.wire_delay_ps for s in self.stages)
+        total = 0.0
+        for s in self.stages:
+            total += s.wire_delay_ps
+        return total
 
 
 def report_critical_path(netlist: Netlist, library: Library,

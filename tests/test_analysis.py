@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis import (confidence_ellipse, pareto_front,
                             quantile, relative_diff, sample_stats)
+from repro.analysis.stats import chi2_quantile_2dof
 
 
 class TestConfidenceEllipse:
@@ -55,6 +56,36 @@ class TestConfidenceEllipse:
         e = confidence_ellipse(xs, ys, 0.50)
         covered = sum(e.contains(x, y) for x, y in zip(xs, ys)) / 400
         assert 0.40 < covered < 0.60
+
+
+class TestChiSquareScale:
+    """The ellipse's scale is the closed-form chi-square quantile (2 dof)."""
+
+    def test_median_is_two_ln_two_exactly(self):
+        assert chi2_quantile_2dof(0.5) == 2 * math.log(2)
+        assert chi2_quantile_2dof(0.5).hex() == "0x1.62e42fefa39efp+0"
+
+    def test_95_percent_within_one_ulp(self):
+        reference = 5.991464547107979
+        assert abs(chi2_quantile_2dof(0.95) - reference) <= \
+            math.ulp(reference)
+
+    def test_cdf_gives_back_the_level(self):
+        grid = [i / 1000 for i in range(1, 1000)]
+        grid += [1e-300, 1e-12, 1 - 1e-12, math.nextafter(1.0, 0.0)]
+        for p in grid:
+            k = chi2_quantile_2dof(p)
+            assert abs(-math.expm1(-k / 2) - p) <= math.ulp(p), p
+
+    def test_ellipse_axes_scale_with_the_quantile(self):
+        xs = list(range(10))
+        ys = [x * 0.5 + (x % 3) for x in xs]
+        e50 = confidence_ellipse(xs, ys, 0.50)
+        e95 = confidence_ellipse(xs, ys, 0.95)
+        ratio = chi2_quantile_2dof(0.95) / chi2_quantile_2dof(0.50)
+        assert e95.area / e50.area == pytest.approx(ratio, rel=1e-12)
+        assert e50.semi_major ** 2 / e50.semi_minor ** 2 == pytest.approx(
+            e95.semi_major ** 2 / e95.semi_minor ** 2, rel=1e-12)
 
 
 class TestParetoAndDiff:
