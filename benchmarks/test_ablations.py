@@ -10,13 +10,10 @@
 import pytest
 
 from repro import build_library, make_ffet_node
-from repro.cells import (
-    redistribute_input_pins,
-    single_sided_output_library,
-    widen_input_pins,
-)
+from repro.cells import single_sided_output_library, widen_input_pins
 from repro.core import FlowConfig, PPAResult, run_flow
-from repro.core.sweeps import try_run
+from repro.core import flow as flow_mod
+from repro.core.runner import run_once
 from repro.synth import generate_multiplier
 from repro.tech import Side
 
@@ -45,19 +42,22 @@ class TestPinStyleAblation:
               "high pin density and thus many cells cannot be achieved'")
         assert wide_density > 1.5 * base_density
 
-    def test_bridging_cells_cost_area(self, benchmark):
+    def test_bridging_cells_cost_area(self, benchmark, monkeypatch):
         def run():
-            lib = redistribute_input_pins(
-                build_library(make_ffet_node()), 0.5, seed=0)
-            bridged_lib = single_sided_output_library(lib)
             native = run_flow(mult_factory,
                               FlowConfig(arch="ffet", utilization=0.6,
                                          backside_pin_fraction=0.5))
-            bridged = run_flow(mult_factory,
-                               FlowConfig(arch="ffet", utilization=0.6,
-                                          backside_pin_fraction=0.5,
-                                          allow_bridging=True),
-                               library=bridged_lib)
+            # The bridged run's library stage builds the flow's own
+            # library with every output pin moved frontside.
+            prepare = flow_mod.prepare_library
+            with monkeypatch.context() as patch:
+                patch.setattr(flow_mod, "prepare_library",
+                              lambda config: single_sided_output_library(
+                                  prepare(config)))
+                bridged = run_flow(mult_factory,
+                                   FlowConfig(arch="ffet", utilization=0.6,
+                                              backside_pin_fraction=0.5,
+                                              allow_bridging=True))
             return native, bridged
 
         native, bridged = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -80,7 +80,7 @@ class TestTapPitchAblation:
                 config = FlowConfig(arch="ffet", backside_pin_fraction=0.5,
                                     utilization=0.70,
                                     power_stripe_pitch_cpp=pitch)
-                out[pitch] = try_run(mult_factory, config)
+                out[pitch] = run_once(mult_factory, config)
             return out
 
         results = benchmark.pedantic(run, rounds=1, iterations=1)

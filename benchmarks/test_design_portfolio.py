@@ -8,7 +8,7 @@ frequency/efficiency on logic-dominated blocks.
 """
 
 from repro.core import FlowConfig
-from repro.core.sweeps import try_run
+from repro.core.runner import run_once
 from repro.synth import generate_counter, generate_fir_filter, generate_multiplier
 
 from conftest import print_header
@@ -31,7 +31,7 @@ def run_portfolio():
     out = {}
     for design_name, factory in DESIGNS.items():
         for config_name, config in CONFIGS.items():
-            out[(design_name, config_name)] = try_run(factory, config)
+            out[(design_name, config_name)] = run_once(factory, config)
     return out
 
 

@@ -8,7 +8,7 @@ reaches +12.8 % at +1.4 % power.
 
 from repro.core import FlowConfig
 from repro.core.doe import cooptimization_table
-from repro.core.sweeps import try_run
+from repro.core.runner import run_once
 
 from conftest import FULL_SCALE, print_header, riscv_factory
 
@@ -23,8 +23,8 @@ def run_table3():
                                 total_layers=12, utilization=UTIL,
                                 keep_top=3)
     # Also report the full FM12BM12 dual-sided reference point.
-    dual = try_run(riscv_factory, base.with_(utilization=UTIL))
-    baseline = try_run(
+    dual = run_once(riscv_factory, base.with_(utilization=UTIL))
+    baseline = run_once(
         riscv_factory,
         base.with_(front_layers=12, back_layers=0,
                    backside_pin_fraction=0.0, utilization=UTIL),

@@ -1,7 +1,7 @@
 """Capture the serial golden PPA numbers into tests/golden/.
 
 Runs every case in tests/golden_cases.py through the plain serial path
-(``try_run``, no pool, no cache) and stores the full round-trippable
+(``run_once``, no pool, no cache) and stores the full round-trippable
 result payloads.  tests/test_golden_regression.py then asserts that the
 serial, parallel and cached paths all reproduce these numbers
 bit-for-bit.  It also stores the samples of one Monte-Carlo study
@@ -22,7 +22,7 @@ sys.path.insert(0, str(REPO))
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.core.cache import result_to_payload      # noqa: E402
-from repro.core.sweeps import try_run               # noqa: E402
+from repro.core.runner import run_once              # noqa: E402
 from tests.golden_cases import (CASES, GOLDEN_PATH,  # noqa: E402
                                 MC_GOLDEN_PATH, mc_study_payload)
 
@@ -30,7 +30,7 @@ from tests.golden_cases import (CASES, GOLDEN_PATH,  # noqa: E402
 def main() -> None:
     golden = {}
     for name, (factory, config) in CASES.items():
-        result = try_run(factory, config)
+        result = run_once(factory, config)
         golden[name] = result_to_payload(result)
         data = golden[name]["data"]
         print(f"{name}: f={data['achieved_frequency_ghz']:.4f} GHz "

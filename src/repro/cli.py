@@ -314,11 +314,10 @@ def _run_partial(args) -> int:
 
 
 def cmd_stages(args) -> int:
-    """``repro stages``: dump the flow's stage graph."""
+    """``repro stages``: dump the flow's stage chain."""
     from .core.flow import FLOW_GRAPH
     rows = [{
         "name": stage.name,
-        "upstream": list(stage.upstream),
         "config_fields": sorted(stage.config_fields),
         "transitive_fields": sorted(FLOW_GRAPH.transitive_fields(stage.name)),
         "uses_netlist": stage.uses_netlist,
@@ -326,14 +325,13 @@ def cmd_stages(args) -> int:
     if getattr(args, "json", False):
         print(json.dumps(rows, indent=2))
         return 0
-    print(f"{'stage':<14} {'upstream':<14} config fields (own)")
+    print(f"{'stage':<14} config fields (own)")
     for row in rows:
-        upstream = ", ".join(row["upstream"]) or "-"
         own = ", ".join(row["config_fields"]) or "-"
         if row["uses_netlist"]:
             own = (own + " + netlist") if own != "-" else "netlist"
-        print(f"{row['name']:<14} {upstream:<14} {own}")
-    print("\nA stage's key covers its own fields plus every upstream "
+        print(f"{row['name']:<14} {own}")
+    print("\nA stage's key covers its own fields plus the previous "
           "stage's key (transitive);\nsee docs/architecture.md for the "
           "invalidation rules.")
     return 0

@@ -143,7 +143,7 @@ def netlist_fingerprint(netlist: Netlist) -> str:
 
 
 def code_fingerprint() -> str:
-    """Hash of every ``repro`` source file — the default version tag.
+    """Hash of every ``repro`` source file — the store's one version.
 
     Any edit to the flow implementation changes this hash and thereby
     invalidates all existing cache entries, which is what makes the
@@ -196,10 +196,8 @@ class FlowCache:
     """
 
     def __init__(self, directory: str | os.PathLike | None = None,
-                 version: str | None = None,
                  max_bytes: int | None = None) -> None:
         self.directory = Path(directory) if directory else default_cache_dir()
-        self.version = version
         #: Byte quota (None = unbounded); non-positive means unbounded.
         resolved = max_bytes if max_bytes is not None else default_max_bytes()
         self.max_bytes = resolved if resolved and resolved > 0 else None

@@ -5,15 +5,15 @@ sizing -> floorplan -> powerplan (BSPDN + Power Tap Cells) -> placement
 -> CTS -> dual-sided routing (Algorithm 1) -> two DEFs -> DEF merge ->
 dual-sided RC extraction -> STA + power -> :class:`PPAResult`.
 
-The pipeline is expressed as a declarative stage graph
+The pipeline is expressed as a declarative stage chain
 (:data:`FLOW_GRAPH`, built on :mod:`repro.core.stages`): every stage
-declares the config fields it reads and the stages it consumes, and
-:func:`run_flow` is a walk over that graph.  With a
-:class:`~repro.core.stages.StageStore` attached, stages whose
-content-addressed key is already stored are *replayed* from their
-artifact instead of re-executed — so a layer-split sweep places once
-and routes N times, because ``front_layers``/``back_layers`` first
-enter the key chain at the ``routing`` stage.  Every stage's artifact,
+declares the config fields it reads, and :func:`run_flow` walks the
+stages in order.  With a :class:`~repro.core.stages.StageStore`
+attached, stages whose content-addressed key is already stored are
+*replayed* from their artifact instead of re-executed — so a
+layer-split sweep places once and routes N times, because
+``front_layers``/``back_layers`` first enter the key chain at the
+``routing`` stage.  Every stage's artifact,
 executed or replayed, is installed by the stage's ``restore``, which
 runs its guard checks and emits its result gauges; so a replayed stage
 keeps every contract of an executed one, inside the same top-level
@@ -142,9 +142,9 @@ def _corrupt_decomposition(decomposition) -> None:
             return
 
 
-def _corrupt_merged_def(merged) -> None:
-    """Silently duplicate one route segment in the merged DEF."""
-    for segments in merged.nets.values():
+def _corrupt_def(design: DefDesign) -> None:
+    """Silently duplicate one route segment of a DEF."""
+    for segments in design.nets.values():
         if segments:
             segments.append(segments[0])
             return
@@ -193,13 +193,12 @@ class _FlowState:
     """Mutable state threaded through one graph walk."""
 
     def __init__(self, config: FlowConfig, tr, guard, plan,
-                 netlist_factory, preset_library: Library | None) -> None:
+                 netlist_factory) -> None:
         self.config = config
         self.tr = tr
         self.guard = guard
         self.plan = plan
         self.netlist_factory = netlist_factory
-        self.preset_library = preset_library
         #: Netlist instance already built for fingerprinting (reused by
         #: the netlist stage so the factory runs once per walk).
         self.base_netlist: Netlist | None = None
@@ -229,19 +228,12 @@ class _FlowState:
 # result gauges).
 
 def _exec_library(s: _FlowState) -> dict:
-    library = (s.preset_library if s.preset_library is not None
-               else prepare_library(s.config))
-    return {"masters": library.masters}
+    return {"masters": prepare_library(s.config).masters}
 
 
 def _restore_library(s: _FlowState, art: dict) -> None:
-    # A caller-supplied library (which bypasses the store) is installed
-    # as the very object passed in.
-    if s.preset_library is not None:
-        s.library = s.preset_library
-    else:
-        s.library = Library(tech=s.config.make_tech(),
-                            masters=dict(art["masters"]))
+    s.library = Library(tech=s.config.make_tech(),
+                        masters=dict(art["masters"]))
     s.tech = s.library.tech
 
 
@@ -413,7 +405,7 @@ def _exec_routing(s: _FlowState) -> dict:
     if decomposition.bridges:
         # Bridging (Algorithm 1 fallback) inserted buffers into the
         # netlist and the placement, so both snapshots ride along;
-        # otherwise they are the upstream stages' own.
+        # otherwise they are the earlier stages' own.
         art.update(netlist=netlist, placement=placement)
     return art
 
@@ -441,8 +433,9 @@ def _restore_routing(s: _FlowState, art: dict) -> None:
 
 
 def _exec_def_merge(s: _FlowState) -> dict:
+    # Two DEFs; restore merges them for dual-sided extraction
+    # (Section III.C), so the artifact holds each route only once.
     netlist = s.netlist
-    # Two DEFs, merged for dual-sided extraction (Section III.C).
     defs = {}
     for side, routed in s.routing_results.items():
         with s.tr.span(f"def_export.{side.value}"):
@@ -451,22 +444,20 @@ def _exec_def_merge(s: _FlowState) -> dict:
                 powerplan=s.powerplan,
                 design_name=f"{netlist.name}_{side.value}",
             )
-    if Side.BACK in defs:
-        merged = merge_defs(defs[Side.FRONT], defs[Side.BACK],
-                            name=netlist.name)
-    else:
-        merged = defs[Side.FRONT]
     if _corrupting(s.plan, "def_merge", s.config):
-        _corrupt_merged_def(merged)
-    return {"defs": defs, "merged": merged}
+        _corrupt_def(defs[Side.FRONT])
+    return {"defs": defs}
 
 
 def _restore_def_merge(s: _FlowState, art: dict) -> None:
     s.defs = art["defs"]
-    s.merged = art["merged"]
     if Side.BACK in s.defs:
+        s.merged = merge_defs(s.defs[Side.FRONT], s.defs[Side.BACK],
+                              name=s.netlist.name)
         s.tr.gauge("merge.components", len(s.merged.components))
         s.tr.gauge("merge.nets", len(s.merged.nets))
+    else:
+        s.merged = s.defs[Side.FRONT]
     s.guard.check_merged_def(s.netlist, s.merged)
 
 
@@ -515,89 +506,77 @@ def _restore_power(s: _FlowState, art: dict) -> None:
     s.tr.gauge("power.total_mw", s.power.total_mw)
 
 
-#: The flow as a declarative stage graph.  ``config_fields`` lists only
-#: the fields the stage itself reads — upstream fields are inherited
-#: through key chaining (see :func:`repro.core.stages.stage_key`).
-#: Note which stages do *not* read the layer split: everything up to
-#: and including ``legalization``, which is exactly the prefix a
-#: Table III layer-split enumeration shares.
+#: The flow as a declarative stage chain.  ``config_fields`` lists only
+#: the fields the stage itself reads — earlier stages' fields are
+#: inherited through key chaining (see
+#: :func:`repro.core.stages.stage_key`).  Note which stages do *not*
+#: read the layer split: everything up to and including
+#: ``legalization``, which is exactly the prefix a Table III
+#: layer-split enumeration shares.
 FLOW_GRAPH = StageGraph((
     Stage("library",
           config_fields=frozenset({"arch", "backside_pin_fraction", "seed"}),
-          upstream=(),
           execute=_exec_library, restore=_restore_library),
     Stage("netlist",
-          config_fields=frozenset(),
-          upstream=("library",), uses_netlist=True,
+          config_fields=frozenset(), uses_netlist=True,
           execute=_exec_netlist, restore=_restore_netlist),
     Stage("sizing",
           config_fields=frozenset({"target_frequency_ghz", "clock",
                                    "sizing_iterations", "max_fanout"}),
-          upstream=("netlist",),
           execute=_exec_sizing, restore=_restore_sizing),
     Stage("floorplan",
           config_fields=frozenset({"utilization", "aspect_ratio",
                                    "macro_halo_cpp"}),
-          upstream=("sizing",),
           execute=_exec_floorplan, restore=_restore_floorplan),
     Stage("powerplan",
           config_fields=frozenset({"power_stripe_pitch_cpp"}),
-          upstream=("floorplan",),
           execute=_exec_powerplan, restore=_restore_powerplan),
     Stage("placement",
           config_fields=frozenset({"seed"}),
-          upstream=("powerplan",),
           execute=_exec_placement, restore=_restore_placement),
     Stage("cts",
           config_fields=frozenset({"clock", "cts_mode",
                                    "cts_back_fraction"}),
-          upstream=("placement",),
           execute=_exec_cts, restore=_restore_cts),
     Stage("legalization",
           config_fields=frozenset({"refine_placement", "refine_iterations",
                                    "seed"}),
-          upstream=("cts",),
           execute=_exec_legalization, restore=_restore_legalization),
     Stage("routing",
           config_fields=frozenset({"front_layers", "back_layers",
                                    "gcell_tracks", "allow_bridging",
                                    "rrr_iterations"}),
-          upstream=("legalization",),
           execute=_exec_routing, restore=_restore_routing),
     Stage("def_merge",
           config_fields=frozenset(),
-          upstream=("routing",),
           execute=_exec_def_merge, restore=_restore_def_merge),
     Stage("extraction",
           config_fields=frozenset(),
-          upstream=("def_merge",),
           execute=_exec_extraction, restore=_restore_extraction),
     Stage("sta",
           config_fields=frozenset({"target_frequency_ghz", "clock"}),
-          upstream=("extraction",),
           execute=_exec_sta, restore=_restore_sta),
     Stage("power",
           config_fields=frozenset({"activity", "clock"}),
-          upstream=("sta",),
           execute=_exec_power, restore=_restore_power),
 ))
 
 assert FLOW_GRAPH.names == FLOW_STAGES
 
 
-def stage_keys(config: FlowConfig, netlist_fp: str,
-               version: str | None = None) -> dict[str, str]:
-    """Every stage's content-addressed key for one (config, netlist)."""
+def stage_keys(config: FlowConfig, netlist_fp: str) -> dict[str, str]:
+    """Every stage's content-addressed key for one (config, netlist),
+    each chained from the key of the stage before it."""
     keys: dict[str, str] = {}
+    previous = None
     for stage in FLOW_GRAPH:
-        keys[stage.name] = stages_mod.stage_key(
-            stage, config, [keys[u] for u in stage.upstream],
-            netlist_fp=netlist_fp, version=version)
+        previous = stages_mod.stage_key(stage, config, previous,
+                                        netlist_fp=netlist_fp)
+        keys[stage.name] = previous
     return keys
 
 
-def artifact_key(name: str, config: FlowConfig, netlist_fp: str,
-                 version: str | None = None) -> str:
+def artifact_key(name: str, config: FlowConfig, netlist_fp: str) -> str:
     """Store key of the terminal artifact ``name`` for one walk.
 
     Derived from the last stage's key, so it covers every input that
@@ -608,12 +587,11 @@ def artifact_key(name: str, config: FlowConfig, netlist_fp: str,
     differs from the final stage's own: the cold walk behind a
     ``nominal`` lease leases that stage too.
     """
-    terminal = stage_keys(config, netlist_fp, version=version)[FLOW_STAGES[-1]]
+    terminal = stage_keys(config, netlist_fp)[FLOW_STAGES[-1]]
     return hashlib.sha256(f"{name}\0{terminal}".encode()).hexdigest()
 
 
 def run_flow(netlist_factory: Callable[[], Netlist], config: FlowConfig,
-             library: Library | None = None,
              return_artifacts: bool = False,
              tracer: "telemetry.Tracer | None" = None,
              guard: FlowGuard | None = None,
@@ -623,10 +601,9 @@ def run_flow(netlist_factory: Callable[[], Netlist], config: FlowConfig,
     """Run the complete flow; returns a :class:`PPAResult`.
 
     ``netlist_factory`` must return a *fresh* netlist each call (the
-    flow mutates it: buffering, sizing, CTS).  Pass ``library`` to
-    reuse a characterized library across runs of the same config
-    family.  Raises :class:`~repro.pnr.PlacementError` when the target
-    utilization cannot be placed (e.g. beyond the tap-cell limit).
+    flow mutates it: buffering, sizing, CTS).  Raises
+    :class:`~repro.pnr.PlacementError` when the target utilization
+    cannot be placed (e.g. beyond the tap-cell limit).
 
     Pass a :class:`~repro.core.telemetry.Tracer` to record per-stage
     spans (:data:`FLOW_STAGES`) and subsystem counters; telemetry never
@@ -644,9 +621,7 @@ def run_flow(netlist_factory: Callable[[], Netlist], config: FlowConfig,
     whose key is already stored are replayed from their artifact, and
     freshly executed stages are stored for later walks.  The store
     never changes what a run returns — only how much of it is
-    recomputed.  It is bypassed when fault injection is active and
-    when a pre-built ``library`` is supplied (the stage keys could not
-    vouch for foreign masters).
+    recomputed.  It is bypassed when fault injection is active.
 
     ``stop_after`` names a stage after which the walk stops; the
     partial :class:`FlowArtifacts` (with :attr:`~FlowArtifacts.stage_status`)
@@ -657,19 +632,18 @@ def run_flow(netlist_factory: Callable[[], Netlist], config: FlowConfig,
         guard = FlowGuard()
     if faults is None:
         faults = faults_mod.plan_from_env()
-    if faults.flow_active or library is not None:
+    if faults.flow_active:
         # Injected flow faults must never write to (or be hidden by)
-        # the store; a caller-supplied library bypasses it entirely.
-        # Cache-point fault clauses (``cache.*``/``lock.*``) keep the
-        # store attached — they exist to exercise it.
+        # the store.  Cache-point fault clauses (``cache.*``/``lock.*``)
+        # keep the store attached — they exist to exercise it.
         store = None
     if stop_after is not None and stop_after not in FLOW_GRAPH:
         raise ValueError(
             f"unknown stage {stop_after!r} (stages: {', '.join(FLOW_STAGES)})")
     with telemetry.activate(tracer) as tr:
-        return _run_flow_traced(netlist_factory, config, library,
-                                return_artifacts, tr, guard, faults,
-                                store=store, stop_after=stop_after)
+        return _run_flow_traced(netlist_factory, config, return_artifacts,
+                                tr, guard, faults, store=store,
+                                stop_after=stop_after)
 
 
 def _netlist_for_fingerprint(netlist_factory, config) -> Netlist:
@@ -685,15 +659,14 @@ def _netlist_for_fingerprint(netlist_factory, config) -> Netlist:
         raise wrapped from exc
 
 
-def _run_flow_traced(netlist_factory, config, library, return_artifacts, tr,
+def _run_flow_traced(netlist_factory, config, return_artifacts, tr,
                      guard=NULL_GUARD, plan=faults_mod.FaultPlan(),
                      store=None, stop_after=None):
-    state = _FlowState(config, tr, guard, plan, netlist_factory, library)
+    state = _FlowState(config, tr, guard, plan, netlist_factory)
     keys: dict[str, str] = {}
     if store is not None:
         state.base_netlist = _netlist_for_fingerprint(netlist_factory, config)
-        keys = stage_keys(config, netlist_fingerprint(state.base_netlist),
-                          version=store.version)
+        keys = stage_keys(config, netlist_fingerprint(state.base_netlist))
 
     status: dict[str, str] = {}
     for stage in FLOW_GRAPH:

@@ -279,8 +279,8 @@ def _timed_run(netlist_factory: Callable[[], Netlist],
     # ``trace`` the worker builds a Tracer and ships the finished
     # (picklable) Trace back.  Transient failures come back as a
     # marker so the engine can apply its retry policy; fatal ones come
-    # back already quarantined.  With ``cache`` (picklable: a directory
-    # + version) the worker builds a StageStore on it, so every worker
+    # back already quarantined.  With ``cache`` (picklable: a
+    # directory) the worker builds a StageStore on it, so every worker
     # shares one on-disk per-stage artifact store — locked, so
     # concurrent missers of one stage key single-flight it
     # (repro.core.locking) even across unrelated processes.  A
@@ -620,9 +620,8 @@ class Engine:
     def _keys(self, job: Job) -> list[str]:
         """Each item's result key; a study's also covers its parameters."""
         fingerprint = netlist_fingerprint(job.factory())
-        version = self.cache.version if self.cache is not None else None
-        keys = [artifact_key("result", item.config, fingerprint,
-                             version=version) for item in job.items]
+        keys = [artifact_key("result", item.config, fingerprint)
+                for item in job.items]
         if job.study is not None:
             keys = [f"{job.study!r}|{key}" for key in keys]
         return keys

@@ -7,23 +7,23 @@ stage declares
 * the :class:`~repro.core.config.FlowConfig` **fields it reads**
   (``config_fields``) — e.g. ``placement`` reads ``seed`` but not
   ``front_layers``/``back_layers``;
-* its **upstream stages** (``upstream``) — the artifacts it consumes;
 * an ``execute`` function that runs the real stage body and returns a
   picklable artifact, and a ``restore`` function that installs an
   artifact — freshly executed or stored — into the walk's state,
   running the stage's guard checks and emitting its result gauges.
 
-Every stage gets a content-addressed **stage key**
+The graph is a chain: a stage may read the artifact of any stage
+before it.  Every stage gets a content-addressed **stage key**
 (:func:`stage_key`): a SHA-256 over the stage name, its config-field
-slice, its upstream stages' keys, the netlist fingerprint (for stages
-that consume the netlist) and the code fingerprint.  Chaining upstream
-keys makes the slice transitive — ``routing``'s key changes whenever
-any field read by any stage before it changes — so two configs share a
-stage's artifact exactly when every input that can reach that stage is
-identical.  That is what lets a Table III layer-split enumeration
-place once and route N times: ``front_layers``/``back_layers`` first
-appear in ``routing``'s slice, so every split shares the
-``library`` … ``legalization`` prefix.
+slice, the previous stage's key, the netlist fingerprint (for the
+stage that consumes the netlist) and the code fingerprint.  Chaining
+the keys makes the slice transitive — ``routing``'s key changes
+whenever any field read by any stage before it changes — so two
+configs share a stage's artifact exactly when every input that can
+reach that stage is identical.  That is what lets a Table III
+layer-split enumeration place once and route N times:
+``front_layers``/``back_layers`` first appear in ``routing``'s slice,
+so every split shares the ``library`` … ``legalization`` prefix.
 
 The :class:`StageStore` is the flow's one cache.  It persists stage
 artifacts in the :class:`~repro.core.cache.FlowCache` (one
@@ -57,7 +57,9 @@ from .ppa import FailedRun, PPAResult
 #: key field.
 #: 4: ``routing`` keeps the netlist and placement only when bridging
 #: changed them, and ``extraction`` carries its derated-net count.
-STAGE_KEY_FORMAT = 4
+#: 5: a key chains only the previous stage's key, and ``def_merge``
+#: stores the two per-side DEFs, not their merge.
+STAGE_KEY_FORMAT = 5
 
 #: The cross-process coordination events a store can record, in the
 #: order ``stage_cache.singleflight.<event>`` counters are documented
@@ -88,21 +90,19 @@ class Stage:
 
     name: str
     #: FlowConfig fields this stage itself reads.  Fields read by
-    #: upstream stages are inherited transitively through key chaining
+    #: earlier stages are inherited transitively through key chaining
     #: and must not be repeated here.
     config_fields: frozenset[str]
-    #: Names of the stages whose artifacts this stage consumes.
-    upstream: tuple[str, ...]
     execute: Callable = field(compare=False)
     restore: Callable = field(compare=False)
     #: Whether the stage consumes the input netlist directly (only the
-    #: ``netlist`` stage; everything downstream inherits the
-    #: fingerprint through its upstream keys).
+    #: ``netlist`` stage; every later stage inherits the fingerprint
+    #: through the key chain).
     uses_netlist: bool = False
 
 
 class StageGraph:
-    """A validated, topologically ordered tuple of stages."""
+    """A validated chain of stages, in walk order."""
 
     def __init__(self, stages: tuple[Stage, ...]) -> None:
         self.stages = tuple(stages)
@@ -110,19 +110,12 @@ class StageGraph:
         if len(self._by_name) != len(self.stages):
             raise ValueError("duplicate stage names in graph")
         config_names = {f.name for f in dataclasses.fields(FlowConfig)}
-        seen: set[str] = set()
         for stage in self.stages:
             unknown = stage.config_fields - config_names
             if unknown:
                 raise ValueError(
                     f"stage {stage.name!r} declares unknown config "
                     f"fields {sorted(unknown)}")
-            for up in stage.upstream:
-                if up not in seen:
-                    raise ValueError(
-                        f"stage {stage.name!r} depends on {up!r} which is "
-                        "not an earlier stage")
-            seen.add(stage.name)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -137,49 +130,35 @@ class StageGraph:
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
-    def upstream_closure(self, name: str) -> tuple[str, ...]:
-        """Every stage reachable upstream of ``name``, in graph order."""
-        wanted: set[str] = set()
-        frontier = list(self[name].upstream)
-        while frontier:
-            up = frontier.pop()
-            if up not in wanted:
-                wanted.add(up)
-                frontier.extend(self[up].upstream)
-        return tuple(n for n in self.names if n in wanted)
-
     def transitive_fields(self, name: str) -> frozenset[str]:
-        """Every config field that can reach ``name``'s stage key."""
-        fields = set(self[name].config_fields)
-        for up in self.upstream_closure(name):
-            fields |= self[up].config_fields
-        return frozenset(fields)
+        """Every config field that can reach ``name``'s stage key: the
+        union of the slices of the stages up to and including it."""
+        fields: set[str] = set()
+        for stage in self.stages:
+            fields |= stage.config_fields
+            if stage.name == name:
+                return frozenset(fields)
+        raise KeyError(name)
 
 
-def stage_key(stage: Stage, config: FlowConfig,
-              upstream_keys: list[str] | tuple[str, ...],
-              netlist_fp: str | None = None,
-              version: str | None = None) -> str:
+def stage_key(stage: Stage, config: FlowConfig, previous_key: str | None,
+              netlist_fp: str | None = None) -> str:
     """Content hash of everything that can influence a stage's artifact.
 
-    ``upstream_keys`` must be the keys of ``stage.upstream`` in
-    declaration order; chaining them makes upstream config slices and
-    the netlist fingerprint transitive.  ``version`` defaults to the
-    :func:`~repro.core.cache.code_fingerprint`, so any source edit
-    invalidates every stored stage artifact.
+    ``previous_key`` is the key of the stage before this one (``None``
+    for the first); chaining it makes the earlier config slices and the
+    netlist fingerprint transitive.  The
+    :func:`~repro.core.cache.code_fingerprint` is hashed in, so any
+    source edit invalidates every stored stage artifact.
     """
-    if len(upstream_keys) != len(stage.upstream):
-        raise ValueError(
-            f"stage {stage.name!r} expects {len(stage.upstream)} upstream "
-            f"keys, got {len(upstream_keys)}")
     payload = {
         "format": STAGE_KEY_FORMAT,
         "stage": stage.name,
         "config": {name: getattr(config, name)
                    for name in sorted(stage.config_fields)},
-        "upstream": list(upstream_keys),
+        "previous": previous_key,
         "netlist": netlist_fp if stage.uses_netlist else None,
-        "version": version if version is not None else code_fingerprint(),
+        "version": code_fingerprint(),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -237,10 +216,6 @@ class StageStore:
         self.by_stage: dict[str, list[int]] = {}
         #: Cross-process coordination events (see docs/robustness.md).
         self.singleflight = {event: 0 for event in SINGLEFLIGHT_EVENTS}
-
-    @property
-    def version(self) -> str | None:
-        return self.cache.version
 
     @staticmethod
     def _kind(name: str) -> str:

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 from ..netlist import Netlist
 from .config import FlowConfig
 from .ppa import FailedRun, PPAResult
-from .runner import SweepRunner, run_once
+from .runner import SweepRunner
 
 #: Utilization grid used by the paper's utilization sweeps (Fig. 8, 11).
 DEFAULT_UTILIZATIONS = tuple(round(0.46 + 0.05 * i, 2) for i in range(9))
@@ -55,12 +55,6 @@ def parse_split(text) -> tuple[int, int]:
                 pass
     raise ValueError(f"invalid layer split {text!r} "
                      "(expected 'FRONT:BACK', e.g. '8:4', or [F, B])")
-
-
-def try_run(netlist_factory: Callable[[], Netlist],
-            config: FlowConfig) -> PPAResult | FailedRun:
-    """Run one flow; a placement failure becomes a :class:`FailedRun`."""
-    return run_once(netlist_factory, config)
 
 
 def _runner(runner: SweepRunner | None) -> SweepRunner:

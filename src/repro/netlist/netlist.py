@@ -144,8 +144,12 @@ class Netlist:
         return counts
 
     def total_cell_area_nm2(self, library: Library) -> float:
-        return sum(library[i.master].area_nm2(library.tech)
-                   for i in self.instances.values())
+        # Added left to right: builtins.sum over floats is a compensated
+        # sum on Python >= 3.12.
+        total = 0.0
+        for inst in self.instances.values():
+            total += library[inst.master].area_nm2(library.tech)
+        return total
 
     # -- topological traversal --------------------------------------------------
     def topological_order(self, library: Library) -> list[Instance]:

@@ -47,6 +47,17 @@ def _macro_instances(netlist: Netlist, library: Library):
     return found
 
 
+def _macro_areas(sites) -> tuple[float, float]:
+    """The macros' footprint and keep-out areas, each added left to
+    right from 0.0 (builtins.sum over floats is compensated on
+    Python >= 3.12)."""
+    macro_area = reserve_area = 0.0
+    for site in sites:
+        macro_area += site.rect.area_nm2
+        reserve_area += site.keepout().area_nm2
+    return macro_area, reserve_area
+
+
 def plan_floor(netlist: Netlist, library: Library,
                spec: FloorplanSpec = FloorplanSpec()) -> Die:
     """Size the core so placed cells hit the target utilization.
@@ -108,8 +119,7 @@ def plan_floor(netlist: Netlist, library: Library,
         row_cursor += master.height_rows + max(halo_rows, 1)
     min_rows = row_cursor - max(halo_rows, 1) + halo_rows
 
-    macro_area = sum(s.rect.area_nm2 for s in sites_list)
-    reserve_area = sum(s.keepout().area_nm2 for s in sites_list)
+    macro_area, reserve_area = _macro_areas(sites_list)
     std_area = max(cell_area - macro_area, 0.0)
 
     core_area = std_area / spec.utilization + reserve_area
@@ -141,8 +151,7 @@ def achieved_utilization(netlist: Netlist, library: Library, die: Die) -> float:
     macros = getattr(die, "macros", ())
     if not macros:
         return cell_area / die.area_nm2
-    macro_area = sum(s.rect.area_nm2 for s in macros)
-    reserve_area = sum(s.keepout().area_nm2 for s in macros)
+    macro_area, reserve_area = _macro_areas(macros)
     available = die.area_nm2 - reserve_area
     if available <= 0:
         raise ValueError("macro keep-outs cover the entire die")

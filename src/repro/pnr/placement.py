@@ -321,6 +321,14 @@ class _MinCutPartitioner:
         self._split(xs, ys, cells,
                     0.0, 0.0, width, height, horizontal=True)
 
+    def _weight(self, cells) -> float:
+        """The cells' weights added left to right from 0.0
+        (builtins.sum over floats is compensated on Python >= 3.12)."""
+        total = 0.0
+        for c in cells:
+            total += self.weights[c]
+        return float(total)
+
     # -- recursion ---------------------------------------------------------
     def _split(self, xs, ys, cells, x0, y0, x1, y1, horizontal) -> None:
         if len(cells) <= self.LEAF_SIZE:
@@ -340,7 +348,7 @@ class _MinCutPartitioner:
         else:
             cells.sort(key=lambda c: ys[c])
         # Split at half the *area*, not half the cell count.
-        total_w = float(sum(self.weights[c] for c in cells))
+        total_w = self._weight(cells)
         acc = 0.0
         half = len(cells) // 2
         for i, c in enumerate(cells):
@@ -352,7 +360,7 @@ class _MinCutPartitioner:
         self._refine(cells, side, total_w)
         lo = [c for c in cells if side[c] == 0]
         hi = [c for c in cells if side[c] == 1]
-        frac = float(sum(self.weights[c] for c in lo)) / total_w
+        frac = self._weight(lo) / total_w
         if horizontal:
             xm = x0 + frac * (x1 - x0)
             self._split(xs, ys, lo, x0, y0, xm, y1, not horizontal)
@@ -376,7 +384,7 @@ class _MinCutPartitioner:
                 counts[net][side[c]] += 1
 
         max_side = self.BALANCE * total_weight
-        size = [float(sum(self.weights[c] for c in cells if side[c] == 0)), 0.0]
+        size = [self._weight(c for c in cells if side[c] == 0), 0.0]
         size[1] = total_weight - size[0]
 
         for _pass in range(self.PASSES):

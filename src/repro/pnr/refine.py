@@ -67,7 +67,12 @@ class _IncrementalHpwl:
         nets = set()
         for cell in cells:
             nets.update(self.cell_nets.get(cell, ()))
-        return sum(self.net_hpwl(n) for n in nets)
+        # Added left to right: builtins.sum over floats is a compensated
+        # sum on Python >= 3.12.
+        total = 0.0
+        for net in nets:
+            total += self.net_hpwl(net)
+        return total
 
 
 def refine_placement(netlist: Netlist, library: Library,

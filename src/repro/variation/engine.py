@@ -114,8 +114,7 @@ def nominal_bundle(netlist_factory, config: FlowConfig,
     lease = None
     if store is not None:
         key = artifact_key("nominal", config,
-                           netlist_fingerprint(netlist_factory()),
-                           version=store.version)
+                           netlist_fingerprint(netlist_factory()))
         stored, lease = store.fetch_or_lease("nominal", key)
         if stored is not None:
             tr.count("mc.nominal_cache_hits")

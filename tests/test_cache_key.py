@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import FlowConfig
+from repro.core import stages as stages_mod
 from repro.core.cache import (
     FlowCache,
     netlist_fingerprint,
@@ -74,9 +75,8 @@ PPA_FIELDS = sorted(set(FIELD_VALUES) - {"arch"})
 ANNOTATION_FIELDS = {"tag"}
 
 
-def terminal_key(config: FlowConfig, netlist_fp: str = NETLIST_FP,
-                 version: str = "v") -> str:
-    return stage_keys(config, netlist_fp, version=version)["power"]
+def terminal_key(config: FlowConfig, netlist_fp: str = NETLIST_FP) -> str:
+    return stage_keys(config, netlist_fp)["power"]
 
 
 def ppa_fields(config: FlowConfig) -> dict:
@@ -132,10 +132,11 @@ def test_arch_changes_the_key():
     assert terminal_key(cfet) != terminal_key(ffet)
 
 
-def test_netlist_and_version_participate():
-    k = terminal_key(BASE, version="v1")
-    assert terminal_key(BASE, "0" * 64, version="v1") != k
-    assert terminal_key(BASE, version="v2") != k
+def test_netlist_and_version_participate(monkeypatch):
+    k = terminal_key(BASE)
+    assert terminal_key(BASE, "0" * 64) != k
+    monkeypatch.setattr(stages_mod, "code_fingerprint", lambda: "edited")
+    assert terminal_key(BASE) != k
 
 
 class TestNetlistFingerprint:

@@ -7,7 +7,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core import FlowConfig
 from repro.core.io import result_to_dict, results_to_csv, results_to_json
-from repro.core.sweeps import try_run
+from repro.core.runner import run_once
 from repro.synth import generate_multiplier
 
 
@@ -15,9 +15,9 @@ from repro.synth import generate_multiplier
 def sample_runs():
     config = FlowConfig(arch="ffet", utilization=0.6,
                         backside_pin_fraction=0.5)
-    good = try_run(lambda: generate_multiplier(5), config)
-    bad = try_run(lambda: generate_multiplier(5),
-                  config.with_(utilization=0.95))
+    good = run_once(lambda: generate_multiplier(5), config)
+    bad = run_once(lambda: generate_multiplier(5),
+                   config.with_(utilization=0.95))
     return [good, bad]
 
 

@@ -20,7 +20,7 @@ from repro.core import FlowCache, SweepRunner, Tracer
 from repro.core.cache import (netlist_fingerprint, result_from_payload,
                               result_to_payload)
 from repro.core.flow import FLOW_STAGES, artifact_key, run_flow, stage_keys
-from repro.core.sweeps import try_run
+from repro.core.runner import run_once
 from repro.service.journal import JobJournal
 
 from . import reference
@@ -42,7 +42,7 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_serial_path_matches_golden(golden, name):
     factory, config = CASES[name]
-    result = try_run(factory, config)
+    result = run_once(factory, config)
     assert result_to_payload(result) == golden[name]
 
 
@@ -78,7 +78,7 @@ def test_both_kernel_modes_match_golden(golden, name, kernels, monkeypatch):
     if kernels == "python":
         reference.install(monkeypatch)
     factory, config = CASES[name]
-    result = try_run(factory, config)
+    result = run_once(factory, config)
     assert result_to_payload(result) == golden[name]
 
 
@@ -95,15 +95,15 @@ def test_retired_kernel_env_is_inert(golden, monkeypatch):
     fp = netlist_fingerprint(factory())
 
     def identities():
-        return (artifact_key("result", config, fp, version="v"),
-                stage_keys(config, fp, version="v"),
+        return (artifact_key("result", config, fp),
+                stage_keys(config, fp),
                 JobJournal.identity())
 
     monkeypatch.delenv(RETIRED_KERNEL_ENV, raising=False)
     unset = identities()
     monkeypatch.setenv(RETIRED_KERNEL_ENV, "bogus")
     assert identities() == unset
-    assert result_to_payload(try_run(factory, config)) == golden[name]
+    assert result_to_payload(run_once(factory, config)) == golden[name]
 
 
 def test_parallel_path_matches_golden(golden):

@@ -153,6 +153,18 @@ def test_report_averages_do_not_use_builtins_sum():
     assert tracks.stats
 
 
+@pytest.mark.parametrize("factory, config", [
+    (rv8_tile, FlowConfig(seed=3, utilization=0.6)),
+    (rv8, FlowConfig(refine_placement=True)),
+], ids=["rv8_tile", "rv8_refined"])
+def test_flow_does_not_use_builtins_sum(factory, config):
+    """No stage sums floats with ``builtins.sum``: among others the
+    min-cut placer's weights, the cell area, the floorplan's macro
+    areas (rv8_tile has macros) and the refinement's HPWL cost."""
+    art = run_under(no_float_sum, factory, config)
+    assert art.result.valid
+
+
 def test_rv8_tile_payload_is_independent_of_sum():
     config = FlowConfig(seed=3, utilization=0.6)
     plain = run_under(left_to_right_sum, rv8_tile, config)

@@ -17,8 +17,8 @@ from repro.core import (
     results_to_json,
 )
 from repro.core import telemetry
-from repro.core.runner import JOBS_ENV
-from repro.core.sweeps import try_run, utilization_sweep
+from repro.core.runner import JOBS_ENV, run_once
+from repro.core.sweeps import utilization_sweep
 from repro.synth import generate_multiplier
 
 from .golden_cases import MultiplierFactory
@@ -56,7 +56,7 @@ class TestSerialPath:
         configs = [BASE.with_(utilization=u) for u in (0.5, 0.6)]
         runner = SweepRunner(jobs=1)
         results = runner.run_many(FACTORY, configs)
-        expected = [try_run(FACTORY, c) for c in configs]
+        expected = [run_once(FACTORY, c) for c in configs]
         assert results == expected
         assert runner.stats.parallel_runs == 0
         assert runner.stats.executed == 2
@@ -94,7 +94,7 @@ class TestPoolPath:
             FACTORY, [BASE.with_(utilization=u) for u in utils])
         assert [r.target_utilization for r in results] == list(utils)
         # And identical to the serial reference, bit for bit.
-        assert results == [try_run(FACTORY, BASE.with_(utilization=u))
+        assert results == [run_once(FACTORY, BASE.with_(utilization=u))
                            for u in utils]
 
     def test_identical_configs_in_one_batch_execute_once(self):

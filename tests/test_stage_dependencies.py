@@ -4,11 +4,11 @@ Each stage declares the :class:`~repro.core.config.FlowConfig` fields
 it reads (its slice); the store shares a stage's artifact across any
 two configs that agree on the stage's *transitive* slice.  That is only
 sound if the slices are complete — if a stage's artifact really is a
-pure function of its declared fields (plus upstream artifacts and the
-netlist).  These tests enforce it empirically: perturb one config field
-at a time, re-execute the flow (no store), and require every stage
-whose transitive slice does *not* contain the field to produce a
-byte-identical pickled artifact.
+pure function of its declared fields (plus earlier stages' artifacts
+and the netlist).  These tests enforce it empirically: perturb one
+config field at a time, re-execute the flow (no store), and require
+every stage whose transitive slice does *not* contain the field to
+produce a byte-identical pickled artifact.
 
 A failure here means a stage reads a config field it does not declare —
 exactly the bug that would let the store replay a stale artifact.
@@ -75,14 +75,30 @@ def test_skipped_fields_really_are_in_the_root_slice():
     assert _SKIPPED - {"clock"} <= root
 
 
+@pytest.mark.parametrize("field", sorted(PERTURBATIONS))
+def test_keys_change_from_the_first_reader_on(field):
+    """The keys form a chain: perturbing a field changes exactly the
+    keys of the first stage whose own slice names it and of every stage
+    after it.  ``tag`` is in no slice, so it changes no key."""
+    fp = netlist_fingerprint(FACTORY())
+    base = stage_keys(BASE, fp)
+    perturbed = stage_keys(BASE.with_(**{field: PERTURBATIONS[field]}), fp)
+    changed = tuple(name for name in FLOW_STAGES
+                    if perturbed[name] != base[name])
+    readers = [stage.name for stage in FLOW_GRAPH
+               if field in stage.config_fields]
+    assert changed == (FLOW_STAGES[FLOW_STAGES.index(readers[0]):]
+                       if readers else ())
+    assert bool(readers) == (field != "tag")
+
+
 def _stage_artifacts(config: FlowConfig, tmp_path, tag: str
                      ) -> dict[str, bytes]:
     """Run the flow once and return each stage's pickled artifact."""
     cache = FlowCache(tmp_path / tag)
     store = StageStore(cache)
     run_flow(FACTORY, config, store=store)
-    keys = stage_keys(config, netlist_fingerprint(FACTORY()),
-                      version=store.version)
+    keys = stage_keys(config, netlist_fingerprint(FACTORY()))
     return {name: pickle.dumps(store.get(name, keys[name]))
             for name in FLOW_STAGES}
 

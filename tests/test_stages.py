@@ -1,9 +1,9 @@
 """Stage graph, stage keys, the StageStore, and incremental replay.
 
 The stage-graph contract (docs/architecture.md): each stage's key
-covers exactly its declared config slice plus its upstream keys, the
-store never changes what a run returns, replayed stages re-run their
-guard checks, and a layer-split sweep shares the whole
+covers exactly its declared config slice plus the previous stage's
+key, the store never changes what a run returns, replayed stages re-run
+their guard checks, and a layer-split sweep shares the whole
 library..legalization prefix.
 """
 
@@ -11,20 +11,23 @@ from __future__ import annotations
 
 import ast
 import pickle
+import re
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.core import FlowCache, FlowConfig, SweepRunner, Tracer
+from repro.core import stages as stages_mod
 from repro.core.cache import netlist_fingerprint, result_to_payload
 from repro.core.errors import FlowError
 from repro.core.faults import FaultClause, FaultPlan
-from repro.core.flow import (FLOW_GRAPH, FLOW_STAGES, _FlowState,
-                             prepare_library, run_flow, stage_keys)
+from repro.core.flow import (FLOW_GRAPH, FLOW_STAGES, _FlowState, run_flow,
+                             stage_keys)
 from repro.core.guard import NULL_GUARD
-from repro.core.stages import Stage, StageGraph, StageStore, stage_key
+from repro.core.stages import Stage, StageGraph, StageStore
 from repro.core.telemetry import NULL_TRACER
+from repro.lefdef import write_def
 from repro.synth import RiscvConfig, generate_riscv_core, generate_rv16_sram
 
 from .golden_cases import MultiplierFactory
@@ -32,23 +35,38 @@ from .golden_cases import MultiplierFactory
 FACTORY = MultiplierFactory(5)
 BASE = FlowConfig()
 
+#: Holds the stage table that must match ``FLOW_GRAPH``.
+ARCHITECTURE_DOC = Path(__file__).resolve().parents[1] / "docs" / \
+    "architecture.md"
+
 #: The stages every Table III layer split shares (everything before
 #: the layer counts first enter the key chain, at ``routing``).
 PREFIX_STAGES = FLOW_STAGES[:FLOW_STAGES.index("routing")]
 
 
-def _keys(config: FlowConfig, version: str = "v0") -> dict[str, str]:
-    fp = netlist_fingerprint(FACTORY())
-    return stage_keys(config, fp, version=version)
+def _keys(config: FlowConfig) -> dict[str, str]:
+    return stage_keys(config, netlist_fingerprint(FACTORY()))
 
 
 class TestStageGraph:
     def test_graph_matches_canonical_stage_list(self):
         assert FLOW_GRAPH.names == FLOW_STAGES
 
-    def test_upstream_closure_is_the_whole_prefix(self):
-        assert FLOW_GRAPH.upstream_closure("routing") == PREFIX_STAGES
-        assert FLOW_GRAPH.upstream_closure("library") == ()
+    def test_architecture_doc_table_is_the_graph(self):
+        """docs/architecture.md lists the stages in walk order, each
+        with its own config slice (and the netlist for ``netlist``)."""
+        lines = ARCHITECTURE_DOC.read_text().splitlines()
+        start = lines.index("| stage | own config slice |") + 2
+        rows = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            stage, own = (cell.strip() for cell in line.strip("|").split("|"))
+            rows[stage.strip("`")] = (frozenset(re.findall(r"`(\w+)`", own)),
+                                      "netlist fingerprint" in own)
+        assert rows == {stage.name: (stage.config_fields, stage.uses_netlist)
+                        for stage in FLOW_GRAPH}
+        assert tuple(rows) == FLOW_STAGES
 
     def test_layer_fields_first_enter_at_routing(self):
         for name in PREFIX_STAGES:
@@ -60,21 +78,15 @@ class TestStageGraph:
 
     def test_every_stage_slice_names_real_config_fields(self):
         with pytest.raises(ValueError, match="unknown config"):
-            StageGraph((Stage("x", frozenset({"no_such_field"}), (),
+            StageGraph((Stage("x", frozenset({"no_such_field"}),
                               execute=lambda s: None,
                               restore=lambda s, a: None),))
 
     def test_duplicate_stage_names_rejected(self):
-        s = Stage("x", frozenset(), (), execute=lambda s: None,
+        s = Stage("x", frozenset(), execute=lambda s: None,
                   restore=lambda s, a: None)
         with pytest.raises(ValueError, match="duplicate"):
             StageGraph((s, s))
-
-    def test_upstream_must_be_an_earlier_stage(self):
-        with pytest.raises(ValueError, match="not an earlier stage"):
-            StageGraph((Stage("x", frozenset(), ("y",),
-                              execute=lambda s: None,
-                              restore=lambda s, a: None),))
 
 
 class TestStageKey:
@@ -121,19 +133,19 @@ class TestStageKey:
             FLOW_GRAPH.transitive_fields("cts")
 
     def test_netlist_fingerprint_spares_the_library(self):
-        a = stage_keys(BASE, "fp-one", version="v0")
-        b = stage_keys(BASE, "fp-two", version="v0")
+        a = stage_keys(BASE, "fp-one")
+        b = stage_keys(BASE, "fp-two")
         assert a["library"] == b["library"]
         for name in FLOW_STAGES[1:]:
             assert a[name] != b[name]
 
-    def test_version_invalidates_everything(self):
-        a, b = _keys(BASE, version="v0"), _keys(BASE, version="v1")
+    def test_version_invalidates_everything(self, monkeypatch):
+        """The code fingerprint is the store's one version: any source
+        edit changes every stage key."""
+        a = _keys(BASE)
+        monkeypatch.setattr(stages_mod, "code_fingerprint", lambda: "edited")
+        b = _keys(BASE)
         assert all(a[name] != b[name] for name in FLOW_STAGES)
-
-    def test_upstream_key_count_is_checked(self):
-        with pytest.raises(ValueError, match="upstream"):
-            stage_key(FLOW_GRAPH["routing"], BASE, [], version="v0")
 
 
 class TestStageStore:
@@ -227,8 +239,7 @@ class TestIncrementalFlow:
         store = StageStore(cache)
         run_flow(FACTORY, BASE, store=store)
         # Corrupt the stored placement artifact: drop one instance.
-        keys = stage_keys(BASE, netlist_fingerprint(FACTORY()),
-                          version=store.version)
+        keys = stage_keys(BASE, netlist_fingerprint(FACTORY()))
         art = store.get("placement", keys["placement"])
         del art["placement"].locations[next(iter(art["placement"].locations))]
         store.put("placement", keys["placement"], art)
@@ -244,18 +255,6 @@ class TestIncrementalFlow:
         assert result.valid
         assert store.hits == 0 and store.misses == 0
 
-    def test_preset_library_bypasses_the_store(self, tmp_path):
-        store = StageStore(FlowCache(tmp_path))
-        library = prepare_library(BASE)
-        result = run_flow(FACTORY, BASE, library=library, store=store)
-        assert result.valid
-        assert store.hits == 0 and store.misses == 0
-
-    def test_preset_library_is_the_walks_library(self):
-        library = prepare_library(BASE)
-        art = run_flow(FACTORY, BASE, library=library, return_artifacts=True)
-        assert art.library is library
-
     def test_failing_restore_stores_nothing(self, tmp_path):
         """The Power-Tap-Cell limit is checked by powerplan's restore:
         an executed layout that fails it is never stored."""
@@ -264,8 +263,7 @@ class TestIncrementalFlow:
         with pytest.raises(FlowError) as err:
             run_flow(FACTORY, config, store=store)
         assert err.value.stage == "powerplan"
-        keys = stage_keys(config, netlist_fingerprint(FACTORY()),
-                          version=store.version)
+        keys = stage_keys(config, netlist_fingerprint(FACTORY()))
         assert store.get("floorplan", keys["floorplan"]) is not None
         assert store.get("powerplan", keys["powerplan"]) is None
 
@@ -404,14 +402,12 @@ class TestRoutingArtifact:
                                                               tmp_path):
         store = StageStore(FlowCache(tmp_path))
         art = run_flow(_rv8, BASE, store=store, return_artifacts=True)
-        keys = stage_keys(BASE, netlist_fingerprint(_rv8()),
-                          version=store.version)
+        keys = stage_keys(BASE, netlist_fingerprint(_rv8()))
         routing = store.get("routing", keys["routing"])
         assert not routing["decomposition"].bridges
         assert "netlist" not in routing and "placement" not in routing
         # Restore keeps the upstream netlist and placement.
-        state = _FlowState(BASE, NULL_TRACER, NULL_GUARD, FaultPlan(),
-                           _rv8, None)
+        state = _FlowState(BASE, NULL_TRACER, NULL_GUARD, FaultPlan(), _rv8)
         state.netlist, state.placement = art.netlist, art.placement
         FLOW_GRAPH["routing"].restore(state, routing)
         assert state.netlist is art.netlist
@@ -423,6 +419,27 @@ class TestRoutingArtifact:
         FLOW_GRAPH["routing"].restore(state, bridged)
         assert state.netlist is bridged["netlist"]
         assert state.placement is bridged["placement"]
+
+
+class TestDefMergeArtifact:
+    """``def_merge`` stores the two per-side DEFs and its restore
+    merges them, so every route is stored once and a replayed walk
+    still installs the cold walk's merged DEF."""
+
+    @pytest.mark.parametrize("config", [
+        BASE, BASE.with_(back_layers=0, backside_pin_fraction=0.0),
+    ], ids=["FM12BM12", "FM12"])
+    def test_artifact_is_the_defs_and_replays_the_merge(self, tmp_path,
+                                                        config):
+        store = StageStore(FlowCache(tmp_path))
+        cold = run_flow(FACTORY, config, store=store, return_artifacts=True)
+        keys = stage_keys(config, netlist_fingerprint(FACTORY()))
+        artifact = store.get("def_merge", keys["def_merge"])
+        assert set(artifact) == {"defs"}
+        assert set(artifact["defs"]) == set(cold.routing_results)
+        warm = run_flow(FACTORY, config, store=store, return_artifacts=True)
+        assert warm.stage_status["def_merge"] == "cached"
+        assert write_def(warm.merged_def) == write_def(cold.merged_def)
 
 
 def _functions(tree: ast.AST) -> list[ast.FunctionDef]:

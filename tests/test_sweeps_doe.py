@@ -9,11 +9,11 @@ from repro.core.doe import (
     layer_splits,
     pin_density_doe,
 )
+from repro.core.runner import run_once
 from repro.core.sweeps import (
     frequency_sweep,
     layer_count_efficiency_sweep,
     max_valid_utilization,
-    try_run,
     utilization_sweep,
 )
 from repro.synth import generate_multiplier
@@ -29,11 +29,11 @@ BASE = FlowConfig(arch="ffet", backside_pin_fraction=0.5,
 
 class TestTryRun:
     def test_success(self):
-        run = try_run(factory, BASE.with_(utilization=0.6))
+        run = run_once(factory, BASE.with_(utilization=0.6))
         assert isinstance(run, PPAResult)
 
     def test_failure_wrapped(self):
-        run = try_run(factory, BASE.with_(utilization=0.95))
+        run = run_once(factory, BASE.with_(utilization=0.95))
         assert not run.valid
         assert "Tap" in run.reason or "utilization" in run.reason
 
