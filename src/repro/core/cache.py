@@ -51,7 +51,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
-import json
 import math
 import os
 import pickle
@@ -84,6 +83,15 @@ TMP_GRACE_S = 3600.0
 _tmp_counter = itertools.count()
 
 _code_fingerprint: str | None = None
+
+#: Joins the fields :func:`netlist_fingerprint` hashes; no name may
+#: contain it.
+FINGERPRINT_SEP = "\0"
+
+#: A net's (primary input, primary output, clock, has driver) flags as
+#: one fingerprint field.
+_NET_FLAGS = {flags: "".join("1" if flag else "0" for flag in flags)
+              for flags in itertools.product((False, True), repeat=4)}
 
 
 def default_cache_dir() -> Path:
@@ -125,21 +133,39 @@ def cache_from_env(directory: str | os.PathLike | None = None,
 
 
 def netlist_fingerprint(netlist: Netlist) -> str:
-    """Structural hash of a netlist (instances, connectivity, ports)."""
-    payload = {
-        "name": netlist.name,
-        "instances": sorted(
-            (name, inst.master, sorted(inst.connections.items()))
-            for name, inst in netlist.instances.items()
-        ),
-        "nets": sorted(
-            (net.name, net.is_primary_input, net.is_primary_output,
-             net.is_clock, list(net.driver) if net.driver else None)
-            for net in netlist.nets.values()
-        ),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """Structural hash of a netlist, in its own insertion order.
+
+    It covers the netlist's name; each instance's name, master and
+    connections, in dict order; and each net's name, primary-input,
+    primary-output and clock flags, and driver.  Order is hashed
+    because order reaches the bits: the flow walks instances and nets
+    in insertion order and adds power left to right, so two netlists
+    that differ only in order can return different PPA.  The fields
+    are joined by :data:`FINGERPRINT_SEP` into one string, with a count
+    before each list, so the string reads back one way only; a name
+    containing the separator raises ``ValueError``.
+    """
+    parts = [netlist.name, str(len(netlist.instances))]
+    extend = parts.extend
+    for name, inst in netlist.instances.items():
+        connections = inst.connections
+        extend((name, inst.master, str(len(connections))))
+        for pin_net in connections.items():
+            extend(pin_net)
+    parts.append(str(len(netlist.nets)))
+    for net in netlist.nets.values():
+        driver = net.driver
+        extend((net.name, _NET_FLAGS[net.is_primary_input,
+                                     net.is_primary_output, net.is_clock,
+                                     driver is not None]))
+        if driver is not None:
+            extend(driver)
+    text = FINGERPRINT_SEP.join(parts)
+    if text.count(FINGERPRINT_SEP) != len(parts) - 1:
+        bad = next(part for part in parts if FINGERPRINT_SEP in part)
+        raise ValueError(f"netlist {netlist.name!r}: name {bad!r} contains "
+                         f"the fingerprint separator {FINGERPRINT_SEP!r}")
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def code_fingerprint() -> str:
@@ -162,17 +188,34 @@ def code_fingerprint() -> str:
     return _code_fingerprint
 
 
+#: Each result dataclass's field names, in declaration order: the key
+#: order of ``dataclasses.asdict``.
+_FIELDS = {cls: tuple(f.name for f in dataclasses.fields(cls))
+           for cls in (PPAResult, TimingReport, PowerReport, FailedRun)}
+
+
+def _fields_dict(obj) -> dict:
+    return {name: getattr(obj, name) for name in _FIELDS[type(obj)]}
+
+
 def result_to_payload(result: PPAResult | FailedRun | dict) -> dict:
     """Serialize a run result into a JSON-safe, round-trippable dict.
 
-    A plain dict (a study report, e.g. a Monte-Carlo signoff) passes
-    through as a ``report``.
+    The data is the dict ``dataclasses.asdict`` would build, read
+    straight off the fields: every field is a scalar except the nested
+    timing and power reports and the timing report's critical-path
+    list, which is copied.  A plain dict (a study report, e.g. a
+    Monte-Carlo signoff) passes through as a ``report``.
     """
     if isinstance(result, dict):
         return {"kind": "report", "data": result}
     if isinstance(result, FailedRun):
-        return {"kind": "failed", "data": dataclasses.asdict(result)}
-    return {"kind": "ppa", "data": dataclasses.asdict(result)}
+        return {"kind": "failed", "data": _fields_dict(result)}
+    data = _fields_dict(result)
+    timing = data["timing"] = _fields_dict(result.timing)
+    timing["critical_path"] = list(timing["critical_path"])
+    data["power"] = _fields_dict(result.power)
+    return {"kind": "ppa", "data": data}
 
 
 def result_from_payload(payload: dict) -> PPAResult | FailedRun | dict:
@@ -182,7 +225,9 @@ def result_from_payload(payload: dict) -> PPAResult | FailedRun | dict:
         return data
     if payload["kind"] == "failed":
         return FailedRun(**data)
-    data["timing"] = TimingReport(**data["timing"])
+    timing = dict(data["timing"])
+    timing["critical_path"] = list(timing["critical_path"])
+    data["timing"] = TimingReport(**timing)
     data["power"] = PowerReport(**data["power"])
     return PPAResult(**data)
 

@@ -59,7 +59,8 @@ from .ppa import FailedRun, PPAResult
 #: changed them, and ``extraction`` carries its derated-net count.
 #: 5: a key chains only the previous stage's key, and ``def_merge``
 #: stores the two per-side DEFs, not their merge.
-STAGE_KEY_FORMAT = 5
+#: 6: the netlist fingerprint hashes the netlist in insertion order.
+STAGE_KEY_FORMAT = 6
 
 #: The cross-process coordination events a store can record, in the
 #: order ``stage_cache.singleflight.<event>`` counters are documented

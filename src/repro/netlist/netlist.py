@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..cells import Library
+from ..core.telemetry import current_tracer
 
 
 @dataclass
@@ -71,12 +72,16 @@ class Netlist:
 
     def add_instance(self, name: str, master: str,
                      connections: Mapping[str, str]) -> Instance:
+        """Add an instance; nets it names that do not exist yet are
+        created plain, in pin order (as :meth:`add_net` would)."""
         if name in self.instances:
             raise ValueError(f"duplicate instance {name!r}")
         inst = Instance(name, master, dict(connections))
         self.instances[name] = inst
-        for pin, net_name in inst.connections.items():
-            self.add_net(net_name)
+        nets = self.nets
+        for net_name in inst.connections.values():
+            if net_name not in nets:
+                nets[net_name] = Net(net_name)
         return inst
 
     def bind(self, library: Library) -> None:
@@ -84,8 +89,10 @@ class Netlist:
 
         Must be called once after construction (and again if instances
         are re-mastered).  Raises on missing masters, unconnected pins,
-        multiply-driven or undriven nets.
+        multiply-driven or undriven nets.  Each call counts one
+        ``kernel.netlist.binds`` on the current tracer.
         """
+        current_tracer().count("kernel.netlist.binds")
         for net in self.nets.values():
             net.driver = None
             net.sinks = []

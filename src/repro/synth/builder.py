@@ -21,30 +21,29 @@ class NetlistBuilder:
         self.netlist.add_net(clock, primary_input=True, clock=True)
         self._net_counter = 0
         self._inst_counter = 0
-        self._prefix: list[str] = []
+        #: The open scopes' names, each followed by ``/``.
+        self._prefix = ""
+        #: Master -> its output pin, resolved on first use.
+        self._out_pins: dict[str, str] = {}
 
     # -- naming ---------------------------------------------------------------
     @contextmanager
     def scope(self, name: str):
         """Prefix instance/net names with ``name/`` inside the block."""
-        self._prefix.append(name)
+        outer = self._prefix
+        self._prefix = f"{outer}{name}/"
         try:
             yield self
         finally:
-            self._prefix.pop()
-
-    def _qualify(self, name: str) -> str:
-        if self._prefix:
-            return "/".join(self._prefix) + "/" + name
-        return name
+            self._prefix = outer
 
     def fresh_net(self, hint: str = "n") -> str:
         self._net_counter += 1
-        return self._qualify(f"{hint}{self._net_counter}")
+        return f"{self._prefix}{hint}{self._net_counter}"
 
     def _fresh_inst(self, master: str) -> str:
         self._inst_counter += 1
-        return self._qualify(f"u{self._inst_counter}_{master.lower()}")
+        return f"{self._prefix}u{self._inst_counter}_{master.lower()}"
 
     # -- ports ----------------------------------------------------------------
     def input(self, name: str) -> str:
@@ -73,12 +72,14 @@ class NetlistBuilder:
         The output pin (``ZN``/``Z``/``Q``) may be omitted, in which case a
         fresh net is allocated and returned.
         """
-        out_pin = next((c for c in ("ZN", "Z", "Q") if c in pins), None)
+        out_pin = self._out_pins.get(master)
         if out_pin is None:
-            out_pin = _OUTPUT_PIN[master_base(master)]
-            pins[out_pin] = self.fresh_net()
+            out_pin = self._out_pins[master] = _OUTPUT_PIN[master_base(master)]
+        out = pins.get(out_pin)
+        if out is None:
+            out = pins[out_pin] = self.fresh_net()
         self.netlist.add_instance(self._fresh_inst(master), master, pins)
-        return pins[out_pin]
+        return out
 
     def inv(self, a: str) -> str:
         return self.cell("INVD1", A=a)

@@ -26,6 +26,34 @@ class TestPrimitives:
             net = b.inv(b.input("a"))
         assert net.startswith("alu/")
 
+    def test_nested_scopes_join_names_and_unwind(self):
+        b = NetlistBuilder("t")
+        a = b.input("a")
+        with b.scope("alu"):
+            with b.scope("add"):
+                inner = b.inv(a)
+            middle = b.inv(a)
+        outer = b.inv(a)
+        assert (inner, middle, outer) == ("alu/add/n1", "alu/n2", "n3")
+        assert list(b.netlist.instances) == [
+            "alu/add/u1_invd1", "alu/u2_invd1", "u3_invd1"]
+
+    def test_scope_unwinds_after_an_exception(self):
+        b = NetlistBuilder("t")
+        with pytest.raises(RuntimeError):
+            with b.scope("alu"):
+                raise RuntimeError("boom")
+        assert b.fresh_net() == "n1"
+
+    def test_cell_returns_a_given_output_net(self):
+        b = NetlistBuilder("t")
+        a = b.input("a")
+        assert b.cell("BUFD1", A=a, Z="z") == "z"
+        assert b.dff(a, q="q") == "q"
+        fresh = b.cell("BUFD1", A=a)
+        assert b.netlist.instances["u3_bufd1"].connections \
+            == {"A": "a", "Z": fresh}
+
     def test_tie_cells(self, ffet_lib):
         b = NetlistBuilder("t")
         hi = b.tie(True)

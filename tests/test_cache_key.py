@@ -10,6 +10,12 @@ and changing the netlist or the code version always misses.
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,15 +24,24 @@ from hypothesis import strategies as st
 from repro.core import FlowConfig
 from repro.core import stages as stages_mod
 from repro.core.cache import (
+    FINGERPRINT_SEP,
     FlowCache,
     netlist_fingerprint,
     result_from_payload,
     result_to_payload,
 )
-from repro.core.flow import FLOW_GRAPH, stage_keys
-from repro.core.ppa import FailedRun
+from repro.core.flow import FLOW_GRAPH, run_flow, stage_keys
+from repro.core.ppa import FailedRun, PPAResult
 from repro.core.stages import StageStore
-from repro.synth import generate_counter, generate_multiplier
+from repro.netlist import Netlist
+from repro.synth import (
+    RiscvConfig,
+    generate_counter,
+    generate_multiplier,
+    generate_riscv_core,
+)
+
+from .golden_cases import GOLDEN_PATH
 
 BASE = FlowConfig()          # ffet FM12BM12, bp=0.5 — every field mutable
 NETLIST_FP = "f" * 64
@@ -139,10 +154,116 @@ def test_netlist_and_version_participate(monkeypatch):
     assert terminal_key(BASE) != k
 
 
+def small_netlist() -> Netlist:
+    """Three instances, a clock, a primary input and output, one bound
+    driver: every field the fingerprint covers has a value to change."""
+    nl = Netlist("small")
+    nl.add_net("clk", primary_input=True, clock=True)
+    nl.add_net("a", primary_input=True)
+    nl.add_net("out", primary_output=True)
+    nl.add_instance("ff", "DFFD1", {"D": "n2", "CK": "clk", "Q": "q"})
+    nl.add_instance("g1", "NAND2D1", {"A": "q", "B": "a", "ZN": "n2"})
+    nl.add_instance("g2", "BUFD1", {"A": "q", "Z": "out"})
+    nl.nets["q"].driver = ("ff", "Q")
+    return nl
+
+
+def renamed(mapping: dict, old: str, new: str) -> dict:
+    """``mapping`` with key ``old`` renamed to ``new`` in place."""
+    return {new if key == old else key: value
+            for key, value in mapping.items()}
+
+
+def swapped(mapping: dict, first: str, second: str) -> dict:
+    """``mapping`` with two keys' insertion positions exchanged."""
+    keys = list(mapping)
+    i, j = keys.index(first), keys.index(second)
+    keys[i], keys[j] = keys[j], keys[i]
+    return {key: mapping[key] for key in keys}
+
+
+def _rename_instance(nl):
+    nl.instances["g1"].name = "g9"
+    nl.instances = renamed(nl.instances, "g1", "g9")
+
+
+def _rename_net(nl):
+    nl.nets["n2"].name = "n9"
+    nl.nets = renamed(nl.nets, "n2", "n9")
+
+
+def _rename_pin(nl):
+    inst = nl.instances["g1"]
+    inst.connections = renamed(inst.connections, "B", "C")
+
+
+def _set_flag(flag):
+    def mutate(nl):
+        net = nl.nets["n2"]
+        setattr(net, flag, not getattr(net, flag))
+    return mutate
+
+
+def _swap_pins(nl):
+    inst = nl.instances["g1"]
+    inst.connections = swapped(inst.connections, "A", "B")
+
+
+#: One edit per field the fingerprint covers; each must change it.
+MUTATIONS = {
+    "netlist name": lambda nl: setattr(nl, "name", "other"),
+    "instance name": _rename_instance,
+    "instance master": lambda nl: setattr(nl.instances["g1"], "master",
+                                          "NAND2D2"),
+    "instance pin": _rename_pin,
+    "instance net": lambda nl: nl.instances["g1"].connections.update(
+        B="clk"),
+    "net name": _rename_net,
+    "net primary input": _set_flag("is_primary_input"),
+    "net primary output": _set_flag("is_primary_output"),
+    "net clock": _set_flag("is_clock"),
+    "net driver set": lambda nl: setattr(nl.nets["n2"], "driver",
+                                         ("g1", "ZN")),
+    "net driver changed": lambda nl: setattr(nl.nets["q"], "driver",
+                                             ("g2", "Z")),
+    "net driver cleared": lambda nl: setattr(nl.nets["q"], "driver", None),
+    "two instances swapped": lambda nl: setattr(
+        nl, "instances", swapped(nl.instances, "g1", "g2")),
+    "two nets swapped": lambda nl: setattr(
+        nl, "nets", swapped(nl.nets, "a", "out")),
+    "two pins swapped": _swap_pins,
+}
+
+
+def rv8() -> Netlist:
+    return generate_riscv_core(RiscvConfig(xlen=8, nregs=8, name="rv8"))
+
+
+#: Prints one fingerprint per design; run under two hash seeds.
+HASH_SEED_SCRIPT = """
+from repro.core.cache import netlist_fingerprint
+from repro.synth import (RiscvConfig, generate_counter, generate_fir_filter,
+                         generate_multiplier, generate_riscv_core,
+                         generate_rv16_cache, generate_rv16_sram,
+                         generate_rv16_tile)
+designs = [
+    generate_counter(), generate_multiplier(), generate_fir_filter(),
+    generate_riscv_core(RiscvConfig(xlen=8, nregs=8, name="rv8")),
+    generate_rv16_sram(xlen=8, nregs=8, words=16, name="rv8_sram"),
+    generate_rv16_cache(xlen=8, nregs=8, words=16, cache_words=8,
+                        name="rv8_cache"),
+    generate_rv16_tile(xlen=8, nregs=8, words=16, name="rv8_tile"),
+]
+for netlist in designs:
+    print(netlist.name, netlist_fingerprint(netlist))
+"""
+
+
 class TestNetlistFingerprint:
     def test_stable_across_regeneration(self):
         assert netlist_fingerprint(generate_multiplier(4)) \
             == netlist_fingerprint(generate_multiplier(4))
+        assert netlist_fingerprint(rv8()) == netlist_fingerprint(rv8())
 
     def test_different_designs_differ(self):
         assert netlist_fingerprint(generate_multiplier(4)) \
@@ -150,8 +271,175 @@ class TestNetlistFingerprint:
         assert netlist_fingerprint(generate_multiplier(4)) \
             != netlist_fingerprint(generate_counter(8))
 
+    @pytest.mark.parametrize("edit", sorted(MUTATIONS))
+    def test_every_covered_field_changes_it(self, edit):
+        before = netlist_fingerprint(small_netlist())
+        netlist = small_netlist()
+        MUTATIONS[edit](netlist)
+        assert netlist_fingerprint(netlist) != before, edit
+
+    def test_instance_boundaries_are_hashed(self):
+        """Without a count before each list, these two would join into
+        the same string: g's last pin and net read as instance h."""
+        one = Netlist("t")
+        one.add_instance("g", "M", {"A": "x", "h": "N"})
+        two = Netlist("t")
+        two.add_instance("g", "M", {"A": "x"})
+        two.add_instance("h", "N", {})
+        two.add_net("N")
+        assert list(one.nets) == list(two.nets)
+        assert netlist_fingerprint(one) != netlist_fingerprint(two)
+
+    def test_sinks_and_attributes_are_not_covered(self):
+        """What the fingerprint covers and nothing more: a net's sinks
+        follow from the connections at bind time, and attributes are
+        annotations."""
+        before = netlist_fingerprint(small_netlist())
+        netlist = small_netlist()
+        netlist.nets["q"].sinks = [("g1", "A"), ("g2", "A")]
+        netlist.attributes["note"] = "ignored"
+        assert netlist_fingerprint(netlist) == before
+
+    @pytest.mark.parametrize("where", ["netlist", "instance", "master",
+                                       "pin", "net"])
+    def test_a_name_with_the_separator_raises(self, where):
+        netlist = small_netlist()
+        bad = f"x{FINGERPRINT_SEP}y"
+        if where == "netlist":
+            netlist.name = bad
+        elif where == "instance":
+            netlist.instances = renamed(netlist.instances, "g1", bad)
+        elif where == "master":
+            netlist.instances["g1"].master = bad
+        elif where == "pin":
+            inst = netlist.instances["g1"]
+            inst.connections = renamed(inst.connections, "B", bad)
+        else:
+            netlist.add_net(bad)
+        with pytest.raises(ValueError, match="separator"):
+            netlist_fingerprint(netlist)
+
+    def test_shuffled_rv8_gets_a_new_fingerprint(self):
+        """Regression: the fingerprint used to hash sorted instances and
+        nets, so this netlist shared the plain rv8's key.  The flow adds
+        power in netlist order, and a cold flow of it at the default
+        config reads ``switching_mw`` 0.2073795991644438 and
+        ``internal_mw`` 0.3563915870755401, where the plain rv8 reads
+        0.20737959916444393 and 0.3563915870755396: a store hit would
+        have handed it the plain netlist's bits."""
+        netlist = rv8()
+        rng = random.Random(1)
+        instances = list(netlist.instances.items())
+        nets = list(netlist.nets.items())
+        rng.shuffle(instances)
+        rng.shuffle(nets)
+        netlist.instances, netlist.nets = dict(instances), dict(nets)
+        assert netlist_fingerprint(netlist) != netlist_fingerprint(rv8())
+
+    def test_independent_of_the_hash_seed(self):
+        """Keys are read across processes: a generator that iterated a
+        set of strings would key the same design differently under
+        another ``PYTHONHASHSEED`` and miss the store."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert len(outputs[0].split()) == 14, outputs[0]
+        assert outputs[0] == outputs[1]
+
+
+def asdict_payload(result) -> dict:
+    """:func:`result_to_payload` as it was built with
+    ``dataclasses.asdict``, kept as its oracle."""
+    if isinstance(result, dict):
+        return {"kind": "report", "data": result}
+    kind = "failed" if isinstance(result, FailedRun) else "ppa"
+    return {"kind": kind, "data": dataclasses.asdict(result)}
+
+
+def canonical(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True)
+
+
+#: Three designs, one of them CFET and one single-sided FFET FM12.
+FLOW_CASES = {
+    "rv8_ffet_fm12bm12": (rv8, FlowConfig()),
+    "mult4_cfet": (lambda: generate_multiplier(4),
+                   FlowConfig(arch="cfet", back_layers=0,
+                              backside_pin_fraction=0.0)),
+    "counter8_ffet_fm12": (lambda: generate_counter(8),
+                           FlowConfig(back_layers=0,
+                                      backside_pin_fraction=0.0)),
+}
+
+
+@pytest.fixture(scope="module")
+def flow_results() -> dict[str, PPAResult]:
+    return {name: run_flow(factory, config)
+            for name, (factory, config) in FLOW_CASES.items()}
+
+
+def golden_results() -> dict[str, PPAResult]:
+    golden = json.loads(GOLDEN_PATH.read_text())
+    return {name: result_from_payload(payload)
+            for name, payload in golden.items()}
+
 
 class TestPayloadCodec:
+    @pytest.mark.parametrize("case", sorted(FLOW_CASES))
+    def test_ppa_payload_equals_the_asdict_oracle(self, flow_results, case):
+        result = flow_results[case]
+        payload, oracle = result_to_payload(result), asdict_payload(result)
+        assert payload == oracle
+        assert canonical(payload) == canonical(oracle)
+        data = payload["data"]
+        assert list(data) == list(oracle["data"])
+        # Every other value is an immutable scalar, so copying the one
+        # list is a deep copy; a new mutable field must be copied too.
+        nested = [data["timing"], data["power"]]
+        values = [v for k, v in data.items() if k not in ("timing", "power")]
+        values += [v for part in nested for k, v in part.items()
+                   if k != "critical_path"]
+        assert all(isinstance(v, (str, int, float, bool)) for v in values)
+
+    def test_golden_payloads_equal_the_asdict_oracle(self):
+        golden = json.loads(GOLDEN_PATH.read_text())
+        for name, result in golden_results().items():
+            payload = result_to_payload(result)
+            assert payload == asdict_payload(result) == golden[name], name
+            assert canonical(payload) == canonical(golden[name]), name
+
+    def test_failed_and_report_payloads_equal_the_asdict_oracle(self):
+        failed = FailedRun(label="x", target_utilization=0.9, reason="tap",
+                           stage="routing", cause="RoutingError",
+                           attempts=3, quarantined=True)
+        report = {"samples": 4, "mean": {"wns_ps": -1.5}}
+        for result in (failed, report):
+            payload = result_to_payload(result)
+            assert payload == asdict_payload(result)
+            assert canonical(payload) == canonical(asdict_payload(result))
+        assert result_to_payload(report)["data"] is report
+
+    @pytest.mark.parametrize("case", sorted(FLOW_CASES))
+    def test_ppa_payload_round_trips(self, flow_results, case):
+        result = flow_results[case]
+        assert result_from_payload(result_to_payload(result)) == result
+
+    def test_payload_critical_path_is_a_copy(self, flow_results):
+        result = flow_results["rv8_ffet_fm12bm12"]
+        path = list(result.timing.critical_path)
+        payload = result_to_payload(result)
+        payload["data"]["timing"]["critical_path"].append("extra")
+        assert result.timing.critical_path == path
+        decoded = result_from_payload(payload)
+        payload["data"]["timing"]["critical_path"].clear()
+        assert decoded.timing.critical_path == path + ["extra"]
+
     def test_failed_run_round_trips(self, tmp_path):
         failed = FailedRun(label="x", target_utilization=0.9, reason="tap")
         assert result_from_payload(result_to_payload(failed)) == failed

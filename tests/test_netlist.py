@@ -18,6 +18,39 @@ def tiny_netlist():
     return nl
 
 
+class TestConstruction:
+    def test_add_instance_creates_missing_nets_in_pin_order(self):
+        nl = Netlist("t")
+        nl.add_net("a", primary_input=True)
+        nl.add_instance("g", "NAND2D1", {"B": "b", "A": "a", "ZN": "y"})
+        assert list(nl.nets) == ["a", "b", "y"]
+        assert nl.nets["a"].is_primary_input
+        for name in ("b", "y"):
+            net = nl.nets[name]
+            assert (net.driver, net.sinks, net.is_primary_input,
+                    net.is_primary_output, net.is_clock) \
+                == (None, [], False, False, False)
+
+    def test_add_instance_keeps_existing_nets(self):
+        nl = tiny_netlist()
+        clk = nl.nets["clk"]
+        nl.add_instance("ff2", "DFFD1", {"D": "a", "CK": "clk", "Q": "q2"})
+        assert nl.nets["clk"] is clk and clk.is_clock
+        assert list(nl.nets)[-1] == "q2"
+
+    def test_add_instance_copies_its_connections(self):
+        nl = Netlist("t")
+        pins = {"A": "a", "ZN": "y"}
+        inst = nl.add_instance("g", "INVD1", pins)
+        pins["A"] = "other"
+        assert inst.connections == {"A": "a", "ZN": "y"}
+
+    def test_duplicate_instance_rejected(self):
+        nl = tiny_netlist()
+        with pytest.raises(ValueError, match="duplicate"):
+            nl.add_instance("g1", "INVD1", {"A": "a", "ZN": "z"})
+
+
 class TestBinding:
     def test_bind_resolves_drivers(self, ffet_lib):
         nl = tiny_netlist()

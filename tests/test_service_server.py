@@ -32,7 +32,7 @@ from repro.core import FlowCache, FlowConfig, SweepRunner, stage_keys
 from repro.core import runner as runner_mod
 from repro.core.cache import netlist_fingerprint
 from repro.core.faults import FAULTS_ENV
-from repro.core.flow import FLOW_STAGES
+from repro.core.flow import FLOW_STAGES, artifact_key
 from repro.core.guard import GUARD_ENV
 from repro.core.io import result_to_dict
 from repro.core.runner import TERMINAL, run_once
@@ -411,12 +411,15 @@ class TestCrashRecovery:
             port = int(port_file.read_text().strip())
             return process, ReproClient(f"http://127.0.0.1:{port}")
 
+        def config_of(split: str) -> FlowConfig:
+            front, back = split.split(":")
+            return FlowConfig(**BASE_CONFIG, front_layers=int(front),
+                              back_layers=int(back))
+
         # Gate the third split's routing stage: items 0 and 1 settle,
         # item 2 blocks inside its worker, deterministically mid-sweep.
         fingerprint = netlist_fingerprint(FACTORY())
-        gate_key = stage_keys(
-            FlowConfig(**BASE_CONFIG, front_layers=7, back_layers=5),
-            fingerprint)["routing"]
+        gate_key = stage_keys(config_of("7:5"), fingerprint)["routing"]
         gate = FlowCache(cache_dir).locks.lock(gate_key)
         assert gate.try_acquire()
 
@@ -429,6 +432,17 @@ class TestCrashRecovery:
                     break
                 time.sleep(0.05)
             before = client.status(job_id)
+            assert before["done"] >= 2, before
+            # The gate holds only if the server keys runs as this test
+            # does: the settled items' results must sit at the keys
+            # computed here from the test's own fingerprint.
+            cache = FlowCache(cache_dir)
+            for split in splits[:2]:
+                key = artifact_key("result", config_of(split), fingerprint)
+                assert cache._path(key, "result").is_file(), (
+                    f"split {split} settled but its result is not at the "
+                    f"test's key {key[:12]}: the test and the server key "
+                    f"runs differently, so the routing gate guards nothing")
             assert before["done"] == 2, before
             os.killpg(process.pid, signal.SIGKILL)
             process.wait(timeout=30)
@@ -458,10 +472,7 @@ class TestCrashRecovery:
 
             # And the whole job matches an uninterrupted serial run.
             for run, split in zip(final["runs"], splits):
-                front, back = split.split(":")
-                truth = serial_result(FlowConfig(
-                    **BASE_CONFIG, front_layers=int(front),
-                    back_layers=int(back)))
+                truth = serial_result(config_of(split))
                 assert canonical(run["result"]) == canonical(truth)
 
             # The shared cache survived the kill intact.

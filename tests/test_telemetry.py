@@ -9,6 +9,7 @@ top-level stage list is exactly :data:`repro.core.flow.FLOW_STAGES`.
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     FLOW_STAGES,
+    FlowCache,
     FlowConfig,
     NULL_TRACER,
     Trace,
@@ -24,9 +26,11 @@ from repro.core import (
     run_flow,
 )
 from repro.core import telemetry
+from repro.core.stages import StageStore
+from repro.netlist import Netlist
 from repro.synth import generate_multiplier
 
-from .golden_cases import MultiplierFactory
+from .golden_cases import MultiplierFactory, RiscvTinyFactory
 
 FACTORY = MultiplierFactory(4)
 
@@ -287,3 +291,28 @@ class TestFlowTelemetry:
                              FlowConfig(utilization=0.6),
                              return_artifacts=True)
         assert artifacts.trace == Trace()
+
+
+class TestNetlistBinds:
+    def test_a_cold_rv8_flow_binds_three_times(self, monkeypatch, tmp_path):
+        """``kernel.netlist.binds`` counts work, like every ``kernel.*``
+        counter: a cold rv8 flow binds once in the netlist stage, once
+        after fanout buffering and once after CTS; a replayed walk
+        binds nothing."""
+        callers = []
+        bind = Netlist.bind
+
+        def spy(netlist, library):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return bind(netlist, library)
+
+        monkeypatch.setattr(Netlist, "bind", spy)
+        store = StageStore(FlowCache(tmp_path))
+        cold, warm = Tracer(label="cold"), Tracer(label="warm")
+        run_flow(RiscvTinyFactory(), FlowConfig(), tracer=cold, store=store)
+        assert callers == ["_exec_netlist", "buffer_high_fanout",
+                           "synthesize_clock_tree"]
+        assert cold.finish().counters["kernel.netlist.binds"] == 3
+        run_flow(RiscvTinyFactory(), FlowConfig(), tracer=warm, store=store)
+        assert len(callers) == 3
+        assert "kernel.netlist.binds" not in warm.finish().counters
