@@ -88,11 +88,6 @@ _code_fingerprint: str | None = None
 #: contain it.
 FINGERPRINT_SEP = "\0"
 
-#: A net's (primary input, primary output, clock, has driver) flags as
-#: one fingerprint field.
-_NET_FLAGS = {flags: "".join("1" if flag else "0" for flag in flags)
-              for flags in itertools.product((False, True), repeat=4)}
-
 
 def default_cache_dir() -> Path:
     env = os.environ.get(CACHE_DIR_ENV, "").strip()
@@ -144,6 +139,13 @@ def netlist_fingerprint(netlist: Netlist) -> str:
     are joined by :data:`FINGERPRINT_SEP` into one string, with a count
     before each list, so the string reads back one way only; a name
     containing the separator raises ``ValueError``.
+
+    ``netlist.attributes`` is not hashed.  The macro specs it carries
+    (``attributes["macros"]``, which the flow compiles into library
+    masters) are covered through their instances' master names, which
+    :func:`repro.macros.macro_name` derives from every
+    :class:`~repro.macros.MacroSpec` field; a new spec field must be
+    encoded in that name too, or netlists that differ in it share keys.
     """
     parts = [netlist.name, str(len(netlist.instances))]
     extend = parts.extend
@@ -155,9 +157,9 @@ def netlist_fingerprint(netlist: Netlist) -> str:
     parts.append(str(len(netlist.nets)))
     for net in netlist.nets.values():
         driver = net.driver
-        extend((net.name, _NET_FLAGS[net.is_primary_input,
-                                     net.is_primary_output, net.is_clock,
-                                     driver is not None]))
+        extend((net.name, "%d%d%d%d" % (net.is_primary_input,
+                                         net.is_primary_output, net.is_clock,
+                                         driver is not None)))
         if driver is not None:
             extend(driver)
     text = FINGERPRINT_SEP.join(parts)
@@ -188,34 +190,17 @@ def code_fingerprint() -> str:
     return _code_fingerprint
 
 
-#: Each result dataclass's field names, in declaration order: the key
-#: order of ``dataclasses.asdict``.
-_FIELDS = {cls: tuple(f.name for f in dataclasses.fields(cls))
-           for cls in (PPAResult, TimingReport, PowerReport, FailedRun)}
-
-
-def _fields_dict(obj) -> dict:
-    return {name: getattr(obj, name) for name in _FIELDS[type(obj)]}
-
-
 def result_to_payload(result: PPAResult | FailedRun | dict) -> dict:
     """Serialize a run result into a JSON-safe, round-trippable dict.
 
-    The data is the dict ``dataclasses.asdict`` would build, read
-    straight off the fields: every field is a scalar except the nested
-    timing and power reports and the timing report's critical-path
-    list, which is copied.  A plain dict (a study report, e.g. a
-    Monte-Carlo signoff) passes through as a ``report``.
+    A plain dict (a study report, e.g. a Monte-Carlo signoff) passes
+    through as a ``report``.
     """
     if isinstance(result, dict):
         return {"kind": "report", "data": result}
     if isinstance(result, FailedRun):
-        return {"kind": "failed", "data": _fields_dict(result)}
-    data = _fields_dict(result)
-    timing = data["timing"] = _fields_dict(result.timing)
-    timing["critical_path"] = list(timing["critical_path"])
-    data["power"] = _fields_dict(result.power)
-    return {"kind": "ppa", "data": data}
+        return {"kind": "failed", "data": dataclasses.asdict(result)}
+    return {"kind": "ppa", "data": dataclasses.asdict(result)}
 
 
 def result_from_payload(payload: dict) -> PPAResult | FailedRun | dict:
@@ -225,9 +210,7 @@ def result_from_payload(payload: dict) -> PPAResult | FailedRun | dict:
         return data
     if payload["kind"] == "failed":
         return FailedRun(**data)
-    timing = dict(data["timing"])
-    timing["critical_path"] = list(timing["critical_path"])
-    data["timing"] = TimingReport(**timing)
+    data["timing"] = TimingReport(**data["timing"])
     data["power"] = PowerReport(**data["power"])
     return PPAResult(**data)
 

@@ -23,8 +23,6 @@ class NetlistBuilder:
         self._inst_counter = 0
         #: The open scopes' names, each followed by ``/``.
         self._prefix = ""
-        #: Master -> its output pin, resolved on first use.
-        self._out_pins: dict[str, str] = {}
 
     # -- naming ---------------------------------------------------------------
     @contextmanager
@@ -72,9 +70,7 @@ class NetlistBuilder:
         The output pin (``ZN``/``Z``/``Q``) may be omitted, in which case a
         fresh net is allocated and returned.
         """
-        out_pin = self._out_pins.get(master)
-        if out_pin is None:
-            out_pin = self._out_pins[master] = _OUTPUT_PIN[master_base(master)]
+        out_pin = _OUTPUT_PIN[master_base(master)]
         out = pins.get(out_pin)
         if out is None:
             out = pins[out_pin] = self.fresh_net()

@@ -293,7 +293,11 @@ class TestNetlistFingerprint:
     def test_sinks_and_attributes_are_not_covered(self):
         """What the fingerprint covers and nothing more: a net's sinks
         follow from the connections at bind time, and attributes are
-        annotations."""
+        not hashed.  ``attributes["macros"]`` does reach the flow (its
+        MacroSpecs compile library masters), but it is covered through
+        the instances' master names: ``macro_name`` encodes every
+        MacroSpec field (``SRAM{words}X{bits}``), and must keep doing so
+        for new fields, or netlists that differ in one share keys."""
         before = netlist_fingerprint(small_netlist())
         netlist = small_netlist()
         netlist.nets["q"].sinks = [("g1", "A"), ("g2", "A")]
@@ -354,8 +358,8 @@ class TestNetlistFingerprint:
 
 
 def asdict_payload(result) -> dict:
-    """:func:`result_to_payload` as it was built with
-    ``dataclasses.asdict``, kept as its oracle."""
+    """The payload :func:`result_to_payload` must build: the
+    ``dataclasses.asdict`` form that journals and goldens hold."""
     if isinstance(result, dict):
         return {"kind": "report", "data": result}
     kind = "failed" if isinstance(result, FailedRun) else "ppa"
@@ -397,15 +401,7 @@ class TestPayloadCodec:
         payload, oracle = result_to_payload(result), asdict_payload(result)
         assert payload == oracle
         assert canonical(payload) == canonical(oracle)
-        data = payload["data"]
-        assert list(data) == list(oracle["data"])
-        # Every other value is an immutable scalar, so copying the one
-        # list is a deep copy; a new mutable field must be copied too.
-        nested = [data["timing"], data["power"]]
-        values = [v for k, v in data.items() if k not in ("timing", "power")]
-        values += [v for part in nested for k, v in part.items()
-                   if k != "critical_path"]
-        assert all(isinstance(v, (str, int, float, bool)) for v in values)
+        assert list(payload["data"]) == list(oracle["data"])
 
     def test_golden_payloads_equal_the_asdict_oracle(self):
         golden = json.loads(GOLDEN_PATH.read_text())
@@ -436,9 +432,6 @@ class TestPayloadCodec:
         payload = result_to_payload(result)
         payload["data"]["timing"]["critical_path"].append("extra")
         assert result.timing.critical_path == path
-        decoded = result_from_payload(payload)
-        payload["data"]["timing"]["critical_path"].clear()
-        assert decoded.timing.critical_path == path + ["extra"]
 
     def test_failed_run_round_trips(self, tmp_path):
         failed = FailedRun(label="x", target_utilization=0.9, reason="tap")
