@@ -25,8 +25,8 @@ Failure handling (docs/robustness.md): failed runs print one
 structured line (stage, config, cause) and quarantined failures make
 the command exit nonzero unless ``--keep-going``; ``--timeout`` /
 ``--retries`` tune the retry policy, ``--checkpoint FILE`` makes an
-interrupted sweep resumable, ``--guard`` selects the flow-guard mode
-and ``--inject-faults`` injects deterministic faults for testing.
+interrupted sweep resumable and ``--inject-faults`` injects
+deterministic faults for testing.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .cells import format_kpi_table, library_kpi_diff, write_liberty
 from .core import (FLOW_STAGES, FlowCache, FlowConfig, PPAResult,
                    RetryPolicy, SweepRunner)
 from .core import faults as faults_mod
-from .core import guard as guard_mod
 from .core import sweeps
 from .core.cache import cache_from_env
 from .core.config import with_arch_defaults
@@ -149,9 +148,6 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--keep-going", action="store_true",
                         help="exit 0 even when some runs were quarantined "
                              "(the sweep always completes either way)")
-    parser.add_argument("--guard", choices=guard_mod.MODES, default=None,
-                        help="flow guard mode for post-stage invariant "
-                             "checks (default: $REPRO_GUARD or strict)")
     parser.add_argument("--inject-faults", metavar="SPEC", default=None,
                         help="deterministic fault injection, e.g. "
                              "'placement:raise:first,sta:die:rate=0.3'; "
@@ -179,10 +175,8 @@ def _retry_from(args) -> RetryPolicy:
 
 
 def _runner_from(args) -> SweepRunner:
-    # --guard / --inject-faults travel via the environment so pool
-    # worker processes see the exact same plan as the parent.
-    if args.guard:
-        os.environ[guard_mod.GUARD_ENV] = args.guard
+    # --inject-faults travels via the environment so pool worker
+    # processes see the exact same plan as the parent.
     if args.inject_faults:
         faults_mod.FaultPlan.from_spec(args.inject_faults)  # fail fast
         os.environ[faults_mod.FAULTS_ENV] = args.inject_faults

@@ -14,8 +14,8 @@ to succeed?
   so the runner quarantines immediately.
 
 Both carry the *stage* that failed (one of
-:data:`~repro.core.flow.FLOW_STAGES`), the *config label/digest* of the
-run, and a stringified *cause*, so a quarantined
+:data:`~repro.core.flow.FLOW_STAGES`), the *config label* of the run,
+and a stringified *cause*, so a quarantined
 :class:`~repro.core.ppa.FailedRun` and the CLI's one-line failure
 message can always say where and why without a traceback.
 
@@ -36,7 +36,6 @@ __all__ = [
     "RoutingError",
     "RunTimeout",
     "TransientError",
-    "classify",
     "is_transient",
     "wrap_stage_error",
 ]
@@ -55,25 +54,21 @@ class FlowError(RuntimeError):
     transient = False
 
     def __init__(self, message: str = "", stage: str = "",
-                 config_label: str = "", config_digest: str = "",
-                 cause: str = "") -> None:
+                 config_label: str = "", cause: str = "") -> None:
         super().__init__(message)
         self.stage = stage
         self.config_label = config_label
-        self.config_digest = config_digest
         self.cause = cause
 
     def __reduce__(self):
         return (type(self), (str(self), self.stage, self.config_label,
-                             self.config_digest, self.cause))
+                             self.cause))
 
     def one_line(self) -> str:
         """The CLI's structured single-line rendering (stage, config, cause)."""
         parts = [f"stage={self.stage or '?'}"]
         if self.config_label:
             parts.append(f"config={self.config_label!r}")
-        if self.config_digest:
-            parts.append(f"digest={self.config_digest[:12]}")
         parts.append(f"cause={self.cause or type(self).__name__}")
         parts.append(f"error={self}")
         return " ".join(parts)
@@ -135,14 +130,8 @@ def is_transient(exc: BaseException) -> bool:
     return isinstance(exc, TRANSIENT_NATIVE)
 
 
-def classify(exc: BaseException) -> str:
-    """``"transient"`` or ``"fatal"`` — the retry-policy bucket."""
-    return "transient" if is_transient(exc) else "fatal"
-
-
 def wrap_stage_error(exc: BaseException, stage: str,
-                     config_label: str = "",
-                     config_digest: str = "") -> FlowError:
+                     config_label: str = "") -> FlowError:
     """Attach stage/config context to ``exc``, preserving transience.
 
     A :class:`FlowError` is annotated in place (missing fields only);
@@ -154,13 +143,11 @@ def wrap_stage_error(exc: BaseException, stage: str,
             exc.stage = stage
         if not exc.config_label:
             exc.config_label = config_label
-        if not exc.config_digest:
-            exc.config_digest = config_digest
         if not exc.cause:
             exc.cause = type(exc).__name__
         return exc
     kind = TransientError if is_transient(exc) else FatalError
     wrapped = kind(str(exc) or type(exc).__name__, stage, config_label,
-                   config_digest, type(exc).__name__)
+                   type(exc).__name__)
     wrapped.__cause__ = exc
     return wrapped

@@ -62,29 +62,9 @@ from . import telemetry
 from .cache import netlist_fingerprint
 from .config import FlowConfig
 from .errors import FatalError, wrap_stage_error
-from .guard import NULL_GUARD, FlowGuard
+from .guard import FlowGuard
 from .ppa import PPAResult
 from .stages import Stage, StageGraph, StageStore
-
-#: The flow's top-level stages (the paper's Fig. 7 pipeline), in
-#: execution order.  Every run emits exactly these depth-0 spans, so
-#: traces, reports and tests share one canonical stage list.
-FLOW_STAGES = (
-    "library",        # library build + input-pin redistribution
-    "netlist",        # netlist generation + library binding
-    "sizing",         # synthesis-style timing optimization
-    "floorplan",
-    "powerplan",      # BSPDN + Power Tap Cells
-    "placement",
-    "cts",
-    "legalization",   # post-CTS legalization (+ optional refinement)
-    "routing",        # grids, Algorithm 1 decomposition, per-side routing
-    "def_merge",      # per-side DEF export + dual-sided merge
-    "extraction",     # dual-sided RC extraction
-    "sta",
-    "power",
-)
-
 
 @dataclass
 class FlowArtifacts:
@@ -192,11 +172,11 @@ def _corrupting(plan: "faults_mod.FaultPlan", stage: str,
 class _FlowState:
     """Mutable state threaded through one graph walk."""
 
-    def __init__(self, config: FlowConfig, tr, guard, plan,
+    def __init__(self, config: FlowConfig, tr, plan,
                  netlist_factory) -> None:
         self.config = config
         self.tr = tr
-        self.guard = guard
+        self.guard = FlowGuard()
         self.plan = plan
         self.netlist_factory = netlist_factory
         #: Netlist instance already built for fingerprinting (reused by
@@ -514,12 +494,15 @@ def _restore_power(s: _FlowState, art: dict) -> None:
 #: ``legalization``, which is exactly the prefix a Table III
 #: layer-split enumeration shares.
 FLOW_GRAPH = StageGraph((
+    # library build + input-pin redistribution
     Stage("library",
           config_fields=frozenset({"arch", "backside_pin_fraction", "seed"}),
           execute=_exec_library, restore=_restore_library),
+    # netlist generation + library binding
     Stage("netlist",
           config_fields=frozenset(), uses_netlist=True,
           execute=_exec_netlist, restore=_restore_netlist),
+    # synthesis-style timing optimization
     Stage("sizing",
           config_fields=frozenset({"target_frequency_ghz", "clock",
                                    "sizing_iterations", "max_fanout"}),
@@ -528,6 +511,7 @@ FLOW_GRAPH = StageGraph((
           config_fields=frozenset({"utilization", "aspect_ratio",
                                    "macro_halo_cpp"}),
           execute=_exec_floorplan, restore=_restore_floorplan),
+    # BSPDN + Power Tap Cells
     Stage("powerplan",
           config_fields=frozenset({"power_stripe_pitch_cpp"}),
           execute=_exec_powerplan, restore=_restore_powerplan),
@@ -538,18 +522,22 @@ FLOW_GRAPH = StageGraph((
           config_fields=frozenset({"clock", "cts_mode",
                                    "cts_back_fraction"}),
           execute=_exec_cts, restore=_restore_cts),
+    # post-CTS legalization (+ optional refinement)
     Stage("legalization",
           config_fields=frozenset({"refine_placement", "refine_iterations",
                                    "seed"}),
           execute=_exec_legalization, restore=_restore_legalization),
+    # grids, Algorithm 1 decomposition, per-side routing
     Stage("routing",
           config_fields=frozenset({"front_layers", "back_layers",
                                    "gcell_tracks", "allow_bridging",
                                    "rrr_iterations"}),
           execute=_exec_routing, restore=_restore_routing),
+    # per-side DEF export + dual-sided merge
     Stage("def_merge",
           config_fields=frozenset(),
           execute=_exec_def_merge, restore=_restore_def_merge),
+    # dual-sided RC extraction
     Stage("extraction",
           config_fields=frozenset(),
           execute=_exec_extraction, restore=_restore_extraction),
@@ -561,7 +549,10 @@ FLOW_GRAPH = StageGraph((
           execute=_exec_power, restore=_restore_power),
 ))
 
-assert FLOW_GRAPH.names == FLOW_STAGES
+#: The flow's top-level stages (the paper's Fig. 7 pipeline), in
+#: execution order.  Every run emits exactly these depth-0 spans, so
+#: traces, reports and tests share one canonical stage list.
+FLOW_STAGES = FLOW_GRAPH.names
 
 
 def stage_keys(config: FlowConfig, netlist_fp: str) -> dict[str, str]:
@@ -594,7 +585,6 @@ def artifact_key(name: str, config: FlowConfig, netlist_fp: str) -> str:
 def run_flow(netlist_factory: Callable[[], Netlist], config: FlowConfig,
              return_artifacts: bool = False,
              tracer: "telemetry.Tracer | None" = None,
-             guard: FlowGuard | None = None,
              faults: "faults_mod.FaultPlan | None" = None,
              store: StageStore | None = None,
              stop_after: str | None = None):
@@ -610,12 +600,13 @@ def run_flow(netlist_factory: Callable[[], Netlist], config: FlowConfig,
     changes the result.  The tracer is activated for the duration of
     the call so instrumented subsystems report into it.
 
-    ``guard`` selects the post-stage invariant checker (default: a
-    :class:`~repro.core.guard.FlowGuard` in the ``$REPRO_GUARD`` mode,
-    strict unless overridden).  ``faults`` injects deterministic
-    failures for testing the recovery paths (default: the
-    ``$REPRO_FAULTS`` plan, normally inert); see
-    :mod:`repro.core.faults`.  Neither changes a healthy run's result.
+    The :class:`~repro.core.guard.FlowGuard` checks each hand-off it
+    covers and the final result; a violation raises
+    :class:`~repro.core.errors.GuardViolation`.  ``faults`` injects
+    deterministic failures for testing the recovery paths (default:
+    the ``$REPRO_FAULTS`` plan, normally inert); see
+    :mod:`repro.core.faults`.  Neither the checks nor an inert plan
+    changes a healthy run's result.
 
     ``store`` attaches a :class:`~repro.core.stages.StageStore`: stages
     whose key is already stored are replayed from their artifact, and
@@ -628,8 +619,6 @@ def run_flow(netlist_factory: Callable[[], Netlist], config: FlowConfig,
     is returned, with ``result`` populated only when the walk reaches
     the final stage.
     """
-    if guard is None:
-        guard = FlowGuard()
     if faults is None:
         faults = faults_mod.plan_from_env()
     if faults.flow_active:
@@ -642,7 +631,7 @@ def run_flow(netlist_factory: Callable[[], Netlist], config: FlowConfig,
             f"unknown stage {stop_after!r} (stages: {', '.join(FLOW_STAGES)})")
     with telemetry.activate(tracer) as tr:
         return _run_flow_traced(netlist_factory, config, return_artifacts,
-                                tr, guard, faults, store=store,
+                                tr, faults, store=store,
                                 stop_after=stop_after)
 
 
@@ -660,9 +649,9 @@ def _netlist_for_fingerprint(netlist_factory, config) -> Netlist:
 
 
 def _run_flow_traced(netlist_factory, config, return_artifacts, tr,
-                     guard=NULL_GUARD, plan=faults_mod.FaultPlan(),
-                     store=None, stop_after=None):
-    state = _FlowState(config, tr, guard, plan, netlist_factory)
+                     plan=faults_mod.FaultPlan(), store=None,
+                     stop_after=None):
+    state = _FlowState(config, tr, plan, netlist_factory)
     keys: dict[str, str] = {}
     if store is not None:
         state.base_netlist = _netlist_for_fingerprint(netlist_factory, config)
@@ -707,7 +696,7 @@ def _run_flow_traced(netlist_factory, config, return_artifacts, tr,
     result = None
     if stop_after in (None, FLOW_STAGES[-1]):
         result = _ppa_result(state)
-        guard.check_result(result)
+        state.guard.check_result(result)
         if stop_after is None and not return_artifacts:
             return result
     return FlowArtifacts(

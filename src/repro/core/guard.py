@@ -17,38 +17,23 @@ cheap invariant checks at the stage boundaries:
 * **PPA sanity** — frequency/power/area/wirelength are finite and in
   physically meaningful ranges.
 
-Modes (``$REPRO_GUARD`` or CLI ``--guard``):
-
-* ``strict`` (default) — a violation raises
-  :class:`~repro.core.errors.GuardViolation`, which the sweep runner
-  quarantines as a structured failure;
-* ``warn`` — violations are recorded (``guard.violations`` telemetry
-  counter, :attr:`FlowGuard.violations`, a ``RuntimeWarning``) and the
-  run continues;
-* ``off`` — checks are skipped entirely.
-
-Checks are read-only: guarding a healthy run never changes its
-:class:`~repro.core.ppa.PPAResult`.
+Every violation counts ``guard.violations`` and raises
+:class:`~repro.core.errors.GuardViolation`, a fatal error the sweep
+runner quarantines as a structured failure, so a damaged run never
+returns or stores a result.  Checks are read-only: guarding a healthy
+run never changes its :class:`~repro.core.ppa.PPAResult`.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import telemetry
 from .errors import GuardViolation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .ppa import PPAResult
-
-#: Environment variable selecting the default guard mode.
-GUARD_ENV = "REPRO_GUARD"
-
-#: Recognized guard modes.
-MODES = ("strict", "warn", "off")
 
 #: Upper sanity bound on achieved frequency, GHz (nothing in this
 #: technology clocks three orders of magnitude past the paper's 3 GHz).
@@ -58,38 +43,13 @@ MAX_SANE_FREQUENCY_GHZ = 1000.0
 MAX_SANE_POWER_MW = 1e6
 
 
-def default_mode() -> str:
-    """Guard mode from ``$REPRO_GUARD``; unknown values mean strict."""
-    mode = os.environ.get(GUARD_ENV, "").strip().lower()
-    return mode if mode in MODES else "strict"
-
-
 class FlowGuard:
-    """Runs post-stage invariant checks in strict/warn/off mode."""
-
-    def __init__(self, mode: str | None = None) -> None:
-        mode = mode if mode is not None else default_mode()
-        if mode not in MODES:
-            raise ValueError(f"unknown guard mode {mode!r} "
-                             f"(expected one of {MODES})")
-        self.mode = mode
-        #: Violation messages recorded in ``warn`` mode (and, for
-        #: inspection, the message of the strict raise).
-        self.violations: list[str] = []
-
-    @property
-    def enabled(self) -> bool:
-        return self.mode != "off"
+    """Runs post-stage invariant checks; any violation raises."""
 
     # -- violation plumbing --------------------------------------------------
-    def _violate(self, stage: str, message: str) -> None:
-        tracer = telemetry.current_tracer()
-        tracer.count("guard.violations")
-        self.violations.append(f"{stage}: {message}")
-        if self.mode == "strict":
-            raise GuardViolation(message, stage, cause="GuardViolation")
-        warnings.warn(f"flow guard ({stage}): {message}", RuntimeWarning,
-                      stacklevel=3)
+    def _violate(self, stage: str, message: str) -> NoReturn:
+        telemetry.current_tracer().count("guard.violations")
+        raise GuardViolation(message, stage, cause="GuardViolation")
 
     def _checked(self) -> None:
         telemetry.current_tracer().count("guard.checks")
@@ -104,8 +64,6 @@ class FlowGuard:
         global placement may transiently park cells there, legalization
         must not.
         """
-        if not self.enabled:
-            return
         self._checked()
         missing = [name for name in netlist.instances
                    if name not in placement.locations]
@@ -114,7 +72,6 @@ class FlowGuard:
                 "placement",
                 f"{len(missing)} instances have no location "
                 f"(first: {sorted(missing)[:3]})")
-            return
         bounds = die.bounds()
         astray = [name for name, p in placement.locations.items()
                   if not bounds.contains(p)]
@@ -123,7 +80,6 @@ class FlowGuard:
                 "placement",
                 f"{len(astray)} locations outside the die "
                 f"(first: {sorted(astray)[:3]})")
-            return
         macros = getattr(die, "macros", ())
         if legal and macros:
             macro_names = {m.name for m in macros}
@@ -145,8 +101,6 @@ class FlowGuard:
 
     def check_decomposition(self, netlist, decomposition) -> None:
         """Algorithm 1 kept every sink, on exactly one side."""
-        if not self.enabled:
-            return
         self._checked()
         if decomposition.bridges:
             # Bridging rewrites connectivity (new buffer instances take
@@ -163,7 +117,6 @@ class FlowGuard:
                     "routing",
                     f"net {net_name}: decomposition covers {len(got)} sinks, "
                     f"netlist has {len(want)}")
-                return
 
     def check_merged_def(self, netlist, merged) -> None:
         """Every instance is a component; no net repeats a segment.
@@ -171,8 +124,6 @@ class FlowGuard:
         The merged DEF may legitimately carry physical-only components
         (Power Tap Cells), so extras are fine — lost instances are not.
         """
-        if not self.enabled:
-            return
         self._checked()
         missing = set(netlist.instances) - set(merged.components)
         if missing:
@@ -180,19 +131,15 @@ class FlowGuard:
                 "def_merge",
                 f"{len(missing)} netlist instances missing from the merged "
                 f"DEF (first: {sorted(missing)[:3]})")
-            return
         for net_name, segments in merged.nets.items():
             if len(segments) != len(set(segments)):
                 self._violate(
                     "def_merge",
                     f"net {net_name}: duplicated route segments in the "
                     "merged DEF")
-                return
 
     def check_result(self, result: "PPAResult") -> None:
         """Final PPA numbers are finite and physically plausible."""
-        if not self.enabled:
-            return
         self._checked()
         checks = (
             # (name, value, lower bound, lower is exclusive, upper bound)
@@ -213,11 +160,6 @@ class FlowGuard:
                     "power",
                     f"{name} = {value!r} outside sane bounds "
                     f"({'(' if lo_open else '['}{lo:g}, {hi:g}])")
-                return
         if not math.isfinite(result.timing.wns_ps):
             self._violate("sta", f"wns_ps = {result.timing.wns_ps!r} "
                                  "is not finite")
-
-
-#: A guard that never checks anything (mode ``off``).
-NULL_GUARD = FlowGuard(mode="off")

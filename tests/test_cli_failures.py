@@ -6,18 +6,16 @@ import pytest
 
 from repro.cli import _retry_from, build_parser, main
 from repro.core.faults import FAULTS_ENV
-from repro.core.guard import GUARD_ENV
 
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch, tmp_path):
-    """Each test gets a private cache dir and no inherited fault/guard
-    state.  setenv (not delenv) so monkeypatch always registers a
-    restore: the CLI exports --inject-faults/--guard into os.environ,
-    and that must not leak into other test files."""
+    """Each test gets a private cache dir and no inherited fault state.
+    setenv (not delenv) so monkeypatch always registers a restore: the
+    CLI exports --inject-faults into os.environ, and that must not leak
+    into other test files."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv(FAULTS_ENV, "")  # empty spec == faults inactive
-    monkeypatch.setenv(GUARD_ENV, "")   # empty mode == strict default
 
 
 SMALL = ["--xlen", "4", "--nregs", "4"]
@@ -89,16 +87,8 @@ class TestResumeFlag:
 
 
 class TestGuardFlag:
-    def test_warn_mode_completes_with_violation(self, capsys):
-        code = main(["run", *SMALL, "--guard", "warn",
-                     "--inject-faults", "power:corrupt", "--retries", "1"])
-        # warn mode: the run completes (possibly invalid), no quarantine
-        captured = capsys.readouterr()
-        assert "Traceback" not in captured.out + captured.err
-        assert code in (0, 1)
-
     def test_strict_mode_quarantines_corruption(self, capsys):
-        code = main(["run", *SMALL, "--guard", "strict",
+        code = main(["run", *SMALL,
                      "--inject-faults", "power:corrupt", "--retries", "1"])
         assert code == 1
         assert "cause=GuardViolation" in capsys.readouterr().out

@@ -16,7 +16,6 @@ from repro.core.errors import (
     RoutingError,
     RunTimeout,
     TransientError,
-    classify,
     is_transient,
     wrap_stage_error,
 )
@@ -44,11 +43,11 @@ class TestHierarchy:
         assert issubclass(DecompositionError, ValueError)
 
     def test_context_fields(self):
-        err = RoutingError("no path", "routing", "cfg-a", "abc123",
+        err = RoutingError("no path", "routing", "cfg-a",
                            cause="RoutingError")
         assert err.stage == "routing"
         assert err.config_label == "cfg-a"
-        assert err.config_digest == "abc123"
+        assert err.cause == "RoutingError"
         assert str(err) == "no path"
 
     def test_one_line_is_structured(self):
@@ -64,15 +63,15 @@ class TestClassify:
     def test_native_transients(self):
         assert is_transient(OSError("disk"))
         assert is_transient(MemoryError())
-        assert classify(ConnectionError()) == "transient"
+        assert is_transient(ConnectionError())
 
     def test_native_fatals(self):
         assert not is_transient(ValueError("bad"))
-        assert classify(KeyError("x")) == "fatal"
+        assert not is_transient(KeyError("x"))
 
     def test_flow_errors_use_their_own_flag(self):
-        assert classify(InjectedFault("x")) == "transient"
-        assert classify(GuardViolation("x")) == "fatal"
+        assert is_transient(InjectedFault("x"))
+        assert not is_transient(GuardViolation("x"))
 
 
 class TestWrapStageError:
@@ -111,12 +110,11 @@ class TestPickling:
         FlowError, TransientError, FatalError, RunTimeout, RoutingError,
         MergeError, DecompositionError, GuardViolation, InjectedFault])
     def test_round_trip_keeps_fields(self, cls):
-        err = cls("boom", "sta", "cfg-x", "digest", cause="Boom")
+        err = cls("boom", "sta", "cfg-x", cause="Boom")
         back = pickle.loads(pickle.dumps(err))
         assert type(back) is cls
         assert str(back) == "boom"
         assert back.stage == "sta"
         assert back.config_label == "cfg-x"
-        assert back.config_digest == "digest"
         assert back.cause == "Boom"
         assert back.transient == cls.transient

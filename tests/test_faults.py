@@ -8,7 +8,6 @@ from repro.core import FlowConfig, run_flow
 from repro.core import faults as faults_mod
 from repro.core.errors import FatalError, FlowError, InjectedFault
 from repro.core.faults import FAULTS_ENV, FaultClause, FaultPlan, parse_clause
-from repro.core.guard import FlowGuard
 
 from .golden_cases import MultiplierFactory
 
@@ -115,8 +114,7 @@ class TestHealthyPathPurity:
 
     def test_inert_plan_is_bit_for_bit_neutral(self):
         baseline = run_flow(FACTORY, BASE)
-        with_plan = run_flow(FACTORY, BASE, faults=FaultPlan(),
-                             guard=FlowGuard(mode="strict"))
+        with_plan = run_flow(FACTORY, BASE, faults=FaultPlan())
         assert with_plan == baseline
 
     def test_env_plan_detection(self, monkeypatch):

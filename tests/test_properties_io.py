@@ -71,20 +71,27 @@ class TestDefRoundTripProperties:
             design.total_wirelength_nm)
 
 
+@pytest.fixture(scope="module")
+def ffet_liberty_roundtrip(ffet_lib):
+    """The FFET library written to Liberty text and parsed back, once:
+    the round trip is the same for every example."""
+    from repro.cells import parse_liberty, write_liberty
+
+    return parse_liberty(write_liberty(ffet_lib), ffet_lib)
+
+
 class TestLibertyTableProperties:
     @slow
     @given(st.integers(0, 10))
-    def test_liberty_tables_roundtrip_exactly(self, ffet_lib, seed):
+    def test_liberty_tables_roundtrip_exactly(self, ffet_lib,
+                                              ffet_liberty_roundtrip, seed):
         """Any cell's tables survive the Liberty text round trip."""
         import random
 
-        from repro.cells import parse_liberty, write_liberty
-
         rng = random.Random(seed)
-        parsed = parse_liberty(write_liberty(ffet_lib), ffet_lib)
         name = rng.choice([m.name for m in ffet_lib if m.arcs])
         orig = ffet_lib[name].arcs[0]
-        back = parsed[name].arcs[0]
+        back = ffet_liberty_roundtrip[name].arcs[0]
         slew = rng.uniform(2.0, 80.0)
         load = rng.uniform(0.5, 40.0)
         assert back.delay(slew, load, True) == pytest.approx(

@@ -33,7 +33,6 @@ from repro.core import runner as runner_mod
 from repro.core.cache import netlist_fingerprint
 from repro.core.faults import FAULTS_ENV
 from repro.core.flow import FLOW_STAGES, artifact_key
-from repro.core.guard import GUARD_ENV
 from repro.core.io import result_to_dict
 from repro.core.runner import TERMINAL, run_once
 from repro.service import ReproClient, ReproServer, Scheduler, ServiceError
@@ -334,16 +333,16 @@ class TestSchedulerSemantics:
 class TestFaultRule:
     def test_results_under_a_fault_plan_never_reach_the_store(
             self, tmp_path, monkeypatch):
-        """A damaged result computed while faults are injected must not
-        be served to a later healthy run as a cache hit."""
-        monkeypatch.setenv(FAULTS_ENV, "def_merge:corrupt")
-        monkeypatch.setenv(GUARD_ENV, "warn")
+        """A result computed while faults are injected must not be
+        served to a later healthy run as a cache hit."""
+        monkeypatch.setenv(FAULTS_ENV, "placement:raise:first")
         with serve(tmp_path, journal=False) as (client, _):
             final = client.wait(client.submit(RUN_SPEC)["id"],
                                 timeout_s=120)
         assert final["done"] == 1
+        [run] = final["runs"]
+        assert run["ok"] and run["attempts"] == 2
         monkeypatch.setenv(FAULTS_ENV, "")
-        monkeypatch.setenv(GUARD_ENV, "")
 
         cache = FlowCache(tmp_path / "cache")
         assert not list((cache.directory / "blobs" / "result").rglob("*"))

@@ -24,7 +24,6 @@ from repro.core.errors import FlowError
 from repro.core.faults import FaultClause, FaultPlan
 from repro.core.flow import (FLOW_GRAPH, FLOW_STAGES, _FlowState, run_flow,
                              stage_keys)
-from repro.core.guard import NULL_GUARD
 from repro.core.stages import Stage, StageGraph, StageStore
 from repro.core.telemetry import NULL_TRACER
 from repro.lefdef import write_def
@@ -407,7 +406,7 @@ class TestRoutingArtifact:
         assert not routing["decomposition"].bridges
         assert "netlist" not in routing and "placement" not in routing
         # Restore keeps the upstream netlist and placement.
-        state = _FlowState(BASE, NULL_TRACER, NULL_GUARD, FaultPlan(), _rv8)
+        state = _FlowState(BASE, NULL_TRACER, FaultPlan(), _rv8)
         state.netlist, state.placement = art.netlist, art.placement
         FLOW_GRAPH["routing"].restore(state, routing)
         assert state.netlist is art.netlist
